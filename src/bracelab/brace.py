@@ -15,7 +15,7 @@ from .errors import (
     NotAnIdeal,
 )
 from .groups import GroupTable, cyclic, opposite, verify_group
-from .perms import Perm, invert
+from .perms import Perm, cycle_type, invert
 from .subsets import Subset
 
 
@@ -34,33 +34,11 @@ class SkewBrace:
     lam_inv: tuple[tuple[int, ...], ...]
     star: tuple[tuple[int, ...], ...]
 
-    def neg(self, a: int) -> int:
-        return self.add.inv[a]
-
-    def minv(self, a: int) -> int:
-        return self.mul.inv[a]
-
     def add_(self, a: int, b: int) -> int:
         return self.add.table[a][b]
 
     def mul_(self, a: int, b: int) -> int:
         return self.mul.table[a][b]
-
-    def lam_(self, a: int, b: int) -> int:
-        return self.lam[a][b]
-
-    def star_(self, a: int, b: int) -> int:
-        return self.star[a][b]
-
-    def add_comm(self, a: int, b: int) -> int:
-        """[a,b]_+ = a + b - a - b."""
-        t, neg = self.add.table, self.add.inv
-        return t[t[t[a][b]][neg[a]]][neg[b]]
-
-    def mul_comm(self, a: int, b: int) -> int:
-        """[a,b]_o = a o b o a^-1 o b^-1."""
-        t, inv = self.mul.table, self.mul.inv
-        return t[t[t[a][b]][inv[a]]][inv[b]]
 
 
 def verify_skew_brace(add: GroupTable, mul: GroupTable) -> SkewBrace:
@@ -237,76 +215,8 @@ def _is_two_sided(b: SkewBrace) -> bool:
 # Isomorphism
 
 
-def brace_closure_mask(b: SkewBrace, seed_mask: int) -> int:
-    """Closure of a subset (plus 0) under both operations."""
-    mask = seed_mask | 1
-    members = [i for i in range(b.n) if mask >> i & 1]
-    frontier = list(members)
-    add_t, mul_t = b.add.table, b.mul.table
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for c in list(members):
-                for d in (add_t[a][c], add_t[c][a], mul_t[a][c], mul_t[c][a]):
-                    if not mask >> d & 1:
-                        mask |= 1 << d
-                        members.append(d)
-                        nxt.append(d)
-        frontier = nxt
-    return mask
-
-
-def _generating_sequence(b: SkewBrace) -> list[int]:
-    gens: list[int] = []
-    mask = 1
-    while mask != (1 << b.n) - 1:
-        nxt = min(a for a in range(b.n) if not mask >> a & 1)
-        gens.append(nxt)
-        mask = brace_closure_mask(b, mask | 1 << nxt)
-    return gens
-
-
-def _expression_plan(b: SkewBrace, gens: list[int]) -> list[tuple[int, int, int, int]]:
-    """Entries (target, op, x, y): op 0 is +, op 1 is o; x, y already derived."""
-    known = {0} | set(gens)
-    plan: list[tuple[int, int, int, int]] = []
-    frontier = sorted(known)
-    tables = (b.add.table, b.mul.table)
-    while len(known) < b.n:
-        nxt = []
-        for a in frontier:
-            for c in sorted(known):
-                for op, t in enumerate(tables):
-                    for target, (x, y) in ((t[a][c], (a, c)), (t[c][a], (c, a))):
-                        if target not in known:
-                            known.add(target)
-                            plan.append((target, op, x, y))
-                            nxt.append(target)
-        if not nxt:
-            raise ValueError("generators do not generate the brace")
-        frontier = nxt
-    return plan
-
-
 def _element_fingerprint(b: SkewBrace, a: int, orbit_sizes: dict[int, int]) -> tuple:
-    lam_row = b.lam[a]
-    cycle_type = _cycle_type(lam_row)
-    return (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type)
-
-
-def _cycle_type(p: Perm) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out))
+    return (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]))
 
 
 def _lambda_orbit_sizes(b: SkewBrace) -> dict[int, int]:
@@ -320,9 +230,8 @@ def _lambda_orbit_sizes(b: SkewBrace) -> dict[int, int]:
 def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
     """A bijection fixing 0 that preserves both tables, or None.
 
-    Backtracks over images of a generating sequence of b1, pruning candidates
-    by element order in both groups and lambda-orbit data; a completed map is
-    verified on every pair for both operations.
+    Searches generator images with groups._homomorphisms, pruning candidates
+    by element order in both groups and lambda-orbit data.
     """
     if b1.n != b2.n:
         return None
@@ -334,38 +243,13 @@ def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
     if sorted(fp1) != sorted(k for k, v in fp2.items() for _ in v):
         return None
 
-    gens = _generating_sequence(b1)
-    plan = _expression_plan(b1, gens)
     t1 = (b1.add.table, b1.mul.table)
-    t2 = (b2.add.table, b2.mul.table)
-
-    def extend(k: int, phi: list[int], used: set[int]) -> Optional[Perm]:
-        if k == len(gens):
-            for target, op, x, y in plan:
-                phi[target] = t2[op][phi[x]][phi[y]]
-            if len(set(phi)) != b1.n:
-                return None
-            for op in (0, 1):
-                s1, s2 = t1[op], t2[op]
-                for a in range(b1.n):
-                    row, prow = s1[a], phi[a]
-                    for c in range(b1.n):
-                        if phi[row[c]] != s2[prow][phi[c]]:
-                            return None
-            return tuple(phi)
-        gen = gens[k]
-        for cand in fp2.get(fp1[gen], []):
-            if cand in used:
-                continue
-            phi[gen] = cand
-            res = extend(k + 1, phi, used | {cand})
-            if res is not None:
-                return res
-        return None
-
-    phi0 = [-1] * b1.n
-    phi0[0] = 0
-    return extend(0, phi0, {0})
+    gens = groups._generating_sequence(t1)
+    candidates = [fp2.get(fp1[a], []) for a in gens]
+    maps = groups._homomorphisms(
+        t1, (b2.add.table, b2.mul.table), gens, groups._expression_plan(t1, gens), candidates
+    )
+    return next(maps, None)
 
 
 def relabeled(b: SkewBrace, relabel: Perm) -> SkewBrace:

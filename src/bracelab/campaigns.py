@@ -125,36 +125,27 @@ class CampaignReport:
 # Catalog access with optional JSONL caching
 
 
-def _brace_catalog(n: int, catalog_dir: Optional[Path]) -> Catalog:
-    if catalog_dir is not None:
-        from .serialize import read_catalog, write_catalog
-
-        path = Path(catalog_dir) / f"braces-{n}.jsonl"
-        if path.exists():
-            return read_catalog(path)
-        cat = enumerate_skew_braces(n)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_catalog(cat, path)
-        return cat
-    return enumerate_skew_braces(n)
+_ENUMERATORS = {"braces": enumerate_skew_braces, "solutions": enumerate_involutive_solutions}
 
 
-def _solution_catalog(n: int, catalog_dir: Optional[Path]) -> Catalog:
-    if catalog_dir is not None:
-        from .serialize import read_catalog, write_catalog
+def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
+    """The order-n catalog of kind, read from catalog_dir when cached there."""
+    enumerate_catalog = _ENUMERATORS[kind]
+    if catalog_dir is None:
+        return enumerate_catalog(n)
+    from .serialize import read_catalog, write_catalog
 
-        path = Path(catalog_dir) / f"solutions-{n}.jsonl"
-        if path.exists():
-            return read_catalog(path)
-        cat = enumerate_involutive_solutions(n)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_catalog(cat, path)
-        return cat
-    return enumerate_involutive_solutions(n)
+    path = Path(catalog_dir) / f"{kind}-{n}.jsonl"
+    if path.exists():
+        return read_catalog(path)
+    cat = enumerate_catalog(n)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_catalog(cat, path)
+    return cat
 
 
 def _census_braces(max_order: int, catalog_dir: Optional[Path]) -> dict[int, Catalog]:
-    return {n: _brace_catalog(n, catalog_dir) for n in range(1, max_order + 1)}
+    return {n: _catalog("braces", n, catalog_dir) for n in range(1, max_order + 1)}
 
 
 def _pmap(fn: Callable, items: list, jobs: int) -> list:
@@ -524,7 +515,7 @@ def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir, **_) -> Campa
         "the exhaustive catalog contains at least one solution that is not "
         "multipermutation",
     )
-    catalogs = {n: _solution_catalog(n, catalog_dir) for n in range(1, max_size + 1)}
+    catalogs = {n: _catalog("solutions", n, catalog_dir) for n in range(1, max_size + 1)}
     census_items: list[tuple[int, int, Solution]] = [
         (n, i, sol)
         for n, cat in catalogs.items()

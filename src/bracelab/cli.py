@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage or
 input error. The environment variable BRACELAB_BUDGET overrides the closure
-and lattice budgets.
+and lattice budgets; a value that is not a positive integer is an input error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import click
 from .brace import classify_flags
 from .campaigns import DEFAULT_SEED, SUITES, run_suite, write_report_csv
 from .enumeration import enumerate_involutive_solutions, enumerate_skew_braces, groups_of_order
-from .errors import BraceLabError
+from .errors import BraceLabError, env_budget
 from .series import nilpotency_report
 from .serialize import (
     read_catalog,
@@ -36,6 +36,10 @@ def _fail_input(message: str) -> None:
 def main() -> None:
     """Finite skew braces and Yang-Baxter solutions: enumeration, analysis,
     and theorem-verification campaigns."""
+    try:
+        env_budget(1)  # reject a malformed BRACELAB_BUDGET before any command runs
+    except BraceLabError as exc:
+        _fail_input(str(exc))
 
 
 @main.command("enumerate")

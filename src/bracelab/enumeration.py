@@ -150,21 +150,11 @@ def _cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:
             yield table
 
 
-def automorphisms(g: GroupTable) -> tuple[list[Perm], int]:
-    """Generating automorphisms and |Aut(G)|."""
-    return automorphism_group(g)
-
-
 # ---------------------------------------------------------------------------
 # Skew braces via regular subgroups of the holomorph
 
 
 LambdaMap = tuple[Perm, ...]  # a -> the additive automorphism lambda_a
-
-
-def regular_subgroup_search_units(a_group: GroupTable) -> list[int]:
-    """Indices of Aut(A) elements usable as the first generator choice."""
-    return list(range(len(all_automorphisms(a_group))))
 
 
 def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -> list[LambdaMap]:

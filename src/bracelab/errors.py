@@ -6,6 +6,8 @@ reproducible by hand from the error message alone.
 
 from __future__ import annotations
 
+import os
+
 
 class BraceLabError(Exception):
     """Base class for all bracelab errors."""
@@ -74,6 +76,20 @@ class BudgetExceeded(BraceLabError):
         self.size = size
         self.budget = budget
         super().__init__(f"{what}: size {size} exceeds budget {budget}")
+
+
+def env_budget(default: int) -> int:
+    """The BRACELAB_BUDGET override as a positive int, or default when unset."""
+    env = os.environ.get("BRACELAB_BUDGET")
+    if not env:
+        return default
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise BraceLabError(f"BRACELAB_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 class NotBijective(BraceLabError):

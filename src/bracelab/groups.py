@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +15,9 @@ from .perms import Perm, compose, invert
 
 # Exhaustive triple validation keeps indices in one byte.
 MAX_CARRIER = 255
+
+# Cayley tables on one carrier, as the closure and homomorphism kernels take them.
+Tables = Sequence[Sequence[Sequence[int]]]
 
 
 @dataclass(frozen=True)
@@ -233,26 +236,40 @@ def opposite(g: GroupTable) -> GroupTable:
 # Subgroup machinery (subgroups as frozensets of indices)
 
 
+def closure_mask(tables: Tables, mask: int) -> int:
+    """Least superset of mask | {0} closed under every table in tables.
+
+    Works in rounds: each table maps frontier x members in both orders, and
+    members grows once per round by what was new. (g.table,) closes to a
+    subgroup; (b.add.table, b.mul.table) to a sub-brace.
+    """
+    mask |= 1
+    members = [i for i in range(len(tables[0])) if mask >> i & 1]
+    frontier = members
+    while frontier:
+        new = []
+        for t in tables:
+            for a in frontier:
+                row = t[a]
+                for c in members:
+                    d = row[c]
+                    if not mask >> d & 1:
+                        mask |= 1 << d
+                        new.append(d)
+                    d = t[c][a]
+                    if not mask >> d & 1:
+                        mask |= 1 << d
+                        new.append(d)
+        members = members + new
+        frontier = new
+    return mask
+
+
 def subgroup_closure(g: GroupTable, seed) -> frozenset[int]:
     """Subgroup generated by seed (closure under the operation suffices on
     finite carriers)."""
-    members = {0} | set(seed)
-    frontier = list(members)
-    table = g.table
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (table[a][b], table[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(members)
-
-
-def generated_subgroup_from_products(g: GroupTable, elements) -> frozenset[int]:
-    return subgroup_closure(g, elements)
+    mask = closure_mask((g.table,), sum(1 << e for e in set(seed)))
+    return frozenset(i for i in range(g.n) if mask >> i & 1)
 
 
 def commutator_subgroup(g: GroupTable, xs, ys) -> frozenset[int]:
@@ -311,42 +328,92 @@ def upper_central_series(g: GroupTable) -> list[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing
+# Isomorphism testing: generator-image backtracking over tuples of tables
 
 
-def minimal_generating_sequence(g: GroupTable) -> list[int]:
+def _generating_sequence(tables: Tables) -> list[int]:
+    """Greedy generators: the least element not yet reached, until the closure
+    under tables is the whole carrier."""
+    n = len(tables[0])
     gens: list[int] = []
-    reached = frozenset({0})
-    while len(reached) < g.n:
-        nxt = min(a for a in range(g.n) if a not in reached)
+    mask = 1
+    while mask != (1 << n) - 1:
+        nxt = min(a for a in range(n) if not mask >> a & 1)
         gens.append(nxt)
-        reached = subgroup_closure(g, gens)
+        mask = closure_mask(tables, mask | 1 << nxt)
     return gens
 
 
-def _expression_plan(g: GroupTable, gens: list[int]) -> list[tuple[int, int, int]]:
-    """Plan (target, a, b) with target = a*b deriving all elements from gens.
+def _expression_plan(tables: Tables, gens: list[int]) -> list[tuple[int, int, int, int]]:
+    """Plan (target, op, x, y) with target = tables[op][x][y] deriving all
+    elements from gens.
 
     Seeds are the identity and the generators; every other element appears
-    exactly once as a target, with a and b already derived.
+    exactly once as a target, with x and y already derived.
     """
+    n = len(tables[0])
     known = {0} | set(gens)
-    plan: list[tuple[int, int, int]] = []
+    plan: list[tuple[int, int, int, int]] = []
     frontier = sorted(known)
-    table = g.table
-    while len(known) < g.n:
+    while len(known) < n:
         nxt = []
         for a in frontier:
-            for b in sorted(known):
-                for t, (x, y) in ((table[a][b], (a, b)), (table[b][a], (b, a))):
-                    if t not in known:
-                        known.add(t)
-                        plan.append((t, x, y))
-                        nxt.append(t)
+            for c in sorted(known):
+                for op, t in enumerate(tables):
+                    for target, x, y in ((t[a][c], a, c), (t[c][a], c, a)):
+                        if target not in known:
+                            known.add(target)
+                            plan.append((target, op, x, y))
+                            nxt.append(target)
         if not nxt:
-            raise ValueError("generators do not generate the group")
+            raise ValueError("generators do not generate the carrier")
         frontier = nxt
     return plan
+
+
+def _homomorphisms(
+    src_tables: Tables,
+    dst_tables: Tables,
+    gens: list[int],
+    plan: list[tuple[int, int, int, int]],
+    candidates: Sequence[Sequence[int]],
+) -> Iterator[Perm]:
+    """Every bijection phi fixing 0 with phi(s[a][b]) = d[phi(a)][phi(b)] for
+    each table pair (s, d) of src_tables and dst_tables.
+
+    Backtracks over the images of gens, gens[k] trying candidates[k] in
+    order; the plan derives the other images and each completed map is
+    verified on all pairs of every table.
+    """
+    n = len(src_tables[0])
+    pairs = tuple(zip(src_tables, dst_tables))
+    phi = [-1] * n
+    phi[0] = 0
+
+    def preserves() -> bool:
+        if len(set(phi)) != n:
+            return False
+        for s, d in pairs:
+            for a, row in enumerate(s):
+                prow = d[phi[a]]
+                for b, v in enumerate(row):
+                    if phi[v] != prow[phi[b]]:
+                        return False
+        return True
+
+    def extend(k: int, used: set[int]) -> Iterator[Perm]:
+        if k == len(gens):
+            for target, op, x, y in plan:
+                phi[target] = dst_tables[op][phi[x]][phi[y]]
+            if preserves():
+                yield tuple(phi)
+            return
+        for cand in candidates[k]:
+            if cand not in used:
+                phi[gens[k]] = cand
+                yield from extend(k + 1, used | {cand})
+
+    return extend(0, {0})
 
 
 def _order_classes(g: GroupTable) -> dict[int, list[int]]:
@@ -356,48 +423,24 @@ def _order_classes(g: GroupTable) -> dict[int, list[int]]:
     return classes
 
 
-def isomorphic_groups(g1: GroupTable, g2: GroupTable) -> Optional[Perm]:
-    """A bijection phi with phi(a*b) = phi(a)*phi(b), or None.
+def _group_homomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[Perm]:
+    """Isomorphisms g1 -> g2, generator images pruned by element order."""
+    tables = (g1.table,)
+    gens = _generating_sequence(tables)
+    by_order = _order_classes(g2)
+    candidates = [by_order.get(g1.order_of(a), []) for a in gens]
+    return _homomorphisms(
+        tables, (g2.table,), gens, _expression_plan(tables, gens), candidates
+    )
 
-    Backtracks over images of a minimal generating sequence, pruning by
-    element order; each full candidate map is verified on all pairs.
-    """
+
+def isomorphic_groups(g1: GroupTable, g2: GroupTable) -> Optional[Perm]:
+    """A bijection phi with phi(a*b) = phi(a)*phi(b), or None."""
     if g1.n != g2.n:
         return None
     if sorted(g1.element_orders()) != sorted(g2.element_orders()):
         return None
-    gens = minimal_generating_sequence(g1)
-    plan = _expression_plan(g1, gens)
-    by_order = _order_classes(g2)
-    t1, t2 = g1.table, g2.table
-
-    def extend(k: int, phi: list[int], used: set[int]) -> Optional[Perm]:
-        if k == len(gens):
-            for target, a, b in plan:
-                v = t2[phi[a]][phi[b]]
-                phi[target] = v
-            image = set(phi)
-            if len(image) != g1.n:
-                return None
-            for a in range(g1.n):
-                row1, prow = t1[a], phi[a]
-                for b in range(g1.n):
-                    if phi[row1[b]] != t2[prow][phi[b]]:
-                        return None
-            return tuple(phi)
-        gen = gens[k]
-        for cand in by_order.get(g1.order_of(gen), []):
-            if cand in used:
-                continue
-            phi[gen] = cand
-            res = extend(k + 1, phi, used | {cand})
-            if res is not None:
-                return res
-        return None
-
-    phi0 = [-1] * g1.n
-    phi0[0] = 0
-    return extend(0, phi0, {0})
+    return next(_group_homomorphisms(g1, g2), None)
 
 
 def automorphism_group(g: GroupTable) -> tuple[list[Perm], int]:
@@ -435,43 +478,8 @@ _AUTOMORPHISM_CACHE: dict[GroupTable, list[Perm]] = {}
 
 
 def all_automorphisms(g: GroupTable) -> list[Perm]:
-    """Every automorphism of G, by generator-image backtracking."""
+    """Every automorphism of G, sorted."""
     cached = _AUTOMORPHISM_CACHE.get(g)
-    if cached is not None:
-        return cached
-    gens = minimal_generating_sequence(g)
-    plan = _expression_plan(g, gens)
-    by_order = _order_classes(g)
-    t = g.table
-    found: list[Perm] = []
-
-    def extend(k: int, phi: list[int], used: set[int]) -> None:
-        if k == len(gens):
-            for target, a, b in plan:
-                phi[target] = t[phi[a]][phi[b]]
-            if len(set(phi)) != g.n:
-                return
-            for a in range(g.n):
-                row, prow = t[a], phi[a]
-                for b in range(g.n):
-                    if phi[row[b]] != t[prow][phi[b]]:
-                        return
-            found.append(tuple(phi))
-            return
-        gen = gens[k]
-        order = g.order_of(gen)
-        for cand in by_order.get(order, []):
-            if cand in used:
-                continue
-            phi[gen] = cand
-            extend(k + 1, phi, used | {cand})
-
-    if g.n == 1:
-        out = [(0,)]
-    else:
-        phi0 = [-1] * g.n
-        phi0[0] = 0
-        extend(0, phi0, {0})
-        out = sorted(found)
-    _AUTOMORPHISM_CACHE[g] = out
-    return out
+    if cached is None:
+        cached = _AUTOMORPHISM_CACHE[g] = sorted(_group_homomorphisms(g, g))
+    return cached

@@ -37,19 +37,25 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return tuple(out)
 
 
-def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """Sorted cycle lengths of p."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
         if seen[i]:
             continue
-        length = 0
-        j = i
+        length, j = 0, i
         while not seen[j]:
             seen[j] = True
             j = p[j]
             length += 1
+        out.append(length)
+    return tuple(sorted(out))
+
+
+def perm_order(p: Perm) -> int:
+    order = 1
+    for length in cycle_type(p):
         order = _lcm(order, length)
     return order
 

@@ -16,7 +16,6 @@ from .brace import SkewBrace, classify_flags, quotient
 from .errors import CrossCheckFailed, HypothesisUnmet
 from .subsets import Subset
 from .substructures import (
-    additive_closure,
     commutator,
     invariant_substructures,
     is_ideal,
@@ -133,7 +132,7 @@ def _strong_chain(b: SkewBrace) -> list[Subset]:
         for i in range(1, m + 1):
             xs, ys = chain[i - 1], chain[m - i]
             products |= {b.star[x][y] for x in xs.indices() for y in ys.indices()}
-        nxt = Subset(b.n, additive_closure(b, products))
+        nxt = Subset(b.n, groups.closure_mask((b.add.table,), Subset.of(b.n, products).mask))
         if nxt == chain[-1]:
             return chain
         assert nxt <= chain[-1]
@@ -151,7 +150,7 @@ def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
             | star_sets(b, full, prev).mask
             | commutator(b, full, prev, "+").mask
         )
-        nxt = Subset(b.n, additive_closure(b, Subset(b.n, gen).indices()))
+        nxt = Subset(b.n, groups.closure_mask((b.add.table,), gen))
         if nxt == prev:
             return chain
         assert nxt <= prev
@@ -172,7 +171,7 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
             xs, ys = chain[i - 1], chain[n_idx - i - 1]
             gen |= star_sets(b, xs, ys).mask
             gen |= commutator(b, xs, ys, "+").mask
-        nxt = Subset(b.n, additive_closure(b, Subset(b.n, gen).indices()))
+        nxt = Subset(b.n, groups.closure_mask((b.add.table,), gen))
         if nxt == chain[-1]:
             return chain
         assert nxt <= chain[-1], "gamma bracket series failed to descend"
@@ -200,31 +199,9 @@ def _annihilator_chain(b: SkewBrace) -> list[Subset]:
     return _ascend_by_quotient(b, lambda q: invariant_substructures(q).ann)
 
 
-def _lcs(b: SkewBrace, op: str) -> list[Subset]:
-    chain = [Subset.full(b.n)]
-    while True:
-        nxt = commutator(b, Subset.full(b.n), chain[-1], op)
-        if nxt == chain[-1]:
-            return chain
-        chain.append(nxt)
-
-
-def _ucs(b: SkewBrace, op: str) -> list[Subset]:
-    comm = b.add_comm if op == "+" else b.mul_comm
-    chain = [Subset.zero(b.n)]
-    while True:
-        prev = chain[-1]
-        nxt = Subset.of(
-            b.n,
-            (
-                x
-                for x in range(b.n)
-                if all(comm(x, a) in prev for a in range(b.n))
-            ),
-        )
-        if nxt == prev:
-            return chain
-        chain.append(nxt)
+def _group_chain(b: SkewBrace, terms: list[frozenset[int]]) -> list[Subset]:
+    """A central series of b.add or b.mul, as subsets of the carrier."""
+    return [Subset.of(b.n, term) for term in terms]
 
 
 _BUILDERS = {
@@ -235,10 +212,10 @@ _BUILDERS = {
     "gamma_bracket": _gamma_bracket_chain,
     "socle": _socle_chain,
     "annihilator": _annihilator_chain,
-    "lcs_add": lambda b: _lcs(b, "+"),
-    "lcs_mul": lambda b: _lcs(b, "o"),
-    "ucs_add": lambda b: _ucs(b, "+"),
-    "ucs_mul": lambda b: _ucs(b, "o"),
+    "lcs_add": lambda b: _group_chain(b, groups.lower_central_series(b.add)),
+    "lcs_mul": lambda b: _group_chain(b, groups.lower_central_series(b.mul)),
+    "ucs_add": lambda b: _group_chain(b, groups.upper_central_series(b.add)),
+    "ucs_mul": lambda b: _group_chain(b, groups.upper_central_series(b.mul)),
 }
 
 
@@ -354,7 +331,7 @@ def gamma_distributivity_check(b: SkewBrace) -> dict:
 
     checked = 0
     counterexamples: list[dict] = []
-    add_t, mul_t, st = b.add.table, b.mul.table, b.star
+    add_t, mul_t, st, comm = b.add.table, b.mul.table, b.star, b.add.commutator
     for k in range(2, c):
         a_set = chain[c - k - 1].indices()
         qw_set = chain[k - 2].indices()
@@ -366,14 +343,14 @@ def gamma_distributivity_check(b: SkewBrace) -> dict:
                     qow = mul_t[q][w]
                     sum_star_a = add_t[st[a][q]][st[a][w]]
                     sum_star_right = add_t[st[q][a]][st[w][a]]
-                    comm_sum = add_t[b.add_comm(a, q)][b.add_comm(a, w)]
+                    comm_sum = add_t[comm(a, q)][comm(a, w)]
                     results = (
                         st[a][qpw] == sum_star_a,
                         st[a][qow] == sum_star_a,
                         st[qow][a] == sum_star_right,
                         st[qpw][a] == sum_star_right,
-                        b.add_comm(a, qpw) == comm_sum,
-                        b.add_comm(a, qow) == comm_sum,
+                        comm(a, qpw) == comm_sum,
+                        comm(a, qow) == comm_sum,
                     )
                     if not all(results):
                         counterexamples.append(

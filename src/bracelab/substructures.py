@@ -3,52 +3,24 @@ annihilator, lattices, radical, idealizer."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .brace import SkewBrace, brace_closure_mask
-from .errors import BudgetExceeded, NoUniqueMaximum, NotASubBrace
+from .brace import SkewBrace
+from .errors import BudgetExceeded, NoUniqueMaximum, NotASubBrace, env_budget
+from .groups import closure_mask
 from .subsets import Subset
 
 DEFAULT_LATTICE_BUDGET = 48
-
-
-def _lattice_budget() -> int:
-    env = os.environ.get("BRACELAB_BUDGET")
-    return int(env) if env else DEFAULT_LATTICE_BUDGET
 
 
 # ---------------------------------------------------------------------------
 # Closures
 
 
-def additive_closure(b: SkewBrace, elements: Iterable[int]) -> int:
-    """Mask of the additive subgroup generated by elements (and 0)."""
-    mask = 1
-    members = [0]
-    for e in elements:
-        if not mask >> e & 1:
-            mask |= 1 << e
-            members.append(e)
-    add_t = b.add.table
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for c in list(members):
-                for d in (add_t[a][c], add_t[c][a]):
-                    if not mask >> d & 1:
-                        mask |= 1 << d
-                        members.append(d)
-                        nxt.append(d)
-        frontier = nxt
-    return mask
-
-
 def subbrace_closure(b: SkewBrace, seed: Subset) -> Subset:
     """Smallest subset containing seed and 0 closed under + and o."""
-    return Subset(b.n, brace_closure_mask(b, seed.mask))
+    return Subset(b.n, closure_mask((b.add.table, b.mul.table), seed.mask))
 
 
 def is_subbrace(b: SkewBrace, s: Subset) -> bool:
@@ -122,8 +94,8 @@ def is_left_ideal(b: SkewBrace, i: Subset) -> bool:
 def ideal_generated(b: SkewBrace, seed: Subset) -> Subset:
     """Least ideal containing seed: fixpoint of additive closure, lambda
     images, and conjugates under both operations."""
-    mask = additive_closure(b, seed.indices())
     add_t, mul_t, lam = b.add.table, b.mul.table, b.lam
+    mask = closure_mask((add_t,), seed.mask)
     neg, minv = b.add.inv, b.mul.inv
     while True:
         new = 0
@@ -139,7 +111,7 @@ def ideal_generated(b: SkewBrace, seed: Subset) -> Subset:
                         new |= 1 << y
         if not new:
             return Subset(b.n, mask)
-        mask = additive_closure(b, [x for x in range(b.n) if (mask | new) >> x & 1])
+        mask = closure_mask((add_t,), mask | new)
 
 
 # ---------------------------------------------------------------------------
@@ -148,42 +120,19 @@ def ideal_generated(b: SkewBrace, seed: Subset) -> Subset:
 
 def star_sets(b: SkewBrace, xs: Subset, ys: Subset) -> Subset:
     """Additive subgroup generated by {x*y : x in X, y in Y}."""
-    star = b.star
-    products = {star[x][y] for x in xs.indices() for y in ys.indices()}
-    return Subset(b.n, additive_closure(b, products))
+    star, ys_idx = b.star, ys.indices()
+    products = Subset.of(b.n, {star[x][y] for x in xs.indices() for y in ys_idx})
+    return Subset(b.n, closure_mask((b.add.table,), products.mask))
 
 
 def commutator(b: SkewBrace, xs: Subset, ys: Subset, op: str) -> Subset:
     """Subgroup of (B,+) or (B,o) generated by pairwise commutators."""
-    if op == "+":
-        comms = {b.add_comm(x, y) for x in xs.indices() for y in ys.indices()}
-        return Subset(b.n, additive_closure(b, comms))
-    if op == "o":
-        comms = {b.mul_comm(x, y) for x in xs.indices() for y in ys.indices()}
-        return Subset(b.n, _mul_closure(b, comms))
-    raise ValueError(f"op must be '+' or 'o', got {op!r}")
-
-
-def _mul_closure(b: SkewBrace, elements: Iterable[int]) -> int:
-    mask = 1
-    members = [0]
-    for e in elements:
-        if not mask >> e & 1:
-            mask |= 1 << e
-            members.append(e)
-    mul_t = b.mul.table
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for c in list(members):
-                for d in (mul_t[a][c], mul_t[c][a]):
-                    if not mask >> d & 1:
-                        mask |= 1 << d
-                        members.append(d)
-                        nxt.append(d)
-        frontier = nxt
-    return mask
+    if op not in ("+", "o"):
+        raise ValueError(f"op must be '+' or 'o', got {op!r}")
+    g = b.add if op == "+" else b.mul
+    ys_idx = ys.indices()
+    comms = Subset.of(b.n, {g.commutator(x, y) for x in xs.indices() for y in ys_idx})
+    return Subset(b.n, closure_mask((g.table,), comms.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +192,13 @@ def invariant_substructures(b: SkewBrace) -> InvariantSubstructures:
 def subbrace_lattice(b: SkewBrace) -> list[Subset]:
     """All sub skew braces: closures of singletons, then pairwise joins to a
     fixpoint. Exponential in the worst case; guarded by the carrier budget."""
-    budget = _lattice_budget()
+    budget = env_budget(DEFAULT_LATTICE_BUDGET)
     if b.n > budget:
         raise BudgetExceeded("sub-brace lattice carrier", b.n, budget)
+    tables = (b.add.table, b.mul.table)
     found: set[int] = {1}
     for x in range(b.n):
-        found.add(brace_closure_mask(b, 1 << x))
+        found.add(closure_mask(tables, 1 << x))
     while True:
         new: set[int] = set()
         items = sorted(found)
@@ -257,7 +207,7 @@ def subbrace_lattice(b: SkewBrace) -> list[Subset]:
                 join = m1 | m2
                 if join in found:
                     continue
-                closed = brace_closure_mask(b, join)
+                closed = closure_mask(tables, join)
                 if closed not in found:
                     new.add(closed)
         if not new:

@@ -3,11 +3,10 @@ permutation skew brace they generate inside Sym(X) x Sym(X)."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .brace import SkewBrace, classify_flags, verify_skew_brace
+from .brace import SkewBrace, verify_skew_brace
 from .errors import (
     AdditiveGenerationFailed,
     BraceValidationFailed,
@@ -16,6 +15,7 @@ from .errors import (
     EquivalenceViolated,
     InducedMapsIllDefined,
     NotBijective,
+    env_budget,
 )
 from .groups import verify_group
 from .perms import Perm, compose, invert, is_perm
@@ -23,11 +23,6 @@ from .series import nilpotency_report
 
 # Keeps the quadratic addition-table construction interactive.
 DEFAULT_CLOSURE_BUDGET = 10080
-
-
-def closure_budget() -> int:
-    env = os.environ.get("BRACELAB_BUDGET")
-    return int(env) if env else DEFAULT_CLOSURE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def permutation_brace(
     the structure relation g_x o g_y = g_{sigma_x(y)} o g_{tau_y(x)} is
     asserted, so no unproved identity is trusted.
     """
-    budget = closure_budget() if budget is None else budget
+    budget = env_budget(DEFAULT_CLOSURE_BUDGET) if budget is None else budget
     n = sol.n
     gens = [(sol.sigma[x], invert(sol.tau[x])) for x in range(n)]
     ident = (tuple(range(n)), tuple(range(n)))
@@ -270,7 +265,6 @@ def equivalence_check(sol: Solution) -> dict:
     level = multipermutation_level(sol)
     brace, _ = permutation_brace(sol)
     report = nilpotency_report(brace)
-    flags = classify_flags(brace)
     lhs = level is not None
     rhs = report.right.holds and report.nilpotent_type
     if lhs != rhs:
@@ -285,5 +279,5 @@ def equivalence_check(sol: Solution) -> dict:
         "right_class": report.right.cls,
         "left_nilpotent": report.left.holds,
         "nilpotent_type": report.nilpotent_type,
-        "abelian_type": flags.abelian_type,
+        "abelian_type": brace.add.is_abelian(),
     }

@@ -16,6 +16,7 @@ from bracelab.brace import (
     star_identity_violations,
     verify_skew_brace,
 )
+from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLawViolated, NotABrace, NotAnIdeal
 from bracelab.groups import cyclic, dihedral, direct_product, isomorphic_groups, symmetric
 from bracelab.perms import invert
@@ -144,6 +145,21 @@ def test_isomorphic_reflexive_relabel_and_negative(z4_quadratic):
             assert phi[z4_quadratic.mul_(a, c)] == other.mul_(phi[a], phi[c])
             assert back[other.add_(a, c)] == z4_quadratic.add_(back[a], back[c])
     assert isomorphic(from_group_trivial(cyclic(4)), z4_quadratic) is None
+
+
+def test_isomorphic_finds_random_relabelings_at_order_eight():
+    rng = random.Random(8)
+    braces = enumerate_skew_braces(8).items
+    assert len(braces) == 47
+    for b in braces:
+        other = relabeled(b, tuple([0] + rng.sample(range(1, 8), 7)))
+        phi = isomorphic(b, other)
+        assert phi is not None and phi[0] == 0
+        assert sorted(phi) == list(range(8))
+        for a in range(8):
+            for c in range(8):
+                assert phi[b.add_(a, c)] == other.add_(phi[a], phi[c])
+                assert phi[b.mul_(a, c)] == other.mul_(phi[a], phi[c])
 
 
 def test_star_identities_exhaustive_small():

@@ -8,8 +8,8 @@ from bracelab.ybe import involutive_from_sigma
 from conftest import FIVE_POINT_SIGMA
 
 
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+def run(*args, env=None):
+    return CliRunner().invoke(main, list(args), env=env)
 
 
 def test_enumerate_braces_to_file(tmp_path):
@@ -114,3 +114,10 @@ def test_verify_stdout_json():
 def test_verify_unknown_suite_usage_error():
     res = run("verify", "--suite", "nope")
     assert res.exit_code == 2
+
+
+def test_malformed_budget_is_input_error():
+    res = run("verify", "--suite", "radical", "--max-order", "4",
+              env={"BRACELAB_BUDGET": "abc"})
+    assert res.exit_code == 2
+    assert "BRACELAB_BUDGET" in res.output

@@ -159,6 +159,10 @@ def test_automorphism_counts():
     # oracle: |GL(3,2)| = (8-1)(8-2)(8-4)
     e8 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
     assert automorphism_group(e8)[1] == (8 - 1) * (8 - 2) * (8 - 4)
+    # oracle: Aut(Q8) = Sym(4)
+    assert automorphism_group(quaternion8())[1] == 24
+    # oracle: units mod 8
+    assert automorphism_group(cyclic(8))[1] == 4
 
 
 def test_automorphisms_are_automorphisms():

@@ -3,8 +3,9 @@ from itertools import combinations
 import pytest
 
 from bracelab.brace import from_group_trivial
-from bracelab.errors import BudgetExceeded, NotASubBrace
-from bracelab.groups import cyclic
+from bracelab.enumeration import enumerate_skew_braces
+from bracelab.errors import BraceLabError, BudgetExceeded, NotASubBrace
+from bracelab.groups import closure_mask, cyclic
 from bracelab.subsets import Subset
 from bracelab.substructures import (
     commutator,
@@ -137,6 +138,36 @@ def test_lattice_budget_guard(monkeypatch):
         subbrace_lattice(big)
     monkeypatch.setenv("BRACELAB_BUDGET", "49")
     assert len(subbrace_lattice(big)) == 3  # {0}, the 7-element subgroup, B
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "4.5"])
+def test_malformed_budget_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("BRACELAB_BUDGET", value)
+    with pytest.raises(BraceLabError, match="BRACELAB_BUDGET"):
+        subbrace_lattice(from_group_trivial(cyclic(2)))
+
+
+def _fixpoint_closure(tables, mask):
+    """Oracle: add every product of members until nothing changes."""
+    mask |= 1
+    while True:
+        members = [i for i in range(len(tables[0])) if mask >> i & 1]
+        grown = mask
+        for t in tables:
+            for a in members:
+                for c in members:
+                    grown |= 1 << t[a][c]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closure_mask_matches_fixpoint_on_every_subset(n):
+    for b in enumerate_skew_braces(n).items:
+        for tables in ((b.add.table,), (b.mul.table,), (b.add.table, b.mul.table)):
+            for mask in range(1 << n):
+                assert closure_mask(tables, mask) == _fixpoint_closure(tables, mask)
 
 
 def test_radical_of_trivial_prime_brace():
