@@ -9,6 +9,7 @@ import numpy as np
 
 from . import groups
 from .errors import (
+    BraceLabError,
     BraceLawViolated,
     LambdaNotHomomorphism,
     NotABrace,
@@ -89,13 +90,7 @@ def verify_skew_brace(add: GroupTable, mul: GroupTable) -> SkewBrace:
 
 def brace_from_tables(add_table, mul_table) -> SkewBrace:
     """Validate raw tables sharing one carrier labeling with identity 0."""
-    add, relabel = verify_group(add_table)
-    if relabel != tuple(range(add.n)):
-        raise NotABrace("additive identity must be at index 0")
-    mul, relabel = verify_group(mul_table)
-    if relabel != tuple(range(mul.n)):
-        raise NotABrace("multiplicative identity must be at index 0")
-    return verify_skew_brace(add, mul)
+    return verify_skew_brace(verify_group(add_table), verify_group(mul_table))
 
 
 def lambda_map(b: SkewBrace, a: int) -> Perm:
@@ -124,13 +119,8 @@ def from_zn_quadratic(n: int, c: int) -> SkewBrace:
     add = cyclic(n)
     mul_table = [[(x + y + c * x * y) % n for y in range(n)] for x in range(n)]
     try:
-        mul, relabel = verify_group(mul_table)
-        if relabel != tuple(range(n)):
-            raise NotABrace("multiplicative identity moved away from 0")
-        return verify_skew_brace(add, mul)
-    except NotABrace:
-        raise
-    except Exception as exc:  # noqa: BLE001 - rewrap validation errors
+        return verify_skew_brace(add, verify_group(mul_table))
+    except BraceLabError as exc:
         raise NotABrace(f"x+y+{c}xy mod {n} is not a skew brace: {exc}") from exc
 
 
@@ -254,13 +244,8 @@ def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
 
 def relabeled(b: SkewBrace, relabel: Perm) -> SkewBrace:
     """Transport both tables along a carrier bijection fixing 0."""
-    if relabel[0] != 0:
-        raise ValueError("relabeling must fix 0")
-    old = invert(relabel)
-    n = b.n
-    add = [[relabel[b.add_(old[x], old[y])] for y in range(n)] for x in range(n)]
-    mul = [[relabel[b.mul_(old[x], old[y])] for y in range(n)] for x in range(n)]
-    return brace_from_tables(add, mul)
+    add, mul = (groups.relabeled(g, relabel) for g in (b.add, b.mul))
+    return verify_skew_brace(add, mul)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .series import gamma_distributivity_check, nilpotency_report, series
 from .subsets import Subset
 from .substructures import (
     is_ideal,
-    is_ideal_in,
     lambda_orbits,
     maximal_ideals,
     maximal_subbraces,
@@ -477,7 +476,7 @@ def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
             for s in lattice:
                 chain = subideal_chain(b, s, lattice)
                 ok = chain is not None and all(
-                    is_ideal_in(b, chain[k], chain[k + 1])
+                    is_ideal(b, chain[k], within=chain[k + 1])
                     for k in range(len(chain) - 1)
                 )
                 chains.record(ok, witness={**wit, "subbrace": s.indices()})

@@ -16,7 +16,13 @@ import click
 
 from .brace import classify_flags
 from .campaigns import DEFAULT_SEED, SUITES, run_suite, write_report_csv
-from .enumeration import enumerate_involutive_solutions, enumerate_skew_braces, groups_of_order
+from .enumeration import (
+    GROUP_ORDER_BUDGET,
+    MAX_SOLUTION_SIZE,
+    enumerate_involutive_solutions,
+    enumerate_skew_braces,
+    groups_of_order,
+)
 from .errors import BraceLabError, env_budget
 from .series import nilpotency_report
 from .serialize import (
@@ -44,7 +50,7 @@ def main() -> None:
 
 @main.command("enumerate")
 @click.option("--kind", type=click.Choice(["braces", "solutions", "groups"]), required=True)
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--method", type=click.Choice(["holomorph", "direct"]), default="holomorph")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--checkpoint", type=click.Path(dir_okay=False), default=None,
@@ -163,11 +169,13 @@ def analyze(in_path: str):
 
 @main.command()
 @click.option("--suite", type=click.Choice(SUITES), required=True)
-@click.option("--max-order", type=int, default=8, show_default=True)
-@click.option("--max-size", type=int, default=4, show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
+@click.option("--max-order", type=click.IntRange(1, GROUP_ORDER_BUDGET), default=8,
+              show_default=True)
+@click.option("--max-size", type=click.IntRange(1, MAX_SOLUTION_SIZE), default=4,
+              show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--catalog-dir", type=click.Path(file_okay=False), default=None,
               help="cache enumerated catalogs here")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,

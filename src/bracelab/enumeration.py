@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from itertools import product as iproduct
 from pathlib import Path
 from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .brace import SkewBrace, isomorphic, verify_skew_brace
-from .errors import BudgetExceeded
+from .errors import BraceLabError, BudgetExceeded, CrossCheckFailed
 from .groups import (
     GroupTable,
     all_automorphisms,
@@ -83,19 +84,18 @@ def _groups_of_order(n: int) -> list[GroupTable]:
     if n in _GROUPS_CACHE:
         return _GROUPS_CACHE[n]
     if n == 1:
-        out = [verify_group([[0]])[0]]
+        out = [verify_group([[0]])]
         _GROUPS_CACHE[1] = out
         return out
     found: list[GroupTable] = []
     for p in _primes_dividing(n):
         for base in _groups_of_order(n // p):
             for table in _cyclic_extensions(base, p):
-                g, relabel = verify_group(table)
-                assert relabel == tuple(range(n))
+                g = verify_group(table)
                 if not any(isomorphic_groups(g, h) is not None for h in found):
                     found.append(g)
-    if n in EXPECTED_GROUP_COUNTS:
-        assert len(found) == EXPECTED_GROUP_COUNTS[n], (
+    if n in EXPECTED_GROUP_COUNTS and len(found) != EXPECTED_GROUP_COUNTS[n]:
+        raise CrossCheckFailed(
             f"group census at order {n}: got {len(found)}, "
             f"expected {EXPECTED_GROUP_COUNTS[n]}"
         )
@@ -248,9 +248,7 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
 def brace_from_lambda_map(a_group: GroupTable, lam: LambdaMap) -> SkewBrace:
     n = a_group.n
     mul = [[a_group.op(a, lam[a][b]) for b in range(n)] for a in range(n)]
-    mul_group, relabel = verify_group(mul)
-    assert relabel == tuple(range(n))
-    return verify_skew_brace(a_group, mul_group)
+    return verify_skew_brace(a_group, verify_group(mul))
 
 
 def _conjugate_lambda_map(lam: LambdaMap, phi: Perm) -> LambdaMap:
@@ -282,7 +280,8 @@ def reduce_by_aut_conjugation(
             cur = queue.pop()
             for phi in aut_gens:
                 nxt = _conjugate_lambda_map(cur, phi)
-                assert nxt in index, "regular-subgroup set not closed under Aut"
+                if nxt not in index:
+                    raise CrossCheckFailed("regular-subgroup set not closed under Aut")
                 if nxt not in component:
                     component.add(nxt)
                     queue.append(nxt)
@@ -445,10 +444,8 @@ def _enumerate_braces_direct(n: int) -> list[SkewBrace]:
 
         for table in found_tables:
             try:
-                mul_group, relabel = verify_group(table)
-            except Exception:  # noqa: BLE001 - non-groups are just skipped
-                continue
-            if relabel != tuple(range(n)):
+                mul_group = verify_group(table)
+            except BraceLabError:  # non-groups are just skipped
                 continue
             out.append(verify_skew_brace(a_group, mul_group))
     return dedup_braces(out)
@@ -465,6 +462,10 @@ def _sigma_space(n: int) -> int:
     from math import factorial
 
     return factorial(n) ** n
+
+
+# The largest size whose sigma-family space fits the budget.
+MAX_SOLUTION_SIZE = next(n for n in count(1) if _sigma_space(n + 1) > SIGMA_SPACE_BUDGET)
 
 
 def _try_involutive(sig: tuple[Perm, ...], sig_inv: dict[Perm, Perm]) -> Optional[Solution]:

@@ -51,17 +51,6 @@ class GroupTable:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.n) for b in range(self.n))
 
-    def is_cyclic(self) -> bool:
-        return any(self.order_of(a) == self.n for a in range(self.n))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[a], -k)
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
     def conjugate(self, a: int, b: int) -> int:
         """a b a^-1."""
         return self.table[self.table[a][b]][self.inv[a]]
@@ -74,11 +63,11 @@ class GroupTable:
         return np.asarray(self.table, dtype=np.int64)
 
 
-def verify_group(table: Sequence[Sequence[int]]) -> tuple[GroupTable, Perm]:
-    """Validate a Cayley table; relabel the identity to index 0 if needed.
+def verify_group(table: Sequence[Sequence[int]]) -> GroupTable:
+    """Validate a Cayley table whose identity is index 0.
 
-    Returns (group, relabeling) where relabeling[old] = new index. Raises
-    NotLatin / NoIdentity / NotAssociative with the first violating witness.
+    Raises NotLatin / NotAssociative with the first violating witness, and
+    NoIdentity when index 0 is not a two-sided identity.
     """
     n = len(table)
     if n == 0:
@@ -94,16 +83,8 @@ def verify_group(table: Sequence[Sequence[int]]) -> tuple[GroupTable, Perm]:
     _check_latin(t)
 
     rng = np.arange(n)
-    ident = [e for e in range(n) if np.array_equal(t[e], rng) and np.array_equal(t[:, e], rng)]
-    if not ident:
-        raise NoIdentity("no two-sided identity element")
-    e = ident[0]
-    relabel = tuple(range(n))
-    if e != 0:
-        swap = list(range(n))
-        swap[0], swap[e] = e, 0
-        relabel = tuple(swap)
-        t = _relabel_table(t, relabel)
+    if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
+        raise NoIdentity("index 0 is not a two-sided identity")
 
     # (a*b)*c == a*(b*c) on all triples.
     lhs = t[t, :]
@@ -116,7 +97,7 @@ def verify_group(table: Sequence[Sequence[int]]) -> tuple[GroupTable, Perm]:
     rows, cols = np.nonzero(t == 0)
     inv[rows] = cols
     rows_t = tuple(tuple(int(x) for x in row) for row in t)
-    return GroupTable(n, rows_t, tuple(int(x) for x in inv)), relabel
+    return GroupTable(n, rows_t, tuple(int(x) for x in inv))
 
 
 def _check_latin(t: np.ndarray) -> None:
@@ -131,24 +112,13 @@ def _check_latin(t: np.ndarray) -> None:
                 seen[v] = j
 
 
-def _relabel_table(t: np.ndarray, relabel: Perm) -> np.ndarray:
-    n = t.shape[0]
-    old_of_new = invert(relabel)
-    out = np.empty_like(t)
-    for a in range(n):
-        for b in range(n):
-            out[a][b] = relabel[t[old_of_new[a]][old_of_new[b]]]
-    return out
-
-
 def relabeled(g: GroupTable, relabel: Perm) -> GroupTable:
     """Transport the group structure along a carrier bijection fixing 0."""
     if relabel[0] != 0:
         raise ValueError("relabeling must fix the identity")
-    t = _relabel_table(g.as_array(), relabel)
-    out, back = verify_group(t)
-    assert back == tuple(range(g.n))
-    return out
+    new = np.asarray(relabel, dtype=np.int64)
+    old = np.asarray(invert(relabel), dtype=np.int64)
+    return verify_group(new[g.as_array()[np.ix_(old, old)]])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +127,7 @@ def relabeled(g: GroupTable, relabel: Perm) -> GroupTable:
 
 def cyclic(n: int) -> GroupTable:
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return verify_group(table)[0]
+    return verify_group(table)
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
@@ -170,19 +140,17 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
                     table[a1 * h.n + a2][b1 * h.n + b2] = (
                         g.table[a1][b1] * h.n + h.table[a2][b2]
                     )
-    return verify_group(table)[0]
+    return verify_group(table)
 
 
 def from_permutations(perms: list[Perm]) -> GroupTable:
-    """Cayley table of a permutation list closed under composition."""
+    """Cayley table of a permutation list closed under composition, identity
+    first."""
     index = {p: i for i, p in enumerate(perms)}
     if len(index) != len(perms):
         raise ValueError("duplicate permutations")
     table = [[index[compose(p, q)] for q in perms] for p in perms]
-    out, relabel = verify_group(table)
-    if relabel != tuple(range(len(perms))):
-        raise ValueError("identity permutation must come first")
-    return out
+    return verify_group(table)
 
 def symmetric(k: int) -> GroupTable:
     perms = sorted(tuple(p) for p in permutations(range(k)))
@@ -200,7 +168,7 @@ def dihedral(k: int) -> GroupTable:
                     # (i, s)(j, u) = (i + j if s == 0 else i - j, s xor u)
                     m = (i + j) % k if s == 0 else (i - j) % k
                     table[s * k + i][u * k + j] = (s ^ u) * k + m
-    return verify_group(table)[0]
+    return verify_group(table)
 
 
 def quaternion8() -> GroupTable:
@@ -224,12 +192,12 @@ def quaternion8() -> GroupTable:
         return r if s == 1 else "-" + r
     idx = {s: i for i, s in enumerate(names)}
     table = [[idx[product(x, y)] for y in names] for x in names]
-    return verify_group(table)[0]
+    return verify_group(table)
 
 
 def opposite(g: GroupTable) -> GroupTable:
     table = [[g.table[b][a] for b in range(g.n)] for a in range(g.n)]
-    return verify_group(table)[0]
+    return verify_group(table)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +240,6 @@ def subgroup_closure(g: GroupTable, seed) -> frozenset[int]:
     return frozenset(i for i in range(g.n) if mask >> i & 1)
 
 
-def commutator_subgroup(g: GroupTable, xs, ys) -> frozenset[int]:
-    comms = {g.commutator(x, y) for x in xs for y in ys}
-    return subgroup_closure(g, comms)
-
-
 def center(g: GroupTable) -> frozenset[int]:
     t = g.table
     return frozenset(
@@ -294,7 +257,8 @@ def lower_central_series(g: GroupTable) -> list[frozenset[int]]:
     full = frozenset(range(g.n))
     chain = [full if g.n > 1 else frozenset({0})]
     while True:
-        nxt = commutator_subgroup(g, range(g.n), chain[-1])
+        comms = {g.commutator(x, y) for x in range(g.n) for y in chain[-1]}
+        nxt = subgroup_closure(g, comms)
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
@@ -306,10 +270,6 @@ def nilpotency_class(g: GroupTable) -> Optional[int]:
     if chain[-1] != frozenset({0}):
         return None
     return len(chain) - 1 if chain[0] != frozenset({0}) else 0
-
-
-def is_nilpotent(g: GroupTable) -> bool:
-    return nilpotency_class(g) is not None
 
 
 def upper_central_series(g: GroupTable) -> list[frozenset[int]]:

@@ -71,10 +71,7 @@ def item_from_json(kind: str, data: dict):
     if kind == "groups":
         from .groups import verify_group
 
-        g, relabel = verify_group(data["table"])
-        if relabel != tuple(range(g.n)):
-            raise ValueError("group identity must already be at index 0")
-        return g
+        return verify_group(data["table"])
     raise ValueError(f"unknown catalog kind {kind!r}")
 
 

@@ -16,11 +16,11 @@ from .brace import SkewBrace, classify_flags, quotient
 from .errors import CrossCheckFailed, HypothesisUnmet
 from .subsets import Subset
 from .substructures import (
-    commutator,
+    commutator_products,
     invariant_substructures,
     is_ideal,
     is_left_ideal,
-    star_sets,
+    star_products,
 )
 
 SeriesKind = Literal[
@@ -89,93 +89,80 @@ def series(b: SkewBrace, kind: SeriesKind) -> SeriesReport:
 
 
 def _check_members(b: SkewBrace, kind: str, chain: list[Subset]) -> None:
-    if kind in IDEAL_KINDS:
-        for term in chain:
-            assert is_ideal(b, term).ok, f"{kind} series term is not an ideal"
-    elif kind == "left":
-        for term in chain:
-            assert is_left_ideal(b, term), "left series term is not a left ideal"
-    elif kind in ("lcs_add", "ucs_add"):
-        for term in chain:
-            assert groups.is_normal(b.add, term.indices())
-    elif kind in ("lcs_mul", "ucs_mul"):
-        for term in chain:
-            assert groups.is_normal(b.mul, term.indices())
+    for term in chain:
+        if kind in IDEAL_KINDS:
+            ok, what = is_ideal(b, term).ok, "an ideal"
+        elif kind == "left":
+            ok, what = is_left_ideal(b, term), "a left ideal"
+        else:
+            g = b.add if kind.endswith("_add") else b.mul
+            ok, what = groups.is_normal(g, term.indices()), "a normal subgroup"
+        if not ok:
+            raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {what}")
 
 
-def _descend(b: SkewBrace, step) -> list[Subset]:
-    chain = [Subset.full(b.n)]
+def _descend(b: SkewBrace, start: Subset, step) -> list[Subset]:
+    """start, then the additive closure of step(chain), an unclosed generator
+    mask, until a term repeats; each term must lie in the one before."""
+    chain = [start]
     while True:
-        nxt = step(chain[-1])
+        nxt = Subset(b.n, groups.closure_mask((b.add.table,), step(chain)))
         if nxt == chain[-1]:
             return chain
-        assert nxt <= chain[-1], "descending series failed to descend"
+        if not nxt <= chain[-1]:
+            raise CrossCheckFailed(
+                f"descending series term {nxt.indices()} escapes {chain[-1].indices()}"
+            )
         chain.append(nxt)
 
 
 def _left_chain(b: SkewBrace) -> list[Subset]:
     full = Subset.full(b.n)
-    return _descend(b, lambda prev: star_sets(b, full, prev))
+    return _descend(b, full, lambda chain: star_products(b, full, chain[-1]))
 
 
 def _right_chain(b: SkewBrace) -> list[Subset]:
     full = Subset.full(b.n)
-    return _descend(b, lambda prev: star_sets(b, prev, full))
+    return _descend(b, full, lambda chain: star_products(b, chain[-1], full))
 
 
 def _strong_chain(b: SkewBrace) -> list[Subset]:
     """B[1] = B, B[m+1] = <union of B[i] * B[m+1-i] for i = 1..m>_+."""
-    chain = [Subset.full(b.n)]
-    while True:
-        m = len(chain)
-        products: set[int] = set()
-        for i in range(1, m + 1):
-            xs, ys = chain[i - 1], chain[m - i]
-            products |= {b.star[x][y] for x in xs.indices() for y in ys.indices()}
-        nxt = Subset(b.n, groups.closure_mask((b.add.table,), Subset.of(b.n, products).mask))
-        if nxt == chain[-1]:
-            return chain
-        assert nxt <= chain[-1]
-        chain.append(nxt)
+
+    def step(chain: list[Subset]) -> int:
+        gen = 0
+        for xs, ys in zip(chain, reversed(chain)):
+            gen |= star_products(b, xs, ys)
+        return gen
+
+    return _descend(b, Subset.full(b.n), step)
 
 
 def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
     """Gamma_0(I) = I, Gamma_{n+1}(I) = <Gn*B, B*Gn, [B,Gn]_+>_+."""
     full = Subset.full(b.n)
-    chain = [ideal]
-    while True:
+
+    def step(chain: list[Subset]) -> int:
         prev = chain[-1]
-        gen = (
-            star_sets(b, prev, full).mask
-            | star_sets(b, full, prev).mask
-            | commutator(b, full, prev, "+").mask
+        return (
+            star_products(b, prev, full)
+            | star_products(b, full, prev)
+            | commutator_products(b.add, full, prev)
         )
-        nxt = Subset(b.n, groups.closure_mask((b.add.table,), gen))
-        if nxt == prev:
-            return chain
-        assert nxt <= prev
-        chain.append(nxt)
 
-
-def _gamma_chain(b: SkewBrace) -> list[Subset]:
-    return gamma_series(b, Subset.full(b.n))
+    return _descend(b, ideal, step)
 
 
 def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
     """G[1] = B, G[n] = <G[i]*G[n-i], [G[i],G[n-i]]_+ : 1 <= i <= n-1>_+."""
-    chain = [Subset.full(b.n)]
-    while True:
-        n_idx = len(chain) + 1
+
+    def step(chain: list[Subset]) -> int:
         gen = 0
-        for i in range(1, n_idx):
-            xs, ys = chain[i - 1], chain[n_idx - i - 1]
-            gen |= star_sets(b, xs, ys).mask
-            gen |= commutator(b, xs, ys, "+").mask
-        nxt = Subset(b.n, groups.closure_mask((b.add.table,), gen))
-        if nxt == chain[-1]:
-            return chain
-        assert nxt <= chain[-1], "gamma bracket series failed to descend"
-        chain.append(nxt)
+        for xs, ys in zip(chain, reversed(chain)):
+            gen |= star_products(b, xs, ys) | commutator_products(b.add, xs, ys)
+        return gen
+
+    return _descend(b, Subset.full(b.n), step)
 
 
 def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:
@@ -187,7 +174,10 @@ def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:
         nxt = Subset.of(b.n, (a for a in range(b.n) if proj[a] in target))
         if nxt == prev:
             return chain
-        assert prev <= nxt
+        if not prev <= nxt:
+            raise CrossCheckFailed(
+                f"ascending series term {nxt.indices()} misses part of {prev.indices()}"
+            )
         chain.append(nxt)
 
 
@@ -208,7 +198,7 @@ _BUILDERS = {
     "left": _left_chain,
     "right": _right_chain,
     "strong": _strong_chain,
-    "gamma": _gamma_chain,
+    "gamma": lambda b: gamma_series(b, Subset.full(b.n)),
     "gamma_bracket": _gamma_bracket_chain,
     "socle": _socle_chain,
     "annihilator": _annihilator_chain,
@@ -323,10 +313,9 @@ def gamma_distributivity_check(b: SkewBrace) -> dict:
     distribute over + and o in the second argument; all six identities are
     checked on every admissible triple."""
     gam_br = series(b, "gamma_bracket")
-    if not gam_br.terminates:
+    c = gam_br.cls  # set exactly when the chain terminates
+    if c is None:
         raise HypothesisUnmet("brace is not annihilator nilpotent")
-    c = gam_br.cls
-    assert c is not None
     chain = gam_br.chain  # chain[j-1] = G[j]
 
     checked = 0

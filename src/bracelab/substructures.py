@@ -7,8 +7,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .brace import SkewBrace
-from .errors import BudgetExceeded, NoUniqueMaximum, NotASubBrace, env_budget
-from .groups import closure_mask
+from .errors import (
+    BudgetExceeded,
+    CrossCheckFailed,
+    NoUniqueMaximum,
+    NotASubBrace,
+    env_budget,
+)
+from .groups import GroupTable, closure_mask
 from .subsets import Subset
 
 DEFAULT_LATTICE_BUDGET = 48
@@ -48,31 +54,40 @@ class IdealVerdict:
         return self.ok
 
 
-def is_ideal(b: SkewBrace, i: Subset) -> IdealVerdict:
+def is_ideal(b: SkewBrace, i: Subset, within: Optional[Subset] = None) -> IdealVerdict:
     """Additive subgroup, lambda-invariant, normal for + and for o.
 
+    With within, whether i is an ideal of the sub skew brace on within: i
+    must lie in within and the last three conditions range over a in within.
     A failing verdict names the first violated condition and a witness pair.
     """
     m = i.mask
     if not m >> 0 & 1:
         return IdealVerdict(False, "additive_subgroup", (0, 0))
     members = i.indices()
+    if within is None:
+        ambient = range(b.n)
+    elif not i <= within:
+        x = next(x for x in members if x not in within)
+        return IdealVerdict(False, "within", (x, x))
+    else:
+        ambient = within.indices()
     add_t, mul_t = b.add.table, b.mul.table
     for a in members:
         for c in members:
             if not m >> add_t[a][c] & 1:
                 return IdealVerdict(False, "additive_subgroup", (a, c))
     lam = b.lam
-    for a in range(b.n):
+    for a in ambient:
         for x in members:
             if not m >> lam[a][x] & 1:
                 return IdealVerdict(False, "lambda_invariant", (a, x))
     neg, minv = b.add.inv, b.mul.inv
-    for a in range(b.n):
+    for a in ambient:
         for x in members:
             if not m >> add_t[add_t[a][x]][neg[a]] & 1:
                 return IdealVerdict(False, "add_normal", (a, x))
-    for a in range(b.n):
+    for a in ambient:
         for x in members:
             if not m >> mul_t[mul_t[a][x]][minv[a]] & 1:
                 return IdealVerdict(False, "mul_normal", (a, x))
@@ -118,11 +133,21 @@ def ideal_generated(b: SkewBrace, seed: Subset) -> Subset:
 # Star products and commutators of subsets
 
 
+def star_products(b: SkewBrace, xs: Subset, ys: Subset) -> int:
+    """Mask of {x*y : x in X, y in Y}, not closed."""
+    star, ys_idx = b.star, ys.indices()
+    return Subset.of(b.n, {star[x][y] for x in xs.indices() for y in ys_idx}).mask
+
+
+def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
+    """Mask of {[x, y] : x in X, y in Y} in g, not closed."""
+    ys_idx = ys.indices()
+    return Subset.of(g.n, {g.commutator(x, y) for x in xs.indices() for y in ys_idx}).mask
+
+
 def star_sets(b: SkewBrace, xs: Subset, ys: Subset) -> Subset:
     """Additive subgroup generated by {x*y : x in X, y in Y}."""
-    star, ys_idx = b.star, ys.indices()
-    products = Subset.of(b.n, {star[x][y] for x in xs.indices() for y in ys_idx})
-    return Subset(b.n, closure_mask((b.add.table,), products.mask))
+    return Subset(b.n, closure_mask((b.add.table,), star_products(b, xs, ys)))
 
 
 def commutator(b: SkewBrace, xs: Subset, ys: Subset, op: str) -> Subset:
@@ -130,9 +155,7 @@ def commutator(b: SkewBrace, xs: Subset, ys: Subset, op: str) -> Subset:
     if op not in ("+", "o"):
         raise ValueError(f"op must be '+' or 'o', got {op!r}")
     g = b.add if op == "+" else b.mul
-    ys_idx = ys.indices()
-    comms = Subset.of(b.n, {g.commutator(x, y) for x in xs.indices() for y in ys_idx})
-    return Subset(b.n, closure_mask((g.table,), comms.mask))
+    return Subset(b.n, closure_mask((g.table,), commutator_products(g, xs, ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +204,8 @@ def invariant_substructures(b: SkewBrace) -> InvariantSubstructures:
             )
         ),
     )
-    assert ann == ann_direct, "annihilator characterizations disagree"
+    if ann != ann_direct:
+        raise CrossCheckFailed("annihilator characterizations disagree")
     return InvariantSubstructures(z_add, z_mul, ker, fix, soc, ann)
 
 
@@ -245,28 +269,6 @@ def radical(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> Subset:
     return out
 
 
-def is_ideal_in(b: SkewBrace, h: Subset, n_sub: Subset) -> bool:
-    """Whether h is an ideal of the sub skew brace on n_sub."""
-    if not h <= n_sub:
-        return False
-    hm = h.mask
-    members = h.indices()
-    ambient = n_sub.indices()
-    add_t, mul_t, lam = b.add.table, b.mul.table, b.lam
-    neg, minv = b.add.inv, b.mul.inv
-    if not all(hm >> add_t[a][c] & 1 for a in members for c in members):
-        return False
-    for a in ambient:
-        for x in members:
-            if not hm >> lam[a][x] & 1:
-                return False
-            if not hm >> add_t[add_t[a][x]][neg[a]] & 1:
-                return False
-            if not hm >> mul_t[mul_t[a][x]][minv[a]] & 1:
-                return False
-    return True
-
-
 def idealizer(b: SkewBrace, h: Subset, lattice: Optional[list[Subset]] = None) -> Subset:
     """Largest sub skew brace in which h is an ideal.
 
@@ -277,7 +279,7 @@ def idealizer(b: SkewBrace, h: Subset, lattice: Optional[list[Subset]] = None) -
     if not is_subbrace(b, h):
         raise NotASubBrace(f"{h.indices()} is not a sub skew brace")
     lattice = subbrace_lattice(b) if lattice is None else lattice
-    candidates = [s for s in lattice if h <= s and is_ideal_in(b, h, s)]
+    candidates = [s for s in lattice if is_ideal(b, h, within=s)]
     maxima = [s for s in candidates if not any(s < t for t in candidates)]
     if len(maxima) != 1:
         raise NoUniqueMaximum(

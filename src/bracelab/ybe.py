@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 from .brace import SkewBrace, verify_skew_brace
 from .errors import (
     AdditiveGenerationFailed,
+    BraceLabError,
     BraceValidationFailed,
     BraidFailed,
     BudgetExceeded,
@@ -233,16 +234,8 @@ def permutation_brace(
     add_table = [[replay(i, words[j]) for j in range(m)] for i in range(m)]
 
     try:
-        add_group, relabel = verify_group(add_table)
-        if relabel != tuple(range(m)):
-            raise BraceValidationFailed("additive identity moved during validation")
-        mul_group, relabel = verify_group(mul_table)
-        if relabel != tuple(range(m)):
-            raise BraceValidationFailed("multiplicative identity moved during validation")
-        brace = verify_skew_brace(add_group, mul_group)
-    except BraceValidationFailed:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surface as a hard diagnostic
+        brace = verify_skew_brace(verify_group(add_table), verify_group(mul_table))
+    except BraceLabError as exc:
         raise BraceValidationFailed(f"reconstructed tables fail validation: {exc}") from exc
 
     for x in range(n):

@@ -1,6 +1,7 @@
 import pytest
 
 from bracelab.brace import from_group_trivial, from_zn_quadratic
+from bracelab.enumeration import enumerate_skew_braces
 from bracelab.groups import cyclic, symmetric
 from bracelab.perms import from_cycles, identity
 from bracelab.ybe import involutive_from_sigma, permutation_brace
@@ -42,3 +43,9 @@ def five_point_solution():
 def five_point_brace(five_point_solution):
     brace, _ = permutation_brace(five_point_solution)
     return brace
+
+
+@pytest.fixture(scope="session")
+def braces_up_to_8():
+    """One skew brace per isomorphism class of every order 1..8."""
+    return [b for n in range(1, 9) for b in enumerate_skew_braces(n).items]

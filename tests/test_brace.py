@@ -17,7 +17,7 @@ from bracelab.brace import (
     verify_skew_brace,
 )
 from bracelab.enumeration import enumerate_skew_braces
-from bracelab.errors import BraceLawViolated, NotABrace, NotAnIdeal
+from bracelab.errors import BraceLawViolated, NoIdentity, NotABrace, NotAnIdeal
 from bracelab.groups import cyclic, dihedral, direct_product, isomorphic_groups, symmetric
 from bracelab.perms import invert
 from bracelab.subsets import Subset
@@ -184,7 +184,7 @@ def test_star_identities_sampled_above_limit():
 def test_brace_from_tables_requires_identity_zero():
     z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     shifted = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]  # identity at index 1
-    with pytest.raises(NotABrace):
+    with pytest.raises(NoIdentity):
         brace_from_tables(shifted, z3)
 
 

@@ -1,8 +1,10 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from bracelab.cli import main
+from bracelab.enumeration import GROUP_ORDER_BUDGET, MAX_SOLUTION_SIZE
 from bracelab.serialize import solution_to_json
 from bracelab.ybe import involutive_from_sigma
 from conftest import FIVE_POINT_SIGMA
@@ -121,3 +123,24 @@ def test_malformed_budget_is_input_error():
               env={"BRACELAB_BUDGET": "abc"})
     assert res.exit_code == 2
     assert "BRACELAB_BUDGET" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "--kind", "braces", "--order", "-3"],
+        ["enumerate", "--kind", "braces", "--order", "0"],
+        ["verify", "--suite", "census", "--max-order", "-1"],
+        ["verify", "--suite", "census", "--max-order", "0"],
+        ["verify", "--suite", "census", "--max-order", str(GROUP_ORDER_BUDGET + 1)],
+        ["verify", "--suite", "equivalence", "--max-size", "0"],
+        ["verify", "--suite", "equivalence", "--max-size", str(MAX_SOLUTION_SIZE + 1)],
+        ["verify", "--suite", "equivalence", "--samples", "-5"],
+        ["verify", "--suite", "equivalence", "--jobs", "0"],
+        ["verify", "--suite", "equivalence", "--jobs", "-1"],
+    ],
+)
+def test_out_of_range_number_is_input_error(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "not in the range" in res.output

@@ -11,11 +11,13 @@ from bracelab.enumeration import (
     enumerate_involutive_solutions,
     enumerate_skew_braces,
     groups_of_order,
+    reduce_by_aut_conjugation,
     regular_subgroups,
     sample_involutive_solutions,
 )
-from bracelab.errors import BudgetExceeded
+from bracelab.errors import BraceLabError, BudgetExceeded, CrossCheckFailed
 from bracelab.groups import (
+    automorphism_group,
     cyclic,
     dihedral,
     direct_product,
@@ -36,11 +38,9 @@ def brute_force_group_tables(n):
     def fill(a):
         if a == n:
             try:
-                g, relabel = verify_group([list(r) for r in rows])
-            except Exception:
-                return
-            if relabel == tuple(range(n)):
-                tables.append(g)
+                tables.append(verify_group([list(r) for r in rows]))
+            except BraceLabError:
+                pass
             return
         cols = list(zip(*rows))
         for p in permutations(range(n)):
@@ -209,3 +209,13 @@ def test_sampler_exhausts_tiny_space():
     assert len(found) == 1
     assert found[0].sigma == (identity(1),)
     assert multipermutation_level(found[0]) == 0
+
+
+def test_aut_reduction_rejects_a_set_not_closed_under_aut():
+    e4 = direct_product(cyclic(2), cyclic(2))
+    gens, _ = automorphism_group(e4)
+    lams = regular_subgroups(e4)
+    reps = reduce_by_aut_conjugation(lams, gens)
+    missing = next(lam for lam in lams if lam not in reps)
+    with pytest.raises(CrossCheckFailed):
+        reduce_by_aut_conjugation([lam for lam in lams if lam != missing], gens)

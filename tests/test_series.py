@@ -119,3 +119,68 @@ def test_distributivity_holds_on_nonabelian_nilpotent_trivial_brace():
     rep = gamma_distributivity_check(from_group_trivial(dihedral(4)))
     assert rep["counterexamples"] == []
     assert rep["checked"] > 0
+
+
+def _additive_closure(b, elems):
+    """Brute-force fixpoint: add sums of members until nothing new appears."""
+    add = b.add.table
+    members = set(elems) | {0}
+    while True:
+        new = {add[x][y] for x in members for y in members} - members
+        if not new:
+            return members
+        members |= new
+
+
+def _star(b, x, y):
+    """x * y = -x + x o y - y, from the raw tables."""
+    add, neg = b.add.table, b.add.inv
+    return add[add[neg[x]][b.mul.table[x][y]]][neg[y]]
+
+
+def _add_commutator(b, x, y):
+    """[x, y]_+ = x + y - x - y, from the raw tables."""
+    add, neg = b.add.table, b.add.inv
+    return add[add[add[x][y]][neg[x]]][neg[y]]
+
+
+def _next_term(b, kind, chain):
+    """The term after chain (chain[k - 1] is the k-th term), by definition."""
+    full = range(b.n)
+    m, term = len(chain), lambda k: chain[k - 1]
+    last = chain[-1]
+    if kind == "left":
+        gens = {_star(b, a, x) for a in full for x in last}
+    elif kind == "right":
+        gens = {_star(b, x, a) for x in last for a in full}
+    elif kind == "gamma":
+        gens = (
+            {_star(b, x, a) for x in last for a in full}
+            | {_star(b, a, x) for a in full for x in last}
+            | {_add_commutator(b, a, x) for a in full for x in last}
+        )
+    elif kind == "strong":
+        # B[m+1] = < B[i] * B[m+1-i] : 1 <= i <= m >_+
+        gens = {
+            _star(b, x, y) for i in range(1, m + 1) for x in term(i) for y in term(m + 1 - i)
+        }
+    else:
+        # G[m+1] = < G[i] * G[m+1-i], [G[i], G[m+1-i]]_+ : 1 <= i <= m >_+
+        gens = {
+            f(b, x, y)
+            for i in range(1, m + 1)
+            for x in term(i)
+            for y in term(m + 1 - i)
+            for f in (_star, _add_commutator)
+        }
+    return _additive_closure(b, gens)
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "strong", "gamma", "gamma_bracket"])
+def test_descending_chains_match_brute_force_closure(braces_up_to_8, kind):
+    for b in braces_up_to_8:
+        chain = [set(t.indices()) for t in series(b, kind).chain]
+        assert chain[0] == set(range(b.n))
+        for k in range(1, len(chain)):
+            assert chain[k] == _next_term(b, kind, chain[:k])
+        assert _next_term(b, kind, chain) == chain[-1]

@@ -1,0 +1,18 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import bracelab
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; invariants must be raised errors
+    src = Path(bracelab.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -223,3 +223,27 @@ def test_ideal_generated_is_least(z4_quadratic, five_point_brace):
                 for i in containing:
                     expected = expected & i
                 assert least == expected
+
+
+def _is_ideal_of(b, h, s):
+    """h is an ideal of the sub skew brace s, straight from the definition."""
+    add, mul = b.add.table, b.mul.table
+    neg, minv = b.add.inv, b.mul.inv
+    return (
+        h <= s
+        and all(add[x][y] in h for x in h for y in h)
+        and all(add[neg[a]][mul[a][x]] in h for a in s for x in h)
+        and all(add[add[a][x]][neg[a]] in h for a in s for x in h)
+        and all(mul[mul[a][x]][minv[a]] in h for a in s for x in h)
+    )
+
+
+def test_is_ideal_within_matches_definition_on_lattice_pairs(braces_up_to_8):
+    for b in braces_up_to_8:
+        lattice = subbrace_lattice(b)
+        for h in lattice:
+            members = set(h.indices())
+            assert is_ideal(b, h).ok == _is_ideal_of(b, members, set(range(b.n)))
+            for s in lattice:
+                expected = _is_ideal_of(b, members, set(s.indices()))
+                assert is_ideal(b, h, within=s).ok == expected
