@@ -184,15 +184,19 @@ def analyze(in_path: str):
               help="write the CSV summary here")
 def verify(suite, max_order, max_size, samples, seed, jobs, catalog_dir, out_path, csv_path):
     """Run a verification campaign; exit 1 if any check fails."""
-    report = run_suite(
-        suite,
-        max_order=max_order,
-        max_size=max_size,
-        samples=samples,
-        seed=seed,
-        jobs=jobs,
-        catalog_dir=catalog_dir,
-    )
+    try:
+        report = run_suite(
+            suite,
+            max_order=max_order,
+            max_size=max_size,
+            samples=samples,
+            seed=seed,
+            jobs=jobs,
+            catalog_dir=catalog_dir,
+        )
+    except BraceLabError as exc:
+        _fail_input(str(exc))
+        return
     payload = json.dumps(report.to_json(), indent=2)
     if out_path:
         Path(out_path).write_text(payload + "\n")

@@ -8,6 +8,7 @@ merge stage, so shuffled worker output cannot change the result.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .brace import SkewBrace, isomorphic, verify_skew_brace
-from .errors import BraceLabError, BudgetExceeded, CrossCheckFailed
+from .errors import BadCheckpoint, BraceLabError, BudgetExceeded, CrossCheckFailed
 from .groups import (
     GroupTable,
     all_automorphisms,
@@ -157,6 +158,40 @@ def _cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:
 LambdaMap = tuple[Perm, ...]  # a -> the additive automorphism lambda_a
 
 
+@dataclass
+class _SearchTables:
+    """What regular_subgroups needs of one additive group, built once from
+    its automorphism list."""
+
+    auts: list[Perm]
+    aut_index: dict[Perm, int]
+    aut_order: list[int]
+    usable: list[int]  # automorphisms whose order divides n
+    comp: dict[int, int]  # i * len(auts) + j -> index of auts[i] . auts[j], filled lazily
+
+
+# The census searches one additive group unit by unit, so only the tables of
+# the most recently searched group are kept.
+_LAST_SEARCH_TABLES: Optional[_SearchTables] = None
+
+
+def _search_tables(auts: list[Perm]) -> _SearchTables:
+    global _LAST_SEARCH_TABLES
+    tables = _LAST_SEARCH_TABLES
+    # all_automorphisms returns one cached list per group
+    if tables is None or tables.auts is not auts:
+        n = len(auts[0])
+        aut_order = [perm_order(p) for p in auts]
+        tables = _LAST_SEARCH_TABLES = _SearchTables(
+            auts=auts,
+            aut_index={p: i for i, p in enumerate(auts)},
+            aut_order=aut_order,
+            usable=[i for i, k in enumerate(aut_order) if n % k == 0],
+            comp={},
+        )
+    return tables
+
+
 def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -> list[LambdaMap]:
     """Regular subgroups of Hol(A), each as the map a -> f_a.
 
@@ -171,13 +206,13 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
     dividing n, and the automorphism part's order divides that.
     """
     n = a_group.n
-    auts = all_automorphisms(a_group)
-    aut_index = {p: i for i, p in enumerate(auts)}
-    aut_order = [perm_order(p) for p in auts]
-    usable = [i for i in range(len(auts)) if n % aut_order[i] == 0]
-    op = a_group.op
+    if n == 1:
+        return [(tuple(range(n)),)]
+    tables = _search_tables(all_automorphisms(a_group))
+    auts, aut_index, aut_order = tables.auts, tables.aut_index, tables.aut_order
+    comp_cache = tables.comp
+    rows = a_group.table
     m = len(auts)
-    comp_cache: dict[int, int] = {}
 
     def comp(i: int, j: int) -> int:
         key = i * m + j
@@ -191,57 +226,55 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
 
     results: list[LambdaMap] = []
 
-    def close(items: dict[int, int]) -> Optional[dict[int, int]]:
-        # Subgroup closure on (coordinate, automorphism index) pairs; None on
-        # a coordinate conflict or when the size cannot divide n.
-        h = dict(items)
-        frontier = list(h.items())
-        while frontier:
-            nxt = []
-            for a, fi in frontier:
-                fa = auts[fi]
-                for b, gi in list(h.items()):
-                    gb = auts[gi]
-                    for c, ki in (
-                        (op(a, fa[b]), comp(fi, gi)),
-                        (op(b, gb[a]), comp(gi, fi)),
-                    ):
-                        cur = h.get(c)
-                        if cur is None:
-                            if n % aut_order[ki] != 0:
-                                return None
-                            h[c] = ki
-                            nxt.append((c, ki))
-                        elif cur != ki:
+    def close(h: dict[int, int], gens: tuple[tuple[int, int], ...]) -> Optional[dict[int, int]]:
+        # Subgroup closure on (coordinate, automorphism index) pairs, in
+        # place: h is the subgroup generated by gens[:-1] and gets the new
+        # generator gens[-1]. As in the orbit algorithm, only the new
+        # generator is applied to the old elements and every generator to
+        # the new ones. None on a coordinate conflict or when the size cannot
+        # divide n.
+        new: list[tuple[int, int]] = []
+        # The second pass also reaches the pairs it appends to new.
+        for elements, by in ((list(h.items()), gens[-1:]), (new, gens)):
+            for b, gi in elements:
+                gb = auts[gi]
+                row_b = rows[b]
+                for a, fi in by:
+                    c = row_b[gb[a]]
+                    ki = comp(gi, fi)
+                    cur = h.get(c)
+                    if cur is None:
+                        if n % aut_order[ki] != 0:
                             return None
-            frontier = nxt
+                        h[c] = ki
+                        new.append((c, ki))
+                    elif cur != ki:
+                        return None
         if n % len(h) != 0:
             return None
         return h
 
-    def extend(h: dict[int, int]) -> None:
+    def extend(h: dict[int, int], gens: tuple[tuple[int, int], ...]) -> None:
         if len(h) == n:
             results.append(tuple(auts[h[a]] for a in range(n)))
             return
         a0 = min(a for a in range(n) if a not in h)
-        for fi in usable:
-            h2 = dict(h)
-            h2[a0] = fi
-            closed = close(h2)
+        for fi in tables.usable:
+            gens2 = gens + ((a0, fi),)
+            closed = close(dict(h), gens2)
             if closed is not None:
-                extend(closed)
+                extend(closed, gens2)
 
     ident_idx = aut_index[tuple(range(n))]
-    if n == 1:
-        return [(tuple(range(n)),)]
     if first_choice is None:
-        extend({0: ident_idx})
+        extend({0: ident_idx}, ())
         return results
     if n % aut_order[first_choice] != 0:
         return results
-    closed = close({0: ident_idx, 1: first_choice})
+    gens = ((1, first_choice),)
+    closed = close({0: ident_idx}, gens)
     if closed is not None:
-        extend(closed)
+        extend(closed, gens)
     return results
 
 
@@ -251,24 +284,20 @@ def brace_from_lambda_map(a_group: GroupTable, lam: LambdaMap) -> SkewBrace:
     return verify_skew_brace(a_group, verify_group(mul))
 
 
-def _conjugate_lambda_map(lam: LambdaMap, phi: Perm) -> LambdaMap:
-    phi_inv = invert(phi)
-    out: list[Perm] = [()] * len(lam)
-    for a, f in enumerate(lam):
-        out[phi[a]] = compose(phi, compose(f, phi_inv))
-    return tuple(out)
-
-
 def reduce_by_aut_conjugation(
     lams: Iterable[LambdaMap], aut_gens: Sequence[Perm]
 ) -> list[LambdaMap]:
     """One representative per Aut(A)-conjugation orbit (orbits give
     isomorphic braces via the conjugating automorphism).
 
+    phi conjugates a map lam to a -> phi lam_(phi^-1 a) phi^-1; each
+    automorphism's conjugate under a generator is computed once.
+
     The input must be the complete search result: orbits are walked with
     automorphism generators, so the collection has to be closed under the
     action."""
     index = set(lams)
+    gens = [(phi, invert(phi), {}) for phi in aut_gens]  # memo: f -> phi f phi^-1
     seen: set[LambdaMap] = set()
     reps: list[LambdaMap] = []
     for lam in sorted(index):
@@ -278,8 +307,14 @@ def reduce_by_aut_conjugation(
         queue = [lam]
         while queue:
             cur = queue.pop()
-            for phi in aut_gens:
-                nxt = _conjugate_lambda_map(cur, phi)
+            for phi, phi_inv, memo in gens:
+                out: list[Perm] = [()] * len(cur)
+                for a, f in enumerate(cur):
+                    g = memo.get(f)
+                    if g is None:
+                        g = memo[f] = compose(phi, compose(f, phi_inv))
+                    out[phi[a]] = g
+                nxt = tuple(out)
                 if nxt not in index:
                     raise CrossCheckFailed("regular-subgroup set not closed under Aut")
                 if nxt not in component:
@@ -351,16 +386,87 @@ def enumerate_skew_braces(
     return Catalog("braces", n, items, meta)
 
 
+CHECKPOINT_VERSION = 1
+
+
+def _checkpoint_header(n: int, groups: Sequence[GroupTable]) -> dict:
+    return {
+        "bracelab_checkpoint": CHECKPOINT_VERSION,
+        "order": n,
+        "groups": [hashlib.sha256(json.dumps(g.table).encode()).hexdigest() for g in groups],
+    }
+
+
+def _checkpoint_record(
+    rec, unit_counts: list[int], n: int
+) -> tuple[tuple[int, int], list[LambdaMap]]:
+    gi, unit = rec["group"], rec["unit"]
+    if not (
+        isinstance(gi, int) and 0 <= gi < len(unit_counts)
+        and isinstance(unit, int) and 0 <= unit < unit_counts[gi]
+    ):
+        raise ValueError(f"no unit ({gi}, {unit}) at this order")
+    maps = [tuple(tuple(p) for p in lam) for lam in rec["maps"]]
+    if any(len(lam) != n or any(len(p) != n for p in lam) for lam in maps):
+        raise ValueError(f"a map of unit ({gi}, {unit}) is not of size {n}")
+    return (gi, unit), maps
+
+
+def _read_checkpoint(
+    path: Path, n: int, groups: Sequence[GroupTable]
+) -> dict[tuple[int, int], list[LambdaMap]]:
+    """The finished units of a checkpoint; a missing or empty file is started
+    with the header. A torn final record, left by an interrupted write, is cut
+    off so that its unit is redone. A missing or foreign header, or a bad
+    record before the last, raises BadCheckpoint."""
+    header = _checkpoint_header(n, groups)
+    text = path.read_text() if path.exists() else ""
+    if not text:
+        path.write_text(json.dumps(header) + "\n")
+        return {}
+    lines = text.splitlines(keepends=True)
+    try:
+        found = json.loads(lines[0])
+    except ValueError:
+        found = None
+    if not isinstance(found, dict) or "bracelab_checkpoint" not in found:
+        raise BadCheckpoint(f"{path}: first line is not a bracelab checkpoint header")
+    if found["bracelab_checkpoint"] != CHECKPOINT_VERSION:
+        raise BadCheckpoint(
+            f"{path}: checkpoint format {found['bracelab_checkpoint']!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    if found.get("order") != n:
+        raise BadCheckpoint(f"{path}: written for order {found.get('order')!r}, not {n}")
+    if found.get("groups") != header["groups"]:
+        raise BadCheckpoint(f"{path}: written for other additive groups (table digests differ)")
+
+    unit_counts = [len(all_automorphisms(g)) for g in groups]
+    done: dict[tuple[int, int], list[LambdaMap]] = {}
+    kept = len(lines)
+    for i in range(1, len(lines)):
+        try:
+            if not lines[i].endswith("\n"):
+                raise ValueError("unterminated record")
+            key, maps = _checkpoint_record(json.loads(lines[i]), unit_counts, n)
+        except (ValueError, KeyError, TypeError) as exc:
+            if i < len(lines) - 1:
+                raise BadCheckpoint(f"{path}: line {i + 1} is not a unit record ({exc})") from None
+            kept = i
+            break
+        done[key] = maps
+    intact = "".join(lines[:kept])
+    if not intact.endswith("\n"):  # the header itself was cut before its newline
+        intact += "\n"
+    if intact != text:
+        path.write_text(intact)
+    return done
+
+
 def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> list[SkewBrace]:
     groups = _groups_of_order(n)
-    done: dict[tuple[int, int], list[LambdaMap]] = {}
     ckpt_path = Path(checkpoint) if checkpoint else None
-    if ckpt_path and ckpt_path.exists():
-        for line in ckpt_path.read_text().splitlines():
-            rec = json.loads(line)
-            done[(rec["group"], rec["unit"])] = [
-                tuple(tuple(p) for p in lam) for lam in rec["maps"]
-            ]
+    done = _read_checkpoint(ckpt_path, n, groups) if ckpt_path else {}
 
     braces: list[SkewBrace] = []
     for gi, a_group in enumerate(groups):

@@ -129,6 +129,10 @@ class CrossCheckFailed(BraceLabError):
     """Two independent computations of the same verdict disagree."""
 
 
+class BadCheckpoint(BraceLabError):
+    """A census checkpoint is corrupt or was written for another census."""
+
+
 class HypothesisUnmet(BraceLabError):
     pass
 

@@ -4,7 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from bracelab.cli import main
-from bracelab.enumeration import GROUP_ORDER_BUDGET, MAX_SOLUTION_SIZE
+from bracelab.enumeration import GROUP_ORDER_BUDGET, MAX_SOLUTION_SIZE, groups_of_order
+from bracelab.groups import all_automorphisms
 from bracelab.serialize import solution_to_json
 from bracelab.ybe import involutive_from_sigma
 from conftest import FIVE_POINT_SIGMA
@@ -144,3 +145,87 @@ def test_out_of_range_number_is_input_error(args):
     res = run(*args)
     assert res.exit_code == 2
     assert "not in the range" in res.output
+
+
+def test_verify_library_error_is_input_error():
+    # The budget stops the radical suite's lattice step at order 5.
+    res = run("verify", "--suite", "radical", "--max-order", "5",
+              env={"BRACELAB_BUDGET": "4"})
+    assert res.exit_code == 2
+    assert "error: " in res.output
+    assert "exceeds budget 4" in res.output
+
+
+def enumerate_with_checkpoint(order, path, out):
+    return run("enumerate", "--kind", "braces", "--order", str(order),
+               "--checkpoint", str(path), "--out", str(out))
+
+
+def test_checkpoint_header_names_order_and_groups(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 0, res.output
+    header, *records = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert header["bracelab_checkpoint"] == 1
+    assert header["order"] == 4
+    assert len(header["groups"]) == 2
+    groups = groups_of_order(4).items
+    assert {(r["group"], r["unit"]) for r in records} == {
+        (gi, unit) for gi, g in enumerate(groups) for unit in range(len(all_automorphisms(g)))
+    }
+
+
+def test_foreign_checkpoint_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b4.jsonl").exit_code == 0
+    before = ckpt.read_text()
+    res = enumerate_with_checkpoint(6, ckpt, tmp_path / "b6.jsonl")
+    assert res.exit_code == 2
+    assert "written for order 4, not 6" in res.output
+    assert ckpt.read_text() == before
+    assert not (tmp_path / "b6.jsonl").exists()
+
+
+def test_checkpoint_for_other_groups_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    header, rest = ckpt.read_text().split("\n", 1)
+    data = json.loads(header)
+    data["groups"].reverse()
+    ckpt.write_text(json.dumps(data) + "\n" + rest)
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert "other additive groups" in res.output
+
+
+def test_headerless_checkpoint_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    ckpt.write_text(ckpt.read_text().split("\n", 1)[1])
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert "not a bracelab checkpoint header" in res.output
+
+
+def test_torn_final_record_is_redone(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    out = tmp_path / "b.jsonl"
+    assert enumerate_with_checkpoint(4, ckpt, out).exit_code == 0
+    complete = ckpt.read_text()
+    fresh = out.read_text().splitlines()[1:]
+    ckpt.write_text(complete[: len(complete) - 20])  # an interrupted last write
+    res = enumerate_with_checkpoint(4, ckpt, out)
+    assert res.exit_code == 0, res.output
+    assert out.read_text().splitlines()[1:] == fresh
+    assert ckpt.read_text() == complete
+
+
+def test_corrupt_inner_record_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    lines = ckpt.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:30] + "\n"
+    ckpt.write_text("".join(lines))
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert "line 3 is not a unit record" in res.output

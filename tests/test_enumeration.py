@@ -17,6 +17,7 @@ from bracelab.enumeration import (
 )
 from bracelab.errors import BraceLabError, BudgetExceeded, CrossCheckFailed
 from bracelab.groups import (
+    all_automorphisms,
     automorphism_group,
     cyclic,
     dihedral,
@@ -25,7 +26,7 @@ from bracelab.groups import (
     quaternion8,
     verify_group,
 )
-from bracelab.perms import identity
+from bracelab.perms import compose, identity, invert, perm_order
 from bracelab.ybe import multipermutation_level, verify_solution
 
 
@@ -219,3 +220,121 @@ def test_aut_reduction_rejects_a_set_not_closed_under_aut():
     missing = next(lam for lam in lams if lam not in reps)
     with pytest.raises(CrossCheckFailed):
         reduce_by_aut_conjugation([lam for lam in lams if lam != missing], gens)
+
+
+def reference_regular_subgroups(a_group, first_choice=None):
+    """The search with the whole partial subgroup re-closed at every step,
+    and no tables kept between calls (brute-force oracle for the search)."""
+    n = a_group.n
+    auts = all_automorphisms(a_group)
+    aut_index = {p: i for i, p in enumerate(auts)}
+    aut_order = [perm_order(p) for p in auts]
+    usable = [i for i in range(len(auts)) if n % aut_order[i] == 0]
+    op = a_group.op
+
+    def comp(i, j):
+        return aut_index[compose(auts[i], auts[j])]
+
+    results = []
+
+    def close(items):
+        h = dict(items)
+        frontier = list(h.items())
+        while frontier:
+            nxt = []
+            for a, fi in frontier:
+                fa = auts[fi]
+                for b, gi in list(h.items()):
+                    gb = auts[gi]
+                    for c, ki in ((op(a, fa[b]), comp(fi, gi)), (op(b, gb[a]), comp(gi, fi))):
+                        cur = h.get(c)
+                        if cur is None:
+                            if n % aut_order[ki] != 0:
+                                return None
+                            h[c] = ki
+                            nxt.append((c, ki))
+                        elif cur != ki:
+                            return None
+            frontier = nxt
+        if n % len(h) != 0:
+            return None
+        return h
+
+    def extend(h):
+        if len(h) == n:
+            results.append(tuple(auts[h[a]] for a in range(n)))
+            return
+        a0 = min(a for a in range(n) if a not in h)
+        for fi in usable:
+            h2 = dict(h)
+            h2[a0] = fi
+            closed = close(h2)
+            if closed is not None:
+                extend(closed)
+
+    ident_idx = aut_index[tuple(range(n))]
+    if n == 1:
+        return [(tuple(range(n)),)]
+    if first_choice is None:
+        extend({0: ident_idx})
+        return results
+    if n % aut_order[first_choice] != 0:
+        return results
+    closed = close({0: ident_idx, 1: first_choice})
+    if closed is not None:
+        extend(closed)
+    return results
+
+
+GROUPS_UP_TO_12 = [g for n in range(1, 13) for g in groups_of_order(n).items]
+
+
+@pytest.mark.parametrize("gi", range(len(GROUPS_UP_TO_12)))
+def test_regular_subgroups_match_full_reclosure(gi):
+    g = GROUPS_UP_TO_12[gi]
+    for unit in range(len(all_automorphisms(g))):
+        assert regular_subgroups(g, first_choice=unit) == reference_regular_subgroups(g, unit)
+    assert regular_subgroups(g) == reference_regular_subgroups(g)
+
+
+def test_regular_subgroups_keep_no_state_between_groups():
+    # Same order and the same number of automorphisms, so tables left over
+    # from the other group would index the wrong automorphisms.
+    a, b = dihedral(4), direct_product(cyclic(4), cyclic(2))
+    assert len(all_automorphisms(a)) == len(all_automorphisms(b))
+    for g in (a, b, a):
+        for unit in range(len(all_automorphisms(g))):
+            assert regular_subgroups(g, first_choice=unit) == reference_regular_subgroups(g, unit)
+
+
+def naive_reduce_by_aut_conjugation(lams, aut_gens):
+    """Orbit walk conjugating every map with compose, nothing memoised."""
+    index = set(lams)
+    seen, reps = set(), []
+    for lam in sorted(index):
+        if lam in seen:
+            continue
+        component, queue = {lam}, [lam]
+        while queue:
+            cur = queue.pop()
+            for phi in aut_gens:
+                phi_inv = invert(phi)
+                out = [()] * len(cur)
+                for a, f in enumerate(cur):
+                    out[phi[a]] = compose(phi, compose(f, phi_inv))
+                nxt = tuple(out)
+                assert nxt in index
+                if nxt not in component:
+                    component.add(nxt)
+                    queue.append(nxt)
+        seen |= component
+        reps.append(lam)
+    return reps
+
+
+@pytest.mark.parametrize("gi", range(len(GROUPS_UP_TO_12)))
+def test_aut_reduction_matches_naive_orbit_walk(gi):
+    g = GROUPS_UP_TO_12[gi]
+    lams = regular_subgroups(g)
+    gens, _ = automorphism_group(g)
+    assert reduce_by_aut_conjugation(lams, gens) == naive_reduce_by_aut_conjugation(lams, gens)
