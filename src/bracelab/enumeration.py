@@ -13,10 +13,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import count
-from itertools import product as iproduct
 from pathlib import Path
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .brace import SkewBrace, isomorphic, verify_skew_brace
 from .errors import BadCheckpoint, BraceLabError, BudgetExceeded, CrossCheckFailed
@@ -29,7 +28,7 @@ from .groups import (
 )
 from .perms import Perm, all_perms, compose, invert, perm_order
 from .substructures import invariant_substructures, lambda_orbits
-from .ybe import Solution, multipermutation_level, permutation_brace
+from .ybe import Solution, involutive_from_sigma, multipermutation_level, permutation_brace
 
 # Classical group counts; groups_of_order() must reproduce these.
 EXPECTED_GROUP_COUNTS = {
@@ -574,37 +573,88 @@ def _sigma_space(n: int) -> int:
 MAX_SOLUTION_SIZE = next(n for n in count(1) if _sigma_space(n + 1) > SIGMA_SPACE_BUDGET)
 
 
-def _try_involutive(sig: tuple[Perm, ...], sig_inv: dict[Perm, Perm]) -> Optional[Solution]:
-    """Fast validity filter; returns the verified solution or None."""
-    n = len(sig)
-    tau = [[0] * n for _ in range(n)]
-    for y in range(n):
-        row = tau[y]
-        for x in range(n):
-            row[x] = sig_inv[sig[sig[x][y]]][x]
-        if len(set(row)) != n:
-            return None
-    # involutivity of r
-    for x in range(n):
-        for y in range(n):
-            u, v = sig[x][y], tau[y][x]
-            if sig[u][v] != x or tau[v][u] != y:
-                return None
-    # braid relation
-    for x in range(n):
-        for y in range(n):
-            u1, v1 = sig[x][y], tau[y][x]
-            for z in range(n):
-                a = (u1, sig[v1][z], tau[z][v1])
-                b1, c1 = sig[a[0]][a[1]], tau[a[1]][a[0]]
-                lhs = (b1, c1, a[2])
-                d = (x, sig[y][z], tau[z][y])
-                e1, f1 = sig[d[0]][d[1]], tau[d[1]][d[0]]
-                e = (e1, f1, d[2])
-                rhs = (e[0], sig[e[1]][e[2]], tau[e[2]][e[1]])
-                if lhs != rhs:
-                    return None
-    return Solution(n=n, sigma=sig, tau=tuple(tuple(r) for r in tau), involutive=True)
+def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator[Solution]:
+    """Every sigma family on 0..n-1 that is an involutive solution, depth first.
+
+    sigma_0, sigma_1, ... are assigned in turn; a node at depth k < n tries
+    the all_perms(n) indices that one call of order() returns. Once sigma_x
+    and sigma_u (u = sigma_x(y)) are assigned, involutivity forces
+    r(x, y) = (u, tau_y(x)) with tau_y(x) = sigma_u^{-1}(x). A candidate is
+    pruned when a forced tau_y(x) repeats a value in the row tau_y, or when
+    a braid triple whose six r-values are all forced fails. Each complete
+    family is validated by involutive_from_sigma.
+    """
+    perms = all_perms(n)
+    inverses = [invert(p) for p in perms]
+    sig: list[Perm] = []
+    sig_inv: list[Perm] = []
+    r: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
+
+    def braid_ok(k: int) -> bool:
+        """r12 r23 r12 = r23 r12 r23 on every triple whose values are forced."""
+        for x in range(k + 1):
+            rx = r[x]
+            for y in range(k + 1):
+                a = rx[y]
+                if a is None:
+                    continue
+                ru, rv, ry = r[a[0]], r[a[1]], r[y]
+                for z in range(n):
+                    b = rv[z]
+                    if b is None:
+                        continue
+                    c = ru[b[0]]
+                    if c is None:
+                        continue
+                    d = ry[z]
+                    if d is None:
+                        continue
+                    e = rx[d[0]]
+                    if e is None:
+                        continue
+                    f = r[e[1]][d[1]]
+                    if f is None:
+                        continue
+                    if c[0] != e[0] or c[1] != f[0] or b[1] != f[1]:
+                        return False
+        return True
+
+    def descend(k: int, tau_rows: list[int]) -> Iterator[Solution]:
+        """tau_rows[y] has bit t set when some forced tau_y(x) equals t."""
+        if k == n:
+            try:
+                sol = involutive_from_sigma(sig)
+            except (BraceLabError, ValueError):
+                return
+            yield sol
+            return
+        # The entries that read sigma_k: (x, sigma_x^{-1}(k)) of each older
+        # row x, with tau value sigma_k^{-1}(x), and (k, y) wherever
+        # u = sigma_k(y) <= k, with tau value sigma_u^{-1}(k) (y when u = k).
+        old_cols = [sig_inv[x][k] for x in range(k)]
+        new_taus = [sig_inv[u][k] for u in range(k)]
+        for idx in order():
+            p, p_inv = perms[idx], inverses[idx]
+            sig.append(p)
+            sig_inv.append(p_inv)
+            forced = [(x, old_cols[x], k, p_inv[x]) for x in range(k)]
+            forced += [(k, y, u, new_taus[u] if u < k else y) for y, u in enumerate(p) if u <= k]
+            rows = tau_rows[:]
+            for _, y, _, t in forced:
+                if rows[y] >> t & 1:
+                    break
+                rows[y] |= 1 << t
+            else:
+                for x, y, u, t in forced:
+                    r[x][y] = (u, t)
+                if braid_ok(k):
+                    yield from descend(k + 1, rows)
+                for x, y, _, _ in forced:
+                    r[x][y] = None
+            sig.pop()
+            sig_inv.pop()
+
+    return descend(0, [0] * n)
 
 
 def solution_canonical_form(sol: Solution) -> tuple:
@@ -631,13 +681,9 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
     started = time.monotonic()
     if _sigma_space(n) > SIGMA_SPACE_BUDGET:
         raise BudgetExceeded("sigma-family space", _sigma_space(n), SIGMA_SPACE_BUDGET)
-    perms = all_perms(n)
-    sig_inv = {p: invert(p) for p in perms}
+    indices = range(len(all_perms(n)))
     seen: dict[tuple, Solution] = {}
-    for sig in iproduct(perms, repeat=n):
-        sol = _try_involutive(sig, sig_inv)
-        if sol is None:
-            continue
+    for sol in _involutive_families(n, lambda: indices):
         canon = solution_canonical_form(sol)
         if canon not in seen:
             seen[canon] = sol
@@ -662,98 +708,28 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
 def sample_involutive_solutions(n: int, count: int, seed: int) -> list[Solution]:
     """Seeded randomized depth-first sampling of valid involutive solutions.
 
-    Assigns sigma_x one index at a time in a random candidate order, pruning
-    partial assignments whose forced tau rows collide or whose fully
-    evaluable braid triples fail; complete assignments still go through the
-    full validity check. Solutions are distinct as labeled sigma-families.
+    The search of _involutive_families with every node's candidate order
+    shuffled afresh; passes restart while a full pass adds a solution.
+    Solutions are distinct as labeled sigma-families.
     """
     rng = Random(seed)
-    perms = all_perms(n)
-    sig_inv = {p: invert(p) for p in perms}
+    size = len(all_perms(n))
+
+    def shuffled() -> list[int]:
+        order = list(range(size))
+        rng.shuffle(order)
+        return order
+
     found: list[Solution] = []
     seen: set[tuple] = set()
-    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
-
-    def partial_ok(sig: list[Optional[Perm]]) -> bool:
-        # tau_y(x) = sigma^{-1}_{sigma_x(y)}(x) where defined; a collision
-        # inside a tau row means tau_y cannot become a permutation.
-        for y in range(n):
-            row: dict[int, int] = {}
-            for x in range(n):
-                sx = sig[x]
-                if sx is None:
-                    continue
-                s2 = sig[sx[y]]
-                if s2 is None:
-                    continue
-                t = sig_inv[s2][x]
-                for k, v in row.items():
-                    if k != x and v == t:
-                        return False
-                row[x] = t
-
-        def ev(x: int, y: int) -> Optional[tuple[int, int]]:
-            sx = sig[x]
-            if sx is None:
-                return None
-            u = sx[y]
-            su = sig[u]
-            if su is None:
-                return None
-            return u, sig_inv[su][x]
-
-        # Braid triples that are already fully evaluable must hold.
-        for x, y, z in triples:
-            a = ev(x, y)
-            if a is None:
-                continue
-            u1, v1 = a
-            bq = ev(v1, z)
-            if bq is None:
-                continue
-            u2, v2 = bq
-            cq = ev(u1, u2)
-            if cq is None:
-                continue
-            lhs = (cq[0], cq[1], v2)
-            d = ev(y, z)
-            if d is None:
-                continue
-            w1, w2 = d
-            e = ev(x, w1)
-            if e is None:
-                continue
-            p1, p2 = e
-            f = ev(p2, w2)
-            if f is None:
-                continue
-            if lhs != (p1, f[0], f[1]):
-                return False
-        return True
-
-    def extend(k: int, sig: list[Optional[Perm]]) -> bool:
-        if len(found) >= count:
-            return True
-        if k == n:
-            full = tuple(p for p in sig if p is not None)
-            sol = _try_involutive(full, sig_inv)
-            if sol is not None and full not in seen:
-                seen.add(full)
-                found.append(sol)
-            return len(found) >= count
-        order = list(range(len(perms)))
-        rng.shuffle(order)
-        for idx in order:
-            sig[k] = perms[idx]
-            if partial_ok(sig):
-                if extend(k + 1, sig):
-                    return True
-            sig[k] = None
-        return False
-
     while len(found) < count:
         before = len(found)
-        extend(0, [None] * n)
+        for sol in _involutive_families(n, shuffled):
+            if sol.sigma not in seen:
+                seen.add(sol.sigma)
+                found.append(sol)
+                if len(found) >= count:
+                    break
         if len(found) == before:
             break
     return found

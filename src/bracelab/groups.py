@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations
-from math import gcd
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -31,9 +29,6 @@ class GroupTable:
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def order_of(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
@@ -43,9 +38,6 @@ class GroupTable:
 
     def element_orders(self) -> tuple[int, ...]:
         return tuple(self.order_of(a) for a in range(self.n))
-
-    def exponent(self) -> int:
-        return reduce(lambda x, y: x * y // gcd(x, y), self.element_orders(), 1)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -238,13 +230,6 @@ def subgroup_closure(g: GroupTable, seed) -> frozenset[int]:
     finite carriers)."""
     mask = closure_mask((g.table,), sum(1 << e for e in set(seed)))
     return frozenset(i for i in range(g.n) if mask >> i & 1)
-
-
-def center(g: GroupTable) -> frozenset[int]:
-    t = g.table
-    return frozenset(
-        a for a in range(g.n) if all(t[a][b] == t[b][a] for b in range(g.n))
-    )
 
 
 def is_normal(g: GroupTable, members) -> bool:

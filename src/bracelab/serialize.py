@@ -1,4 +1,4 @@
-"""JSON codecs: braces, solutions, subsets, and JSON-lines catalog files."""
+"""JSON codecs: braces, solutions, and JSON-lines catalog files."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Union
 
 from .brace import SkewBrace, brace_from_tables
 from .enumeration import Catalog
-from .subsets import Subset
 from .ybe import Solution, involutive_from_sigma, verify_solution
 
 PathLike = Union[str, Path]
@@ -47,10 +46,6 @@ def solution_from_json(data: dict) -> Solution:
     if sol.n != data["n"]:
         raise ValueError(f"size mismatch: {sol.n} != {data['n']}")
     return sol
-
-
-def subset_to_json(s: Subset) -> list[int]:
-    return s.indices()
 
 
 def item_to_json(kind: str, item) -> dict:

@@ -1,9 +1,11 @@
 """Nilpotency series of skew braces and the verdicts they support.
 
 Descending kinds are computed with star products and commutators; ascending
-kinds (socle, annihilator) go through quotients and preimages. Every chain is
-cut at the first repetition; a strictly monotone chain is bounded by the
-carrier size, so no other cutoff is needed.
+kinds (socle, annihilator) go through quotients and preimages. An ascending
+chain is cut at its first repetition. A descending chain is cut at its limit,
+which the first repetition need not be: the strong and bracketed gamma steps
+read every earlier term (see _descend). Every chain ends with the first
+occurrence of its limit.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ def series(b: SkewBrace, kind: SeriesKind) -> SeriesReport:
 
 def _check_members(b: SkewBrace, kind: str, chain: list[Subset]) -> None:
     for term in chain:
+        if term.is_full() or term.is_zero_only():
+            continue  # an ideal, a left ideal and a normal subgroup by definition
         if kind in IDEAL_KINDS:
             ok, what = is_ideal(b, term).ok, "an ideal"
         elif kind == "left":
@@ -103,17 +107,30 @@ def _check_members(b: SkewBrace, kind: str, chain: list[Subset]) -> None:
 
 def _descend(b: SkewBrace, start: Subset, step) -> list[Subset]:
     """start, then the additive closure of step(chain), an unclosed generator
-    mask, until a term repeats; each term must lie in the one before."""
+    mask, until the chain reaches its limit; each term must lie in the one
+    before, and the chain is returned cut after the first occurrence of the
+    limit.
+
+    A {0} term is the limit. Otherwise let X, the last term, first occur as
+    term m (counting from 1). Each step reads pairs of earlier terms, and
+    star products and commutators shrink with their arguments, so once the
+    chain has 2m - 1 terms every later step generates the same set as the
+    step that gave the last X: X is the limit.
+    """
     chain = [start]
-    while True:
+    first = 0  # index of the first occurrence of chain[-1]
+    while not chain[-1].is_zero_only():
         nxt = Subset(b.n, groups.closure_mask((b.add.table,), step(chain)))
-        if nxt == chain[-1]:
-            return chain
         if not nxt <= chain[-1]:
             raise CrossCheckFailed(
                 f"descending series term {nxt.indices()} escapes {chain[-1].indices()}"
             )
+        if nxt != chain[-1]:
+            first = len(chain)
         chain.append(nxt)
+        if len(chain) > first + 1 and len(chain) >= 2 * first + 1:
+            return chain[: first + 1]
+    return chain
 
 
 def _left_chain(b: SkewBrace) -> list[Subset]:

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from bracelab.brace import isomorphic
 from bracelab.enumeration import (
     EXPECTED_GROUP_COUNTS,
+    _involutive_families,
     brace_from_lambda_map,
     dedup_braces,
     enumerate_involutive_solutions,
@@ -26,8 +29,8 @@ from bracelab.groups import (
     quaternion8,
     verify_group,
 )
-from bracelab.perms import compose, identity, invert, perm_order
-from bracelab.ybe import multipermutation_level, verify_solution
+from bracelab.perms import all_perms, compose, identity, invert, perm_order
+from bracelab.ybe import involutive_from_sigma, multipermutation_level, verify_solution
 
 
 def brute_force_group_tables(n):
@@ -210,6 +213,114 @@ def test_sampler_exhausts_tiny_space():
     assert len(found) == 1
     assert found[0].sigma == (identity(1),)
     assert multipermutation_level(found[0]) == 0
+
+
+def _prefix_passes(prefix, n):
+    """The pruning rule from its definition. On sigma_0..sigma_{k-1}, the
+    value r(x, y) = (u, sigma_u^{-1}(x)), u = sigma_x(y), is forced when
+    x < k and u < k; no tau row may repeat a forced value, and a braid
+    triple whose values are all forced must hold."""
+    k = len(prefix)
+
+    def r(x, y):
+        if x >= k or prefix[x][y] >= k:
+            return None
+        u = prefix[x][y]
+        return u, invert(prefix[u])[x]
+
+    def r12(t):
+        v = None if t is None else r(t[0], t[1])
+        return None if v is None else (v[0], v[1], t[2])
+
+    def r23(t):
+        v = None if t is None else r(t[1], t[2])
+        return None if v is None else (t[0], v[0], v[1])
+
+    for y in range(n):
+        row = [r(x, y)[1] for x in range(n) if r(x, y) is not None]
+        if len(row) != len(set(row)):
+            return False
+    for t in product(range(n), repeat=3):
+        lhs, rhs = r12(r23(r12(t))), r23(r12(r23(t)))
+        if lhs is not None and rhs is not None and lhs != rhs:
+            return False
+    return True
+
+
+def _valid_family(sigma):
+    try:
+        return involutive_from_sigma(sigma)
+    except (BraceLabError, ValueError):
+        return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_involutive_search_matches_definition(n):
+    perms = all_perms(n)
+    calls = 0
+
+    def order():
+        nonlocal calls
+        calls += 1
+        return range(len(perms))
+
+    got = [sol.sigma for sol in _involutive_families(n, order)]
+    # one order() call per node: the prefixes shorter than n all of whose
+    # prefixes pass the rule
+    nodes, level = 0, [[]]
+    for _ in range(n):
+        nodes += len(level)
+        level = [q + [p] for q in level for p in perms if _prefix_passes(q + [p], n)]
+    assert calls == nodes
+    assert got == [tuple(q) for q in level if _valid_family(q) is not None]
+    if n <= 3:
+        # nothing valid is pruned: the same families, in the same order, as
+        # validating every family
+        assert got == [f for f in product(perms, repeat=n) if _valid_family(f) is not None]
+
+
+def _families_digest(sols):
+    return hashlib.sha256(json.dumps([[s.sigma, s.tau] for s in sols]).encode()).hexdigest()
+
+
+# Pinned outputs of the solution layer: the seeded samples and the size
+# 1..4 catalogs (first representative of each class, levels, brace sizes).
+@pytest.mark.parametrize(
+    "n,count,seed,digest",
+    [
+        (4, 25, 7, "cbe567478af0a4d63b73dd3bda86d1cfe40ec1f8bbcf2afa0a2d8fb079483811"),
+        (5, 8, 987653, "5c5c004a08634815f18ca411cf53059734df1e7c2b197fe2067d4481aac49bce"),
+    ],
+)
+def test_sampler_output_is_pinned(n, count, seed, digest):
+    assert _families_digest(sample_involutive_solutions(n, count, seed)) == digest
+
+
+@pytest.mark.parametrize(
+    "n,digest,levels,brace_sizes",
+    [
+        (1, "3cabb44f21b758fcd608b0a3cc848e5de615457fc5e77d156b7273acfd8b29e0", [0], [1]),
+        (2, "df631b47da6fd6bbb886d5f4ea3ecd03394e01176bb1cc19aa2f4bff1fd53ac8", [1, 1], [1, 2]),
+        (
+            3,
+            "a85601e4bf59305cd1859016ac0ebeea2ed0ec17823798bc670e16fdcbf1da5c",
+            [1, 2, 2, 1, 1],
+            [1, 2, 2, 2, 3],
+        ),
+        (
+            4,
+            "a69695c2e5d8b92d082d60fd73a739a60cd62af2b414b6346c50d28eb9752d63",
+            [1, 2, 2, 2, 3, 2, 2, 2, 2, 1, 2, 2, None, 1, 2, 2, 3, 2, None, 1, 2, 1, 2],
+            [1, 2, 3, 2, 4, 2, 2, 2, 3, 2, 4, 4, 8, 3, 3, 4, 4, 4, 8, 2, 4, 4, 4],
+        ),
+    ],
+)
+def test_solution_catalog_is_pinned(n, digest, levels, brace_sizes):
+    cat = enumerate_involutive_solutions(n)
+    assert _families_digest(cat.items) == digest
+    assert cat.meta["levels"] == levels
+    assert cat.meta["brace_sizes"] == brace_sizes
+    assert cat.meta["method"] == "exhaustive-sigma"
 
 
 def test_aut_reduction_rejects_a_set_not_closed_under_aut():

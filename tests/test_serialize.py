@@ -9,7 +9,6 @@ from bracelab.serialize import (
     read_catalog,
     solution_from_json,
     solution_to_json,
-    subset_to_json,
     write_catalog,
 )
 from bracelab.subsets import Subset
@@ -48,7 +47,7 @@ def test_solution_tau_omitted_uses_involutive_closure():
 
 
 def test_subset_serializes_sorted():
-    assert subset_to_json(Subset.of(6, [4, 0, 2])) == [0, 2, 4]
+    assert Subset.of(6, [4, 0, 2]).indices() == [0, 2, 4]
 
 
 def test_catalog_file_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from bracelab.brace import from_group_almost_trivial, from_group_trivial
+from bracelab.brace import brace_from_tables, from_group_almost_trivial, from_group_trivial
 from bracelab.errors import HypothesisUnmet
 from bracelab.groups import cyclic, dihedral, quaternion8, symmetric
 from bracelab.series import gamma_distributivity_check, gamma_series, nilpotency_report, series
@@ -176,11 +176,72 @@ def _next_term(b, kind, chain):
     return _additive_closure(b, gens)
 
 
+def _assert_chain_is_recurrence(b, kind):
+    chain = [set(t.indices()) for t in series(b, kind).chain]
+    assert chain[0] == set(range(b.n))
+    for k in range(1, len(chain)):
+        assert chain[k] == _next_term(b, kind, chain[:k])
+    # The strong and bracketed steps read every earlier term, so one
+    # repeat is not enough: run the recurrence 2n further steps.
+    longer = list(chain)
+    for _ in range(2 * b.n):
+        longer.append(_next_term(b, kind, longer))
+    assert longer[len(chain) :] == [chain[-1]] * (2 * b.n)
+
+
 @pytest.mark.parametrize("kind", ["left", "right", "strong", "gamma", "gamma_bracket"])
 def test_descending_chains_match_brute_force_closure(braces_up_to_8, kind):
     for b in braces_up_to_8:
-        chain = [set(t.indices()) for t in series(b, kind).chain]
-        assert chain[0] == set(range(b.n))
-        for k in range(1, len(chain)):
-            assert chain[k] == _next_term(b, kind, chain[:k])
-        assert _next_term(b, kind, chain) == chain[-1]
+        _assert_chain_is_recurrence(b, kind)
+
+
+# Brace 696 of enumerate_skew_braces(16). Its strong and bracketed gamma
+# chains repeat a term of size 2 before they reach {0}.
+_ORDER16_ADD = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14],
+    [2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13],
+    [3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12],
+    [4, 5, 6, 7, 1, 0, 3, 2, 12, 13, 14, 15, 9, 8, 11, 10],
+    [5, 4, 7, 6, 0, 1, 2, 3, 13, 12, 15, 14, 8, 9, 10, 11],
+    [6, 7, 4, 5, 3, 2, 1, 0, 14, 15, 12, 13, 11, 10, 9, 8],
+    [7, 6, 5, 4, 2, 3, 0, 1, 15, 14, 13, 12, 10, 11, 8, 9],
+    [8, 9, 10, 11, 12, 13, 14, 15, 2, 3, 0, 1, 6, 7, 4, 5],
+    [9, 8, 11, 10, 13, 12, 15, 14, 3, 2, 1, 0, 7, 6, 5, 4],
+    [10, 11, 8, 9, 14, 15, 12, 13, 0, 1, 2, 3, 4, 5, 6, 7],
+    [11, 10, 9, 8, 15, 14, 13, 12, 1, 0, 3, 2, 5, 4, 7, 6],
+    [12, 13, 14, 15, 9, 8, 11, 10, 6, 7, 4, 5, 3, 2, 1, 0],
+    [13, 12, 15, 14, 8, 9, 10, 11, 7, 6, 5, 4, 2, 3, 0, 1],
+    [14, 15, 12, 13, 11, 10, 9, 8, 4, 5, 6, 7, 1, 0, 3, 2],
+    [15, 14, 13, 12, 10, 11, 8, 9, 5, 4, 7, 6, 0, 1, 2, 3],
+]
+_ORDER16_MUL = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14],
+    [2, 3, 1, 0, 6, 7, 5, 4, 12, 13, 15, 14, 9, 8, 10, 11],
+    [3, 2, 0, 1, 7, 6, 4, 5, 13, 12, 14, 15, 8, 9, 11, 10],
+    [4, 5, 7, 6, 1, 0, 2, 3, 11, 10, 8, 9, 15, 14, 12, 13],
+    [5, 4, 6, 7, 0, 1, 3, 2, 10, 11, 9, 8, 14, 15, 13, 12],
+    [6, 7, 4, 5, 3, 2, 1, 0, 14, 15, 12, 13, 11, 10, 9, 8],
+    [7, 6, 5, 4, 2, 3, 0, 1, 15, 14, 13, 12, 10, 11, 8, 9],
+    [8, 9, 10, 11, 13, 12, 15, 14, 0, 1, 2, 3, 5, 4, 7, 6],
+    [9, 8, 11, 10, 12, 13, 14, 15, 1, 0, 3, 2, 4, 5, 6, 7],
+    [10, 11, 9, 8, 15, 14, 12, 13, 5, 4, 6, 7, 1, 0, 2, 3],
+    [11, 10, 8, 9, 14, 15, 13, 12, 4, 5, 7, 6, 0, 1, 3, 2],
+    [12, 13, 15, 14, 8, 9, 11, 10, 2, 3, 1, 0, 7, 6, 4, 5],
+    [13, 12, 14, 15, 9, 8, 10, 11, 3, 2, 0, 1, 6, 7, 5, 4],
+    [14, 15, 12, 13, 10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1],
+    [15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0],
+]
+
+
+def test_repeated_term_is_not_the_limit():
+    b = brace_from_tables(_ORDER16_ADD, _ORDER16_MUL)
+    for kind in ("strong", "gamma_bracket"):
+        r = series(b, kind)
+        assert [len(t) for t in r.chain] == [16, 8, 4, 2, 2, 1]
+        assert r.terminates and r.cls == 6
+    report = nilpotency_report(b)  # the three annihilator routes agree
+    assert report.annihilator.holds and report.strong.holds
+    for kind in ("left", "right", "strong", "gamma", "gamma_bracket"):
+        _assert_chain_is_recurrence(b, kind)
