@@ -124,12 +124,14 @@ class CampaignReport:
 # Catalog access with optional JSONL caching
 
 
-_ENUMERATORS = {"braces": enumerate_skew_braces, "solutions": enumerate_involutive_solutions}
-
-
 def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
-    """The order-n catalog of kind, read from catalog_dir when cached there."""
-    enumerate_catalog = _ENUMERATORS[kind]
+    """The order-n catalog of kind, read from catalog_dir when cached there.
+    The enumerator is looked up at call time, so a rebound module name
+    (a tracer's wrapper, say) is the one called."""
+    enumerate_catalog = {
+        "braces": enumerate_skew_braces,
+        "solutions": enumerate_involutive_solutions,
+    }[kind]
     if catalog_dir is None:
         return enumerate_catalog(n)
     from .serialize import read_catalog, write_catalog

@@ -583,9 +583,21 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
     pruned when a forced tau_y(x) repeats a value in the row tau_y, or when
     a braid triple whose six r-values are all forced fails. Each complete
     family is validated by involutive_from_sigma.
+
+    Before its candidate loop a node ORs into one `banned` bitset over the
+    perm indices every candidate with a forced entry whose tau value is
+    already set in its row (maps_to[y][u] holds the perms p with p(y) = u),
+    and skips those before building anything. A banned candidate would fail
+    the per-candidate row check anyway, and that check still runs on the
+    survivors (it alone sees collisions among the node's new entries), so
+    the same candidates are rejected and order() is called at the same nodes.
     """
     perms = all_perms(n)
     inverses = [invert(p) for p in perms]
+    maps_to = [[0] * n for _ in range(n)]
+    for idx, p in enumerate(perms):
+        for y, u in enumerate(p):
+            maps_to[y][u] |= 1 << idx
     sig: list[Perm] = []
     sig_inv: list[Perm] = []
     r: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
@@ -633,7 +645,22 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
         # u = sigma_k(y) <= k, with tau value sigma_u^{-1}(k) (y when u = k).
         old_cols = [sig_inv[x][k] for x in range(k)]
         new_taus = [sig_inv[u][k] for u in range(k)]
+        banned = 0
+        for x in range(k):  # tau value p^-1(x) = t, i.e. p(t) = x
+            row = tau_rows[old_cols[x]]
+            for t in range(n):
+                if row >> t & 1:
+                    banned |= maps_to[t][x]
+        for y in range(n):  # p(y) = u <= k
+            row = tau_rows[y]
+            for u in range(k):
+                if row >> new_taus[u] & 1:
+                    banned |= maps_to[y][u]
+            if row >> y & 1:
+                banned |= maps_to[y][k]
         for idx in order():
+            if banned >> idx & 1:
+                continue
             p, p_inv = perms[idx], inverses[idx]
             sig.append(p)
             sig_inv.append(p_inv)

@@ -105,22 +105,24 @@ def _check_members(b: SkewBrace, kind: str, chain: list[Subset]) -> None:
             raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {what}")
 
 
-def _descend(b: SkewBrace, start: Subset, step) -> list[Subset]:
-    """start, then the additive closure of step(chain), an unclosed generator
-    mask, until the chain reaches its limit; each term must lie in the one
-    before, and the chain is returned cut after the first occurrence of the
-    limit.
+def _descend(b: SkewBrace, start: Subset, step, history: bool = False) -> list[Subset]:
+    """start, then the additive closure of an unclosed generator mask, until
+    the chain reaches its limit; each term must lie in the one before, and
+    the chain is returned cut after the first occurrence of the limit. The
+    mask is step(chain) when history is set, else step(last term).
 
-    A {0} term is the limit. Otherwise let X, the last term, first occur as
-    term m (counting from 1). Each step reads pairs of earlier terms, and
-    star products and commutators shrink with their arguments, so once the
-    chain has 2m - 1 terms every later step generates the same set as the
-    step that gave the last X: X is the limit.
+    A {0} term is the limit. A step of the last term alone reaches its limit
+    at the first repeat. A step of the history reads pairs of earlier terms:
+    let X, the last term, first occur as term m (counting from 1); star
+    products and commutators shrink with their arguments, so once the chain
+    has 2m - 1 terms every later step generates the same set as the step
+    that gave the last X: X is the limit.
     """
     chain = [start]
     first = 0  # index of the first occurrence of chain[-1]
     while not chain[-1].is_zero_only():
-        nxt = Subset(b.n, groups.closure_mask((b.add.table,), step(chain)))
+        gen = step(chain) if history else step(chain[-1])
+        nxt = Subset(b.n, groups.closure_mask((b.add.table,), gen))
         if not nxt <= chain[-1]:
             raise CrossCheckFailed(
                 f"descending series term {nxt.indices()} escapes {chain[-1].indices()}"
@@ -128,19 +130,19 @@ def _descend(b: SkewBrace, start: Subset, step) -> list[Subset]:
         if nxt != chain[-1]:
             first = len(chain)
         chain.append(nxt)
-        if len(chain) > first + 1 and len(chain) >= 2 * first + 1:
+        if len(chain) > first + 1 and (not history or len(chain) >= 2 * first + 1):
             return chain[: first + 1]
     return chain
 
 
 def _left_chain(b: SkewBrace) -> list[Subset]:
     full = Subset.full(b.n)
-    return _descend(b, full, lambda chain: star_products(b, full, chain[-1]))
+    return _descend(b, full, lambda last: star_products(b, full, last))
 
 
 def _right_chain(b: SkewBrace) -> list[Subset]:
     full = Subset.full(b.n)
-    return _descend(b, full, lambda chain: star_products(b, chain[-1], full))
+    return _descend(b, full, lambda last: star_products(b, last, full))
 
 
 def _strong_chain(b: SkewBrace) -> list[Subset]:
@@ -152,15 +154,14 @@ def _strong_chain(b: SkewBrace) -> list[Subset]:
             gen |= star_products(b, xs, ys)
         return gen
 
-    return _descend(b, Subset.full(b.n), step)
+    return _descend(b, Subset.full(b.n), step, history=True)
 
 
 def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
     """Gamma_0(I) = I, Gamma_{n+1}(I) = <Gn*B, B*Gn, [B,Gn]_+>_+."""
     full = Subset.full(b.n)
 
-    def step(chain: list[Subset]) -> int:
-        prev = chain[-1]
+    def step(prev: Subset) -> int:
         return (
             star_products(b, prev, full)
             | star_products(b, full, prev)
@@ -179,7 +180,7 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
             gen |= star_products(b, xs, ys) | commutator_products(b.add, xs, ys)
         return gen
 
-    return _descend(b, Subset.full(b.n), step)
+    return _descend(b, Subset.full(b.n), step, history=True)
 
 
 def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -254,6 +255,19 @@ def _valid_family(sigma):
         return None
 
 
+@functools.cache
+def _definition_search(n):
+    """(nodes, families): the number of prefixes shorter than n all of whose
+    prefixes pass the rule, one order() call each, and the valid families
+    all of whose prefixes pass it, in lexicographic order."""
+    perms = all_perms(n)
+    nodes, level = 0, [[]]
+    for _ in range(n):
+        nodes += len(level)
+        level = [q + [p] for q in level for p in perms if _prefix_passes(q + [p], n)]
+    return nodes, [tuple(q) for q in level if _valid_family(q) is not None]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_involutive_search_matches_definition(n):
     perms = all_perms(n)
@@ -265,18 +279,33 @@ def test_involutive_search_matches_definition(n):
         return range(len(perms))
 
     got = [sol.sigma for sol in _involutive_families(n, order)]
-    # one order() call per node: the prefixes shorter than n all of whose
-    # prefixes pass the rule
-    nodes, level = 0, [[]]
-    for _ in range(n):
-        nodes += len(level)
-        level = [q + [p] for q in level for p in perms if _prefix_passes(q + [p], n)]
+    nodes, families = _definition_search(n)
     assert calls == nodes
-    assert got == [tuple(q) for q in level if _valid_family(q) is not None]
+    assert got == families
     if n <= 3:
         # nothing valid is pruned: the same families, in the same order, as
         # validating every family
         assert got == [f for f in product(perms, repeat=n) if _valid_family(f) is not None]
+
+
+def test_involutive_search_in_shuffled_order_matches_definition():
+    # a pruning step that leans on trying candidates in index order would
+    # change the nodes entered or the families found here
+    n, rng = 4, random.Random(11)
+    size = len(all_perms(n))
+    calls = 0
+
+    def order():
+        nonlocal calls
+        calls += 1
+        idx = list(range(size))
+        rng.shuffle(idx)
+        return idx
+
+    got = {sol.sigma for sol in _involutive_families(n, order)}
+    nodes, families = _definition_search(n)
+    assert calls == nodes
+    assert got == set(families)
 
 
 def _families_digest(sols):
@@ -290,6 +319,8 @@ def _families_digest(sols):
     [
         (4, 25, 7, "cbe567478af0a4d63b73dd3bda86d1cfe40ec1f8bbcf2afa0a2d8fb079483811"),
         (5, 8, 987653, "5c5c004a08634815f18ca411cf53059734df1e7c2b197fe2067d4481aac49bce"),
+        # the equivalence suite's sample, as the benchmark draws it
+        (5, 200, 987653, "e25e0d5682a3d608e261f3b5d1b59b16cfbdff26b9c21586c4614066ec6120f6"),
     ],
 )
 def test_sampler_output_is_pinned(n, count, seed, digest):
