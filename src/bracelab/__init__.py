@@ -10,6 +10,7 @@ from .brace import (
     from_zn_quadratic,
     isomorphic,
     lambda_map,
+    lambda_orbits,
     quotient,
     star,
     verify_skew_brace,
@@ -32,7 +33,6 @@ from .substructures import (
     idealizer,
     invariant_substructures,
     is_ideal,
-    lambda_orbits,
     maximal_ideals,
     maximal_subbraces,
     radical,

@@ -16,7 +16,7 @@ from .errors import (
     NotAnIdeal,
 )
 from .groups import GroupTable, cyclic, opposite, verify_group
-from .perms import Perm, cycle_type, invert
+from .perms import Perm, cycle_type
 from .subsets import Subset
 
 
@@ -32,7 +32,6 @@ class SkewBrace:
     add: GroupTable
     mul: GroupTable
     lam: tuple[tuple[int, ...], ...]
-    lam_inv: tuple[tuple[int, ...], ...]
     star: tuple[tuple[int, ...], ...]
 
     def add_(self, a: int, b: int) -> int:
@@ -76,14 +75,11 @@ def verify_skew_brace(add: GroupTable, mul: GroupTable) -> SkewBrace:
         raise LambdaNotHomomorphism(int(a), int(b))
 
     star = a_t[lam, neg[None, :]]
-    lam_rows = tuple(tuple(int(x) for x in row) for row in lam)
-    lam_inv = tuple(invert(row) for row in lam_rows)
     return SkewBrace(
         n=n,
         add=add,
         mul=mul,
-        lam=lam_rows,
-        lam_inv=lam_inv,
+        lam=tuple(tuple(int(x) for x in row) for row in lam),
         star=tuple(tuple(int(x) for x in row) for row in star),
     )
 
@@ -209,12 +205,18 @@ def _element_fingerprint(b: SkewBrace, a: int, orbit_sizes: dict[int, int]) -> t
     return (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]))
 
 
-def _lambda_orbit_sizes(b: SkewBrace) -> dict[int, int]:
-    sizes: dict[int, int] = {}
+def lambda_orbits(b: SkewBrace) -> list[list[int]]:
+    """Orbits of the lambda-image group acting on the carrier."""
+    assigned = [False] * b.n
+    orbits: list[list[int]] = []
     for x in range(b.n):
-        orbit = {b.lam[a][x] for a in range(b.n)}
-        sizes[x] = len(orbit)
-    return sizes
+        if assigned[x]:
+            continue
+        orbit = sorted({b.lam[a][x] for a in range(b.n)})
+        for y in orbit:
+            assigned[y] = True
+        orbits.append(orbit)
+    return orbits
 
 
 def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
@@ -225,7 +227,7 @@ def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
     """
     if b1.n != b2.n:
         return None
-    orb1, orb2 = _lambda_orbit_sizes(b1), _lambda_orbit_sizes(b2)
+    orb1, orb2 = ({x: len(o) for o in lambda_orbits(b) for x in o} for b in (b1, b2))
     fp2: dict[tuple, list[int]] = {}
     for a in range(b2.n):
         fp2.setdefault(_element_fingerprint(b2, a, orb2), []).append(a)
@@ -271,7 +273,7 @@ def star_identity_violations(
     a_t = b.add.as_array()
     m_t = b.mul.as_array()
     st = np.asarray(b.star, dtype=np.int64)
-    lam_inv = np.asarray(b.lam_inv, dtype=np.int64)
+    lam_inv = np.argsort(np.asarray(b.lam, dtype=np.int64), axis=1)
     neg = np.asarray(b.add.inv, dtype=np.int64)
 
     if n <= EXHAUSTIVE_IDENTITY_LIMIT:

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from pathlib import Path
 from typing import Callable, Optional
 
-from .brace import SkewBrace, classify_flags, star_identity_violations
+from .brace import SkewBrace, classify_flags, lambda_orbits, star_identity_violations
 from .enumeration import (
     Catalog,
     EXPECTED_GROUP_COUNTS,
@@ -29,7 +29,6 @@ from .series import gamma_distributivity_check, nilpotency_report, series
 from .subsets import Subset
 from .substructures import (
     is_ideal,
-    lambda_orbits,
     maximal_ideals,
     maximal_subbraces,
     radical,

@@ -17,7 +17,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .brace import SkewBrace, isomorphic, verify_skew_brace
+from .brace import SkewBrace, isomorphic, lambda_orbits, verify_skew_brace
 from .errors import BadCheckpoint, BraceLabError, BudgetExceeded, CrossCheckFailed
 from .groups import (
     GroupTable,
@@ -27,7 +27,7 @@ from .groups import (
     verify_group,
 )
 from .perms import Perm, all_perms, compose, invert, perm_order
-from .substructures import invariant_substructures, lambda_orbits
+from .substructures import invariant_substructures
 from .ybe import Solution, involutive_from_sigma, multipermutation_level, permutation_brace
 
 # Classical group counts; groups_of_order() must reproduce these.

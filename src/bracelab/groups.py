@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, NoIdentity, NotAssociative, NotLatin
+from .errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
 from .perms import Perm, compose, invert
+from .subsets import Subset
 
 # Exhaustive triple validation keeps indices in one byte.
 MAX_CARRIER = 255
@@ -66,9 +67,15 @@ def verify_group(table: Sequence[Sequence[int]]) -> GroupTable:
         raise NoIdentity("empty table")
     if n > MAX_CARRIER:
         raise BudgetExceeded("carrier size for exhaustive validation", n, MAX_CARRIER)
-    t = np.asarray(table, dtype=np.int64)
+    t = np.asarray(table)
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, got {t.dtype.type.__name__}")
     if t.shape != (n, n):
         raise ValueError(f"table must be square, got shape {t.shape}")
+    # numpy reads a bool among ints as an int; the rows still hold the bool.
+    if not isinstance(table, np.ndarray) and any(bool in set(map(type, row)) for row in table):
+        raise ValueError("table entries must be integers, got bool")
+    t = t.astype(np.int64, copy=False)
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must lie in 0..n-1")
 
@@ -193,7 +200,7 @@ def opposite(g: GroupTable) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# Subgroup machinery (subgroups as frozensets of indices)
+# Subgroup machinery (subsets of the carrier as Subset bit masks)
 
 
 def closure_mask(tables: Tables, mask: int) -> int:
@@ -225,49 +232,75 @@ def closure_mask(tables: Tables, mask: int) -> int:
     return mask
 
 
-def subgroup_closure(g: GroupTable, seed) -> frozenset[int]:
+def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> Subset:
     """Subgroup generated by seed (closure under the operation suffices on
     finite carriers)."""
-    mask = closure_mask((g.table,), sum(1 << e for e in set(seed)))
-    return frozenset(i for i in range(g.n) if mask >> i & 1)
+    return Subset(g.n, closure_mask((g.table,), Subset.of(g.n, seed).mask))
 
 
-def is_normal(g: GroupTable, members) -> bool:
-    mset = set(members)
-    return all(g.conjugate(a, m) in mset for a in range(g.n) for m in mset)
+def is_normal(g: GroupTable, s: Subset) -> bool:
+    m, members = s.mask, s.indices()
+    return all(m >> g.conjugate(a, x) & 1 for a in range(g.n) for x in members)
 
 
-def lower_central_series(g: GroupTable) -> list[frozenset[int]]:
-    """gamma_1 = G, gamma_{k+1} = [G, gamma_k]; cut at first repetition."""
-    full = frozenset(range(g.n))
-    chain = [full if g.n > 1 else frozenset({0})]
-    while True:
-        comms = {g.commutator(x, y) for x in range(g.n) for y in chain[-1]}
-        nxt = subgroup_closure(g, comms)
-        if nxt == chain[-1]:
-            return chain
+def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
+    """Mask of {[x, y] : x in X, y in Y} in g, not closed."""
+    ys_idx = ys.indices()
+    return Subset.of(g.n, {g.commutator(x, y) for x in xs.indices() for y in ys_idx}).mask
+
+
+def descending_chain(tables: Tables, start: Subset, step, history: bool = False) -> list[Subset]:
+    """start, then the closure under tables of an unclosed generator mask,
+    until the chain reaches its limit; each term must lie in the one before,
+    and the chain is returned cut after the first occurrence of the limit.
+    The mask is step(chain) when history is set, else step(last term).
+
+    A {0} term is the limit. A step of the last term alone reaches its limit
+    at the first repeat. A step of the history reads pairs of earlier terms:
+    let X, the last term, first occur as term m (counting from 1); star
+    products and commutators shrink with their arguments, so once the chain
+    has 2m - 1 terms every later step generates the same set as the step
+    that gave the last X: X is the limit.
+    """
+    chain = [start]
+    first = 0  # index of the first occurrence of chain[-1]
+    while not chain[-1].is_zero_only():
+        gen = step(chain) if history else step(chain[-1])
+        nxt = Subset(start.n, closure_mask(tables, gen))
+        if not nxt <= chain[-1]:
+            raise CrossCheckFailed(
+                f"descending series term {nxt.indices()} escapes {chain[-1].indices()}"
+            )
+        if nxt != chain[-1]:
+            first = len(chain)
         chain.append(nxt)
+        if len(chain) > first + 1 and (not history or len(chain) >= 2 * first + 1):
+            return chain[: first + 1]
+    return chain
+
+
+def lower_central_series(g: GroupTable) -> list[Subset]:
+    """gamma_1 = G, gamma_{k+1} = [G, gamma_k]; cut at first repetition."""
+    full = Subset.full(g.n)
+    return descending_chain((g.table,), full, lambda last: commutator_products(g, full, last))
 
 
 def nilpotency_class(g: GroupTable) -> Optional[int]:
     """Class c with gamma_{c+1} = 1, or None if not nilpotent."""
     chain = lower_central_series(g)
-    if chain[-1] != frozenset({0}):
-        return None
-    return len(chain) - 1 if chain[0] != frozenset({0}) else 0
+    return len(chain) - 1 if chain[-1].is_zero_only() else None
 
 
-def upper_central_series(g: GroupTable) -> list[frozenset[int]]:
+def upper_central_series(g: GroupTable) -> list[Subset]:
     """Z_0 = 1, Z_{k+1} = {x : [x,a] in Z_k for all a}; cut at repetition."""
-    chain = [frozenset({0})]
+    chain = [Subset.zero(g.n)]
     while True:
-        prev = chain[-1]
-        nxt = frozenset(
-            x
-            for x in range(g.n)
-            if all(g.commutator(x, a) in prev for a in range(g.n))
+        prev = chain[-1].mask
+        nxt = Subset.of(
+            g.n,
+            (x for x in range(g.n) if all(prev >> g.commutator(x, a) & 1 for a in range(g.n))),
         )
-        if nxt == prev:
+        if nxt == chain[-1]:
             return chain
         chain.append(nxt)
 

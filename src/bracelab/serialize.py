@@ -13,6 +13,22 @@ from .ybe import Solution, involutive_from_sigma, verify_solution
 PathLike = Union[str, Path]
 
 
+def _fields(data, what: str, *keys: str) -> dict:
+    """data, checked to be a JSON object holding keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if not all(k in data for k in keys):
+        raise ValueError(f"{what} needs the keys {', '.join(keys)}")
+    return data
+
+
+def _rows(data: dict, key: str) -> list:
+    """data[key], checked to be a list of lists."""
+    if not isinstance(data[key], list) or not all(isinstance(row, list) for row in data[key]):
+        raise ValueError(f"{key} must be a list of lists")
+    return data[key]
+
+
 def brace_to_json(b: SkewBrace) -> dict:
     return {
         "n": b.n,
@@ -23,7 +39,8 @@ def brace_to_json(b: SkewBrace) -> dict:
 
 def brace_from_json(data: dict) -> SkewBrace:
     """Parse and fully re-validate a brace."""
-    b = brace_from_tables(data["add"], data["mul"])
+    _fields(data, "brace", "n", "add", "mul")
+    b = brace_from_tables(_rows(data, "add"), _rows(data, "mul"))
     if b.n != data["n"]:
         raise ValueError(f"carrier size mismatch: {b.n} != {data['n']}")
     return b
@@ -39,10 +56,11 @@ def solution_to_json(sol: Solution) -> dict:
 
 def solution_from_json(data: dict) -> Solution:
     """Parse and re-validate; a missing tau means the involutive closure."""
-    if "tau" not in data or data["tau"] is None:
-        sol = involutive_from_sigma(data["sigma"])
+    _fields(data, "solution", "n", "sigma")
+    if data.get("tau") is None:
+        sol = involutive_from_sigma(_rows(data, "sigma"))
     else:
-        sol = verify_solution(data["sigma"], data["tau"])
+        sol = verify_solution(_rows(data, "sigma"), _rows(data, "tau"))
     if sol.n != data["n"]:
         raise ValueError(f"size mismatch: {sol.n} != {data['n']}")
     return sol
@@ -66,7 +84,7 @@ def item_from_json(kind: str, data: dict):
     if kind == "groups":
         from .groups import verify_group
 
-        return verify_group(data["table"])
+        return verify_group(_rows(_fields(data, "group", "table"), "table"))
     raise ValueError(f"unknown catalog kind {kind!r}")
 
 
@@ -84,8 +102,8 @@ def read_catalog(path: PathLike) -> Catalog:
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty catalog file")
-    header = json.loads(lines[0])
-    meta = header.get("meta", header)
+    header = _fields(json.loads(lines[0]), "catalog header")
+    meta = _fields(header.get("meta", header), "catalog meta", "kind")
     kind = meta["kind"]
     items = [item_from_json(kind, json.loads(line)) for line in lines[1:]]
     if meta.get("count") is not None and meta["count"] != len(items):

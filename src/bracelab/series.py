@@ -1,11 +1,13 @@
 """Nilpotency series of skew braces and the verdicts they support.
 
-Descending kinds are computed with star products and commutators; ascending
-kinds (socle, annihilator) go through quotients and preimages. An ascending
-chain is cut at its first repetition. A descending chain is cut at its limit,
-which the first repetition need not be: the strong and bracketed gamma steps
-read every earlier term (see _descend). Every chain ends with the first
-occurrence of its limit.
+Every descending kind, the group lower central series included, goes through
+groups.descending_chain with star products and commutators as its steps;
+the brace kinds close under the additive table. Ascending kinds (socle,
+annihilator) go through quotients and preimages. An ascending chain is cut
+at its first repetition. A descending chain is cut at its limit, which the
+first repetition need not be: the strong and bracketed gamma steps read
+every earlier term (see groups.descending_chain). Every chain ends with the
+first occurrence of its limit.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Literal, Optional
 from . import groups
 from .brace import SkewBrace, classify_flags, quotient
 from .errors import CrossCheckFailed, HypothesisUnmet
+from .groups import commutator_products, descending_chain
 from .subsets import Subset
 from .substructures import (
-    commutator_products,
     invariant_substructures,
     is_ideal,
     is_left_ideal,
@@ -100,49 +102,19 @@ def _check_members(b: SkewBrace, kind: str, chain: list[Subset]) -> None:
             ok, what = is_left_ideal(b, term), "a left ideal"
         else:
             g = b.add if kind.endswith("_add") else b.mul
-            ok, what = groups.is_normal(g, term.indices()), "a normal subgroup"
+            ok, what = groups.is_normal(g, term), "a normal subgroup"
         if not ok:
             raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {what}")
 
 
-def _descend(b: SkewBrace, start: Subset, step, history: bool = False) -> list[Subset]:
-    """start, then the additive closure of an unclosed generator mask, until
-    the chain reaches its limit; each term must lie in the one before, and
-    the chain is returned cut after the first occurrence of the limit. The
-    mask is step(chain) when history is set, else step(last term).
-
-    A {0} term is the limit. A step of the last term alone reaches its limit
-    at the first repeat. A step of the history reads pairs of earlier terms:
-    let X, the last term, first occur as term m (counting from 1); star
-    products and commutators shrink with their arguments, so once the chain
-    has 2m - 1 terms every later step generates the same set as the step
-    that gave the last X: X is the limit.
-    """
-    chain = [start]
-    first = 0  # index of the first occurrence of chain[-1]
-    while not chain[-1].is_zero_only():
-        gen = step(chain) if history else step(chain[-1])
-        nxt = Subset(b.n, groups.closure_mask((b.add.table,), gen))
-        if not nxt <= chain[-1]:
-            raise CrossCheckFailed(
-                f"descending series term {nxt.indices()} escapes {chain[-1].indices()}"
-            )
-        if nxt != chain[-1]:
-            first = len(chain)
-        chain.append(nxt)
-        if len(chain) > first + 1 and (not history or len(chain) >= 2 * first + 1):
-            return chain[: first + 1]
-    return chain
-
-
 def _left_chain(b: SkewBrace) -> list[Subset]:
     full = Subset.full(b.n)
-    return _descend(b, full, lambda last: star_products(b, full, last))
+    return descending_chain((b.add.table,), full, lambda last: star_products(b, full, last))
 
 
 def _right_chain(b: SkewBrace) -> list[Subset]:
     full = Subset.full(b.n)
-    return _descend(b, full, lambda last: star_products(b, last, full))
+    return descending_chain((b.add.table,), full, lambda last: star_products(b, last, full))
 
 
 def _strong_chain(b: SkewBrace) -> list[Subset]:
@@ -154,7 +126,7 @@ def _strong_chain(b: SkewBrace) -> list[Subset]:
             gen |= star_products(b, xs, ys)
         return gen
 
-    return _descend(b, Subset.full(b.n), step, history=True)
+    return descending_chain((b.add.table,), Subset.full(b.n), step, history=True)
 
 
 def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
@@ -168,7 +140,7 @@ def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
             | commutator_products(b.add, full, prev)
         )
 
-    return _descend(b, ideal, step)
+    return descending_chain((b.add.table,), ideal, step)
 
 
 def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
@@ -180,7 +152,7 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
             gen |= star_products(b, xs, ys) | commutator_products(b.add, xs, ys)
         return gen
 
-    return _descend(b, Subset.full(b.n), step, history=True)
+    return descending_chain((b.add.table,), Subset.full(b.n), step, history=True)
 
 
 def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:
@@ -199,31 +171,18 @@ def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:
         chain.append(nxt)
 
 
-def _socle_chain(b: SkewBrace) -> list[Subset]:
-    return _ascend_by_quotient(b, lambda q: invariant_substructures(q).soc)
-
-
-def _annihilator_chain(b: SkewBrace) -> list[Subset]:
-    return _ascend_by_quotient(b, lambda q: invariant_substructures(q).ann)
-
-
-def _group_chain(b: SkewBrace, terms: list[frozenset[int]]) -> list[Subset]:
-    """A central series of b.add or b.mul, as subsets of the carrier."""
-    return [Subset.of(b.n, term) for term in terms]
-
-
 _BUILDERS = {
     "left": _left_chain,
     "right": _right_chain,
     "strong": _strong_chain,
     "gamma": lambda b: gamma_series(b, Subset.full(b.n)),
     "gamma_bracket": _gamma_bracket_chain,
-    "socle": _socle_chain,
-    "annihilator": _annihilator_chain,
-    "lcs_add": lambda b: _group_chain(b, groups.lower_central_series(b.add)),
-    "lcs_mul": lambda b: _group_chain(b, groups.lower_central_series(b.mul)),
-    "ucs_add": lambda b: _group_chain(b, groups.upper_central_series(b.add)),
-    "ucs_mul": lambda b: _group_chain(b, groups.upper_central_series(b.mul)),
+    "socle": lambda b: _ascend_by_quotient(b, lambda q: invariant_substructures(q).soc),
+    "annihilator": lambda b: _ascend_by_quotient(b, lambda q: invariant_substructures(q).ann),
+    "lcs_add": lambda b: groups.lower_central_series(b.add),
+    "lcs_mul": lambda b: groups.lower_central_series(b.mul),
+    "ucs_add": lambda b: groups.upper_central_series(b.add),
+    "ucs_mul": lambda b: groups.upper_central_series(b.mul),
 }
 
 

@@ -14,7 +14,7 @@ from .errors import (
     NotASubBrace,
     env_budget,
 )
-from .groups import GroupTable, closure_mask
+from .groups import closure_mask, commutator_products
 from .subsets import Subset
 
 DEFAULT_LATTICE_BUDGET = 48
@@ -137,12 +137,6 @@ def star_products(b: SkewBrace, xs: Subset, ys: Subset) -> int:
     """Mask of {x*y : x in X, y in Y}, not closed."""
     star, ys_idx = b.star, ys.indices()
     return Subset.of(b.n, {star[x][y] for x in xs.indices() for y in ys_idx}).mask
-
-
-def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
-    """Mask of {[x, y] : x in X, y in Y} in g, not closed."""
-    ys_idx = ys.indices()
-    return Subset.of(g.n, {g.commutator(x, y) for x in xs.indices() for y in ys_idx}).mask
 
 
 def star_sets(b: SkewBrace, xs: Subset, ys: Subset) -> Subset:
@@ -304,21 +298,7 @@ def subideal_chain(
 
 
 # ---------------------------------------------------------------------------
-# Lambda orbits and generation
-
-
-def lambda_orbits(b: SkewBrace) -> list[list[int]]:
-    """Orbits of the lambda-image group acting on the carrier."""
-    assigned = [False] * b.n
-    orbits: list[list[int]] = []
-    for x in range(b.n):
-        if assigned[x]:
-            continue
-        orbit = sorted({b.lam[a][x] for a in range(b.n)})
-        for y in orbit:
-            assigned[y] = True
-        orbits.append(orbit)
-    return orbits
+# Generation
 
 
 def generates(b: SkewBrace, s: Subset) -> bool:

@@ -229,3 +229,35 @@ def test_corrupt_inner_record_is_refused(tmp_path):
     res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
     assert res.exit_code == 2
     assert "line 3 is not a unit record" in res.output
+
+
+BRACE_Z2 = {"n": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 1], [1, 0]]}
+META_Z2 = {"meta": {"kind": "braces", "order": 2, "count": 1}}
+
+
+@pytest.mark.parametrize(
+    "header, item, message",
+    [
+        # 0.5 would be read as 0, which makes a valid table
+        (META_Z2, {**BRACE_Z2, "mul": [[0, 1], [1, 0.5]]}, "must be integers, got float64"),
+        (META_Z2, [BRACE_Z2["add"], BRACE_Z2["mul"]], "brace must be a JSON object, got list"),
+        (META_Z2, {**BRACE_Z2, "add": 5}, "add must be a list of lists"),
+        ([META_Z2], BRACE_Z2, "catalog header must be a JSON object, got list"),
+    ],
+)
+def test_classify_malformed_catalog_exits_2(tmp_path, header, item, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(item) + "\n")
+    res = run("classify", "--in", str(path), "--report", str(tmp_path / "r.csv"))
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+    assert message in res.stderr
+
+
+def test_solution_analyze_malformed_sigma_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "sigma": 7}))
+    res = run("solution", "analyze", "--in", str(path))
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+    assert "sigma must be a list of lists" in res.stderr

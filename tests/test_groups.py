@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from bracelab.enumeration import _groups_of_order
 from bracelab.errors import BudgetExceeded, NoIdentity, NotAssociative, NotLatin
 from bracelab.groups import (
     all_automorphisms,
@@ -10,6 +11,7 @@ from bracelab.groups import (
     cyclic,
     dihedral,
     direct_product,
+    is_normal,
     isomorphic_groups,
     lower_central_series,
     nilpotency_class,
@@ -86,6 +88,19 @@ def test_inverses_are_two_sided():
 def test_element_orders_and_exponent():
     z6 = cyclic(6)
     assert z6.element_orders() == (1, 6, 3, 2, 3, 6)
+
+
+@pytest.mark.parametrize(
+    "table, bad",
+    [
+        ([[0, 1], [1, 0.5]], "float64"),  # numpy would truncate 0.5 to 0
+        ([[0, "1"], [1, 0]], "str_"),
+        ([[0, 1], [True, 0]], "bool"),  # numpy would read True as 1
+    ],
+)
+def test_non_integer_entries_rejected(table, bad):
+    with pytest.raises(ValueError, match=f"table entries must be integers, got {bad}"):
+        verify_group(table)
 
 
 def test_carrier_budget():
@@ -170,3 +185,88 @@ def test_automorphisms_are_automorphisms():
     for p in auts:
         for q in auts:
             assert compose(p, q) in aut_set
+
+
+# ---------------------------------------------------------------------------
+# Central series against their definitions, written from the raw tables
+
+
+def _raw_commutator(table, inv, x, y):
+    """x y x^-1 y^-1."""
+    return table[table[table[x][y]][inv[x]]][inv[y]]
+
+
+def _raw_generated(table, seed):
+    """Subgroup generated by seed: products of members to a fixpoint."""
+    members = set(seed) | {0}
+    while True:
+        more = {table[a][c] for a in members for c in members} - members
+        if not more:
+            return members
+        members |= more
+
+
+def _raw_lower_central(table, inv):
+    """gamma_1 = G, gamma_{k+1} = <[x, y] : x in G, y in gamma_k>, to the
+    first repeat."""
+    n = len(table)
+    chain = [set(range(n))]
+    while True:
+        comms = {_raw_commutator(table, inv, x, y) for x in range(n) for y in chain[-1]}
+        nxt = _raw_generated(table, comms)
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+def _raw_upper_central(table, inv):
+    """Z_0 = 1, Z_{k+1} = {x : [x, a] in Z_k for all a}, to the first repeat."""
+    n = len(table)
+    chain = [{0}]
+    while True:
+        nxt = {
+            x for x in range(n)
+            if all(_raw_commutator(table, inv, x, a) in chain[-1] for a in range(n))
+        }
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+def _raw_is_normal(table, inv, members):
+    return all(table[table[a][x]][inv[a]] in members for a in range(len(table)) for x in members)
+
+
+def _all_groups_to_24():
+    return [g for n in range(1, 25) for g in _groups_of_order(n)]
+
+
+def test_central_series_match_their_definitions():
+    for g in _all_groups_to_24():
+        table = [list(row) for row in g.table]
+        inv = [row.index(0) for row in table]
+        lcs = _raw_lower_central(table, inv)
+        ucs = _raw_upper_central(table, inv)
+        assert [set(t) for t in lower_central_series(g)] == lcs
+        assert [set(t) for t in upper_central_series(g)] == ucs
+        assert nilpotency_class(g) == (len(lcs) - 1 if lcs[-1] == {0} else None)
+        # ucs reaches G exactly when lcs reaches 1, in as many steps
+        assert (ucs[-1] == set(range(g.n))) == (lcs[-1] == {0})
+        if lcs[-1] == {0}:
+            assert len(ucs) == len(lcs)
+
+
+def test_is_normal_matches_conjugation():
+    normal_seen = not_normal_seen = 0
+    for g in _all_groups_to_24():
+        table = [list(row) for row in g.table]
+        inv = [row.index(0) for row in table]
+        terms = lower_central_series(g) + upper_central_series(g)
+        cyclic_subgroups = [subgroup_closure(g, [x]) for x in range(g.n)]
+        for s in terms + cyclic_subgroups:
+            want = _raw_is_normal(table, inv, set(s))
+            assert is_normal(g, s) == want
+            normal_seen += want
+            not_normal_seen += not want
+        assert all(is_normal(g, t) for t in terms)
+    assert normal_seen and not_normal_seen

@@ -1,10 +1,27 @@
+import random
+
 import pytest
 
-from bracelab.brace import brace_from_tables, from_group_almost_trivial, from_group_trivial
+from bracelab.brace import (
+    brace_from_tables,
+    classify_flags,
+    from_group_almost_trivial,
+    from_group_trivial,
+    lambda_orbits,
+    relabeled,
+)
 from bracelab.errors import HypothesisUnmet
 from bracelab.groups import cyclic, dihedral, quaternion8, symmetric
-from bracelab.series import gamma_distributivity_check, gamma_series, nilpotency_report, series
+from bracelab.series import (
+    ASCENDING_KINDS,
+    DESCENDING_KINDS,
+    gamma_distributivity_check,
+    gamma_series,
+    nilpotency_report,
+    series,
+)
 from bracelab.subsets import Subset
+from bracelab.substructures import radical, subbrace_lattice
 
 
 def chains(report):
@@ -245,3 +262,24 @@ def test_repeated_term_is_not_the_limit():
     assert report.annihilator.holds and report.strong.holds
     for kind in ("left", "right", "strong", "gamma", "gamma_bracket"):
         _assert_chain_is_recurrence(b, kind)
+
+
+def _invariants(b):
+    """Answers that depend on b only up to isomorphism."""
+    lattice = subbrace_lattice(b)
+    return (
+        classify_flags(b),
+        {kind: [len(t) for t in series(b, kind).chain]
+         for kind in sorted(DESCENDING_KINDS | ASCENDING_KINDS)},
+        nilpotency_report(b).to_json(),
+        sorted(len(s) for s in lattice),
+        len(radical(b, lattice)),
+        sorted(len(o) for o in lambda_orbits(b)),
+    )
+
+
+def test_answers_invariant_under_relabeling(braces_up_to_8):
+    rng = random.Random(20240607)
+    for b in braces_up_to_8:
+        relabel = tuple([0] + rng.sample(range(1, b.n), b.n - 1))
+        assert _invariants(relabeled(b, relabel)) == _invariants(b)

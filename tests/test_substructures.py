@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from bracelab.brace import from_group_trivial
+from bracelab.brace import from_group_trivial, lambda_orbits
 from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLabError, BudgetExceeded, NotASubBrace
 from bracelab.groups import closure_mask, cyclic
@@ -16,7 +16,6 @@ from bracelab.substructures import (
     is_ideal,
     is_left_ideal,
     is_subbrace,
-    lambda_orbits,
     maximal_ideals,
     radical,
     star_sets,
