@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -95,12 +96,19 @@ def verify_group(table: Sequence[Sequence[int]]) -> GroupTable:
     inv = np.empty(n, dtype=np.int64)
     rows, cols = np.nonzero(t == 0)
     inv[rows] = cols
-    rows_t = tuple(tuple(int(x) for x in row) for row in t)
-    return GroupTable(n, rows_t, tuple(int(x) for x in inv))
+    return GroupTable(n, tuple(map(tuple, t.tolist())), tuple(inv.tolist()))
 
 
 def _check_latin(t: np.ndarray) -> None:
+    """Raise NotLatin at the first repeated entry, rows before columns.
+
+    Entries lie in 0..n-1, so the table is Latin when every row and every
+    column sorts to 0..n-1; only a failing table is walked for its witness.
+    """
     n = t.shape[0]
+    rng = np.arange(n)
+    if (np.sort(t, axis=1) == rng).all() and (np.sort(t, axis=0) == rng[:, None]).all():
+        return
     for axis, mats in (("row", t), ("column", t.T)):
         for i in range(n):
             seen: dict[int, int] = {}
@@ -203,17 +211,27 @@ def opposite(g: GroupTable) -> GroupTable:
 # Subgroup machinery (subsets of the carrier as Subset bit masks)
 
 
-def closure_mask(tables: Tables, mask: int) -> int:
+def closure_mask(tables: Tables, mask: int, closed: int = 0) -> int:
     """Least superset of mask | {0} closed under every table in tables.
 
     Works in rounds: each table maps frontier x members in both orders, and
     members grows once per round by what was new. (g.table,) closes to a
     subgroup; (b.add.table, b.mul.table) to a sub-brace.
+
+    closed is a submask of mask already closed under tables; its products
+    among themselves are members, so the first frontier is mask minus closed.
+    Every table is a group on the carrier, so the result is a subgroup and its
+    size divides n (Lagrange): a round that starts with more members than
+    n // p, p the least prime dividing n, returns the whole carrier.
     """
-    mask |= 1
-    members = [i for i in range(len(tables[0])) if mask >> i & 1]
-    frontier = members
+    n = len(tables[0])
+    mask |= closed | 1
+    members = [i for i in range(n) if mask >> i & 1]
+    frontier = [i for i in members if not closed >> i & 1]
+    cap = _largest_proper_divisor(n)
     while frontier:
+        if len(members) > cap:
+            return (1 << n) - 1
         new = []
         for t in tables:
             for a in frontier:
@@ -232,6 +250,12 @@ def closure_mask(tables: Tables, mask: int) -> int:
     return mask
 
 
+@cache
+def _largest_proper_divisor(n: int) -> int:
+    """n // p for p the least prime dividing n; 1 when n is 1."""
+    return n // next((p for p in range(2, n + 1) if n % p == 0), 1)
+
+
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> Subset:
     """Subgroup generated by seed (closure under the operation suffices on
     finite carriers)."""
@@ -240,13 +264,19 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> Subset:
 
 def is_normal(g: GroupTable, s: Subset) -> bool:
     m, members = s.mask, s.indices()
-    return all(m >> g.conjugate(a, x) & 1 for a in range(g.n) for x in members)
+    t, inv = g.table, g.inv
+    return all(m >> t[t[a][x]][inv[a]] & 1 for a in range(g.n) for x in members)
 
 
 def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
     """Mask of {[x, y] : x in X, y in Y} in g, not closed."""
-    ys_idx = ys.indices()
-    return Subset.of(g.n, {g.commutator(x, y) for x in xs.indices() for y in ys_idx}).mask
+    t, inv, ys_idx = g.table, g.inv, ys.indices()
+    out = 0
+    for x in xs.indices():
+        row, x_inv = t[x], inv[x]
+        for y in ys_idx:
+            out |= 1 << t[t[row[y]][x_inv]][inv[y]]
+    return out
 
 
 def descending_chain(tables: Tables, start: Subset, step, history: bool = False) -> list[Subset]:

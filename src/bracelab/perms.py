@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -12,7 +13,10 @@ def identity(n: int) -> Perm:
 
 
 def is_perm(p: Sequence[int], n: int | None = None) -> bool:
+    """p lists each of 0..len(p)-1 once, as integers; a bool is not one."""
     if n is not None and len(p) != n:
+        return False
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in p):
         return False
     return sorted(p) == list(range(len(p)))
 

@@ -29,6 +29,14 @@ def _rows(data: dict, key: str) -> list:
     return data[key]
 
 
+def _size(data: dict) -> int:
+    """data["n"], checked to be an integer; a bool is not one."""
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {type(n).__name__}")
+    return n
+
+
 def brace_to_json(b: SkewBrace) -> dict:
     return {
         "n": b.n,
@@ -39,10 +47,10 @@ def brace_to_json(b: SkewBrace) -> dict:
 
 def brace_from_json(data: dict) -> SkewBrace:
     """Parse and fully re-validate a brace."""
-    _fields(data, "brace", "n", "add", "mul")
+    n = _size(_fields(data, "brace", "n", "add", "mul"))
     b = brace_from_tables(_rows(data, "add"), _rows(data, "mul"))
-    if b.n != data["n"]:
-        raise ValueError(f"carrier size mismatch: {b.n} != {data['n']}")
+    if b.n != n:
+        raise ValueError(f"carrier size mismatch: {b.n} != {n}")
     return b
 
 
@@ -56,13 +64,13 @@ def solution_to_json(sol: Solution) -> dict:
 
 def solution_from_json(data: dict) -> Solution:
     """Parse and re-validate; a missing tau means the involutive closure."""
-    _fields(data, "solution", "n", "sigma")
+    n = _size(_fields(data, "solution", "n", "sigma"))
     if data.get("tau") is None:
         sol = involutive_from_sigma(_rows(data, "sigma"))
     else:
         sol = verify_solution(_rows(data, "sigma"), _rows(data, "tau"))
-    if sol.n != data["n"]:
-        raise ValueError(f"size mismatch: {sol.n} != {data['n']}")
+    if sol.n != n:
+        raise ValueError(f"size mismatch: {sol.n} != {n}")
     return sol
 
 

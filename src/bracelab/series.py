@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from . import groups
-from .brace import SkewBrace, classify_flags, quotient
+from .brace import SkewBrace, quotient
 from .errors import CrossCheckFailed, HypothesisUnmet
 from .groups import commutator_products, descending_chain
 from .subsets import Subset
@@ -248,26 +248,27 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
     if ann.terminates and not strong.terminates:
         raise CrossCheckFailed("annihilator nilpotent but not strongly nilpotent")
 
-    flags = classify_flags(b)
-    if flags.nilpotent_type and ann.terminates != strong.terminates:
+    nilpotent_type = groups.nilpotency_class(b.add) is not None
+    if nilpotent_type and ann.terminates != strong.terminates:
         raise CrossCheckFailed("nilpotent type: annihilator vs strong disagree")
 
     checks = []
-    if flags.nilpotent_type:
+    if nilpotent_type:
+        mul_nilpotent = groups.nilpotency_class(b.mul) is not None
         # For finite braces of nilpotent type, left nilpotency is known to
         # match nilpotency of the multiplicative group; reported, and
         # asserted across whole catalogs by the campaign suites.
         checks.append(
             {
                 "name": "left_iff_multiplicative_nilpotent",
-                "holds": left.terminates == flags.mul_nilpotent,
+                "holds": left.terminates == mul_nilpotent,
             }
         )
         if left.terminates and right.terminates:
             checks.append(
                 {
                     "name": "left_and_right_give_multiplicative_nilpotent",
-                    "holds": flags.mul_nilpotent,
+                    "holds": mul_nilpotent,
                 }
             )
 
@@ -276,7 +277,7 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
         right=Verdict(right.terminates, right.cls),
         strong=Verdict(strong.terminates, strong.cls),
         annihilator=Verdict(ann.terminates, ann.cls),
-        nilpotent_type=flags.nilpotent_type,
+        nilpotent_type=nilpotent_type,
         cross_checks=tuple(checks),
     )
 

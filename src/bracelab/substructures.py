@@ -208,29 +208,36 @@ def invariant_substructures(b: SkewBrace) -> InvariantSubstructures:
 
 
 def subbrace_lattice(b: SkewBrace) -> list[Subset]:
-    """All sub skew braces: closures of singletons, then pairwise joins to a
-    fixpoint. Exponential in the worst case; guarded by the carrier budget."""
+    """All sub skew braces, ordered by (size, mask).
+
+    Atoms are the closures of singletons. Every sub skew brace S is reached
+    from an atom in S by closing the join with one more atom in S at a time,
+    so each round joins every new member m with every atom and closes the
+    join from m, which is already closed. A join that is a member, or was
+    closed before, is skipped. Exponential in the worst case; guarded by the
+    carrier budget.
+    """
     budget = env_budget(DEFAULT_LATTICE_BUDGET)
     if b.n > budget:
         raise BudgetExceeded("sub-brace lattice carrier", b.n, budget)
     tables = (b.add.table, b.mul.table)
-    found: set[int] = {1}
-    for x in range(b.n):
-        found.add(closure_mask(tables, 1 << x))
-    while True:
-        new: set[int] = set()
-        items = sorted(found)
-        for i, m1 in enumerate(items):
-            for m2 in items[i + 1 :]:
-                join = m1 | m2
-                if join in found:
+    atoms = sorted({closure_mask(tables, 1 << x) for x in range(1, b.n)})
+    found: set[int] = {1, *atoms}
+    joined: set[int] = set()
+    new = atoms
+    while new:
+        nxt: list[int] = []
+        for m in new:
+            for a in atoms:
+                join = m | a
+                if join in found or join in joined:
                     continue
-                closed = closure_mask(tables, join)
+                joined.add(join)
+                closed = closure_mask(tables, join, m)
                 if closed not in found:
-                    new.add(closed)
-        if not new:
-            break
-        found |= new
+                    found.add(closed)
+                    nxt.append(closed)
+        new = nxt
     return [Subset(b.n, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
 
 

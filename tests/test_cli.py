@@ -261,3 +261,23 @@ def test_solution_analyze_malformed_sigma_exits_2(tmp_path):
     assert res.exit_code == 2
     assert "error:" in res.stderr
     assert "sigma must be a list of lists" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # true would be read as 1, which makes a valid permutation
+        ({"n": 2, "sigma": [[0, True], [0, 1]]}, "sigma[0] is not a permutation"),
+        ({"n": 2, "sigma": [[0, "a"], [0, 1]]}, "sigma[0] is not a permutation"),
+        ({"n": 2, "sigma": [[0, 1], [0, 1]], "tau": [[0, 1.0], [0, 1]]},
+         "tau[0] is not a permutation"),
+        ({"n": "2", "sigma": [[0, 1], [0, 1]]}, "n must be an integer, got str"),
+    ],
+)
+def test_solution_analyze_wrong_entry_type_exits_2(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    res = run("solution", "analyze", "--in", str(path))
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+    assert message in res.stderr

@@ -47,6 +47,64 @@ def test_repeated_entry_is_not_latin():
     assert exc.value.index == 1
 
 
+def _first_repeat(table):
+    """Oracle: the first repeated entry of a table, rows before columns."""
+    for axis, lines in (("row", table), ("column", [list(col) for col in zip(*table)])):
+        for i, line in enumerate(lines):
+            seen = {}
+            for j, v in enumerate(line):
+                if v in seen:
+                    return axis, i, (seen[v], j, v)
+                seen[v] = j
+    return None
+
+
+def _latin_witness(table):
+    try:
+        verify_group(table)
+    except NotLatin as exc:
+        return exc.axis, exc.index, exc.witness
+    except (NoIdentity, NotAssociative):
+        pass
+    return None
+
+
+def _overwrite_in_row(rng, table):
+    i, (j, k) = rng.randrange(len(table)), rng.sample(range(len(table)), 2)
+    table[i][j] = table[i][k]
+
+
+def _swap_in_row(rng, table):
+    """Rows stay permutations; only columns can repeat."""
+    i, (j, k) = rng.randrange(len(table)), rng.sample(range(len(table)), 2)
+    table[i][j], table[i][k] = table[i][k], table[i][j]
+
+
+@pytest.mark.parametrize(
+    "defects, axes",
+    [
+        ([_overwrite_in_row], {"row"}),
+        ([_swap_in_row], {"column"}),
+        ([_overwrite_in_row, _swap_in_row], {"row", "column"}),
+    ],
+)
+def test_not_latin_witness_is_first_repeat(defects, axes):
+    """Seeded defects in order-8 tables, one kind at a time or two to five
+    of either kind at once; the first repeat falls on each axis in axes."""
+    rng = random.Random(8)
+    groups8 = _groups_of_order(8)
+    seen = set()
+    for _ in range(300):
+        table = [list(row) for row in rng.choice(groups8).table]
+        count = 1 if len(defects) == 1 else rng.randrange(2, 6)
+        for defect in rng.choices(defects, k=count):
+            defect(rng, table)
+        want = _first_repeat(table)
+        assert _latin_witness(table) == want
+        seen.add(want[0] if want else None)
+    assert axes <= seen
+
+
 def test_nonassociative_loop_rejected_with_first_triple():
     with pytest.raises(NotAssociative) as exc:
         verify_group(NONASSOC_LOOP)

@@ -1,4 +1,7 @@
+import gzip
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ from bracelab.brace import from_group_trivial, lambda_orbits
 from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLabError, BudgetExceeded, NotASubBrace
 from bracelab.groups import closure_mask, cyclic
+from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
 from bracelab.substructures import (
     commutator,
@@ -167,6 +171,43 @@ def test_closure_mask_matches_fixpoint_on_every_subset(n):
         for tables in ((b.add.table,), (b.mul.table,), (b.add.table, b.mul.table)):
             for mask in range(1 << n):
                 assert closure_mask(tables, mask) == _fixpoint_closure(tables, mask)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_seeded_closure_matches_fixpoint_from_every_lattice_member(n):
+    for b in enumerate_skew_braces(n).items:
+        for c in subbrace_lattice(b):
+            free = [x for x in range(n) if x not in c]
+            masks = [
+                c.mask | sum(1 << x for i, x in enumerate(free) if k >> i & 1)
+                for k in range(1 << len(free))
+            ]
+            for tables in ((b.add.table,), (b.mul.table,), (b.add.table, b.mul.table)):
+                for mask in masks:
+                    assert closure_mask(tables, mask, c.mask) == _fixpoint_closure(tables, mask)
+
+
+def test_lattice_is_every_subbrace(braces_up_to_8):
+    for b in braces_up_to_8:
+        subsets = (Subset(b.n, m) for m in range(1, 1 << b.n, 2))
+        brute = sorted((s for s in subsets if is_subbrace(b, s)), key=lambda s: (len(s), s.mask))
+        assert subbrace_lattice(b) == brute
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def test_lattice_and_radical_sizes_match_order_24_reference(tmp_path):
+    catalog = tmp_path / "braces-24.jsonl"
+    catalog.write_bytes(gzip.decompress((BENCH_DATA / "braces-24.jsonl.gz").read_bytes()))
+    reference = json.loads((BENCH_DATA / "analyze-24-reference.json").read_text())
+    lattice_col = reference["fields"].index("lattice")
+    radical_col = reference["fields"].index("radical")
+    braces = read_catalog(catalog).items
+    assert len(braces) == len(reference["rows"]) == 855
+    for b, row in zip(braces, reference["rows"]):
+        lattice = subbrace_lattice(b)
+        assert (len(lattice), len(radical(b, lattice))) == (row[lattice_col], row[radical_col])
 
 
 def test_radical_of_trivial_prime_brace():
