@@ -38,6 +38,17 @@ def _fail_input(message: str) -> None:
     sys.exit(2)
 
 
+def _check_outputs(*paths: tuple[str, str | None]) -> None:
+    """Fail before any work when an output file could not be created.
+
+    Each path's directory must exist. A path naming a directory is already
+    refused by click.Path(dir_okay=False).
+    """
+    for option, path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            _fail_input(f"{option} {path}: directory {Path(path).parent} does not exist")
+
+
 @click.group()
 def main() -> None:
     """Finite skew braces and Yang-Baxter solutions: enumeration, analysis,
@@ -57,6 +68,9 @@ def main() -> None:
               help="progress file for long brace enumerations")
 def enumerate_catalog(kind: str, order: int, method: str, out_path: str | None, checkpoint: str | None):
     """Enumerate a catalog up to isomorphism and write it as JSON lines."""
+    if checkpoint is not None and (kind != "braces" or method != "holomorph"):
+        _fail_input("--checkpoint applies only to --kind braces with --method holomorph")
+    _check_outputs(("--out", out_path), ("--checkpoint", checkpoint))
     try:
         if kind == "braces":
             cat = enumerate_skew_braces(order, method=method, checkpoint=checkpoint)
@@ -83,6 +97,7 @@ def enumerate_catalog(kind: str, order: int, method: str, out_path: str | None, 
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), required=True)
 def classify(in_path: str, report_path: str):
     """Classify every brace in a catalog file into a CSV report."""
+    _check_outputs(("--report", report_path))
     try:
         cat = read_catalog(in_path)
     except (BraceLabError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -184,6 +199,7 @@ def analyze(in_path: str):
               help="write the CSV summary here")
 def verify(suite, max_order, max_size, samples, seed, jobs, catalog_dir, out_path, csv_path):
     """Run a verification campaign; exit 1 if any check fails."""
+    _check_outputs(("--out", out_path), ("--csv", csv_path))
     try:
         report = run_suite(
             suite,

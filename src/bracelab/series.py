@@ -3,11 +3,12 @@
 Every descending kind, the group lower central series included, goes through
 groups.descending_chain with star products and commutators as its steps;
 the brace kinds close under the additive table. Ascending kinds (socle,
-annihilator) go through quotients and preimages. An ascending chain is cut
-at its first repetition. A descending chain is cut at its limit, which the
-first repetition need not be: the strong and bracketed gamma steps read
-every earlier term (see groups.descending_chain). Every chain ends with the
-first occurrence of its limit.
+annihilator) go through quotients and preimages; the first step quotients
+by {0}, which is the brace itself, so no table is rebuilt for it. An
+ascending chain is cut at its first repetition. A descending chain is cut at
+its limit, which the first repetition need not be: the strong and bracketed
+gamma steps read every earlier term (see groups.descending_chain). Every
+chain ends with the first occurrence of its limit.
 """
 
 from __future__ import annotations

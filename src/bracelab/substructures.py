@@ -254,9 +254,21 @@ def ideals_of(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subs
 
 
 def maximal_ideals(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:
-    ideals = ideals_of(b, lattice)
-    proper = [s for s in ideals if not s.is_full()]
-    return [s for s in proper if not any(s < t for t in proper)]
+    """Maximal proper ideals, in the (size, mask) order of subbrace_lattice.
+
+    Walks the proper members from the top down and tests only those outside
+    every maximal ideal found so far. A larger proper ideal was seen first,
+    so it was found or lies in one found, and the member passing is_ideal
+    is maximal.
+    """
+    lattice = subbrace_lattice(b) if lattice is None else lattice
+    found: list[Subset] = []
+    for s in reversed(lattice):
+        if s.is_full() or any(s <= m for m in found):
+            continue
+        if is_ideal(b, s):
+            found.append(s)
+    return found[::-1]
 
 
 def radical(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> Subset:

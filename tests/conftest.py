@@ -49,3 +49,9 @@ def five_point_brace(five_point_solution):
 def braces_up_to_8():
     """One skew brace per isomorphism class of every order 1..8."""
     return [b for n in range(1, 9) for b in enumerate_skew_braces(n).items]
+
+
+@pytest.fixture(scope="session")
+def braces_up_to_12(braces_up_to_8):
+    """One skew brace per isomorphism class of every order 1..12."""
+    return braces_up_to_8 + [b for n in range(9, 13) for b in enumerate_skew_braces(n).items]

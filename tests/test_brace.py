@@ -99,6 +99,13 @@ def test_quotients(z4_quadratic):
     assert proj == (0, 1, 0, 1)
 
 
+def test_quotient_by_zero_is_the_brace_itself(braces_up_to_8):
+    for b in braces_up_to_8:
+        quot, proj = quotient(b, Subset.zero(b.n))
+        assert quot is b
+        assert proj == tuple(range(b.n))
+
+
 def test_quotient_by_non_ideal_fails(trivial_s3):
     # {0, transposition} is a subgroup but not normal in Sym(3)
     sub = Subset.of(6, [0, 1])

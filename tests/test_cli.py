@@ -281,3 +281,68 @@ def test_solution_analyze_wrong_entry_type_exits_2(tmp_path, data, message):
     assert res.exit_code == 2
     assert "error:" in res.stderr
     assert message in res.stderr
+
+
+@pytest.fixture
+def empty_catalog(tmp_path, monkeypatch):
+    """An empty brace catalog file; every library call that does work fails the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for name in ("enumerate_skew_braces", "groups_of_order", "run_suite", "read_catalog"):
+        monkeypatch.setattr(f"bracelab.cli.{name}", refuse)
+    catalog = tmp_path / "b.jsonl"
+    catalog.write_text('{"meta": {"kind": "braces", "order": 1, "count": 0}}\n')
+    return catalog
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["enumerate", "--kind", "braces", "--order", "4", "--out", "{bad}"], "--out"),
+        (["enumerate", "--kind", "braces", "--order", "4", "--checkpoint", "{bad}"],
+         "--checkpoint"),
+        (["verify", "--suite", "census", "--max-order", "4", "--out", "{bad}"], "--out"),
+        (["verify", "--suite", "census", "--max-order", "4", "--csv", "{bad}"], "--csv"),
+        (["classify", "--in", "{catalog}", "--report", "{bad}"], "--report"),
+    ],
+)
+def test_output_in_missing_directory_exits_2_before_work(tmp_path, empty_catalog, args, option):
+    bad = tmp_path / "missing" / "x.out"
+    res = run(*(a.format(bad=bad, catalog=empty_catalog) for a in args))
+    assert res.exit_code == 2, res.output
+    assert f"error: {option} {bad}: directory {bad.parent} does not exist" in res.output
+    assert not bad.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "--kind", "groups", "--order", "4", "--out"],
+        ["enumerate", "--kind", "braces", "--order", "4", "--checkpoint"],
+        ["verify", "--suite", "census", "--max-order", "4", "--out"],
+        ["verify", "--suite", "census", "--max-order", "4", "--csv"],
+        ["classify", "--in", "{catalog}", "--report"],
+    ],
+)
+def test_output_naming_a_directory_exits_2(tmp_path, empty_catalog, args):
+    res = run(*(a.format(catalog=empty_catalog) for a in args), str(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "groups", "--order", "4"],
+        ["--kind", "solutions", "--order", "3"],
+        ["--kind", "braces", "--order", "4", "--method", "direct"],
+    ],
+)
+def test_checkpoint_outside_holomorph_census_exits_2(tmp_path, args):
+    ckpt = tmp_path / "ck.txt"
+    res = run("enumerate", *args, "--checkpoint", str(ckpt))
+    assert res.exit_code == 2, res.output
+    assert "error: --checkpoint applies only to --kind braces with --method holomorph" in res.output
+    assert not ckpt.exists()

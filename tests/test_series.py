@@ -283,3 +283,32 @@ def test_answers_invariant_under_relabeling(braces_up_to_8):
     for b in braces_up_to_8:
         relabel = tuple([0] + rng.sample(range(1, b.n), b.n - 1))
         assert _invariants(relabeled(b, relabel)) == _invariants(b)
+
+
+def _ascending_chain(b, kind):
+    """The socle or annihilator chain from the raw tables, with no quotient.
+
+    x lies in A_{k+1} when, for every a, x + a, a + x and x o a (socle), and
+    a o x as well (annihilator), lie in one additive coset of A_k; the chain
+    starts at {0} and stops before its first repeated term.
+    """
+    add, mul, neg = b.add.table, b.mul.table, b.add.inv
+
+    def lifts(x, a, term):
+        images = [add[x][a], add[a][x], mul[x][a]]
+        if kind == "annihilator":
+            images.append(mul[a][x])
+        return all(add[neg[images[0]]][y] in term for y in images[1:])
+
+    chain = [{0}]
+    while True:
+        nxt = {x for x in range(b.n) if all(lifts(x, a, chain[-1]) for a in range(b.n))}
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+@pytest.mark.parametrize("kind", ["socle", "annihilator"])
+def test_ascending_chains_match_preimage_fixpoint(braces_up_to_12, kind):
+    for b in braces_up_to_12:
+        assert [set(t.indices()) for t in series(b, kind).chain] == _ascending_chain(b, kind)

@@ -287,3 +287,12 @@ def test_is_ideal_within_matches_definition_on_lattice_pairs(braces_up_to_8):
             for s in lattice:
                 expected = _is_ideal_of(b, members, set(s.indices()))
                 assert is_ideal(b, h, within=s).ok == expected
+
+
+def test_maximal_ideals_match_definition(braces_up_to_12):
+    for b in braces_up_to_12:
+        lattice = subbrace_lattice(b)
+        proper = [s for s in lattice if not s.is_full() and is_ideal(b, s)]
+        expected = [s for s in proper if not any(s < t for t in proper)]
+        assert maximal_ideals(b, lattice) == expected
+        assert maximal_ideals(b) == expected
