@@ -269,20 +269,14 @@ def relabeled(b: SkewBrace, relabel: Perm) -> SkewBrace:
 # Star-operation identities
 
 
-EXHAUSTIVE_IDENTITY_LIMIT = 12
-
-
-def star_identity_violations(
-    b: SkewBrace, rng=None, sample: int = 4096
-) -> list[tuple[str, tuple[int, int, int]]]:
-    """Violations of the three star expansion identities:
+def star_identity_violations(b: SkewBrace) -> list[tuple[str, tuple[int, int, int]]]:
+    """Violations of the three star expansion identities, on all n^3 triples:
 
       x*(y+z)   = x*y + y + x*z - y
       (x+y)*z   = x*(lam_x^{-1}(y)*z) + lam_x^{-1}(y)*z + x*z
       (x o y)*z = x*(y*z) + y*z + x*z
 
-    Exhaustive for carriers up to EXHAUSTIVE_IDENTITY_LIMIT, else on sampled
-    triples (rng required). An empty list is the only healthy outcome.
+    An empty list is the only healthy outcome.
     """
     n = b.n
     a_t = b.add.as_array()
@@ -290,17 +284,7 @@ def star_identity_violations(
     st = np.asarray(b.star, dtype=np.int64)
     lam_inv = np.argsort(np.asarray(b.lam, dtype=np.int64), axis=1)
     neg = np.asarray(b.add.inv, dtype=np.int64)
-
-    if n <= EXHAUSTIVE_IDENTITY_LIMIT:
-        idx = np.arange(n)
-        xs, ys, zs = np.meshgrid(idx, idx, idx, indexing="ij")
-        xs, ys, zs = xs.ravel(), ys.ravel(), zs.ravel()
-    else:
-        if rng is None:
-            raise ValueError("carrier too large to be exhaustive; pass an rng")
-        xs = np.asarray([rng.randrange(n) for _ in range(sample)])
-        ys = np.asarray([rng.randrange(n) for _ in range(sample)])
-        zs = np.asarray([rng.randrange(n) for _ in range(sample)])
+    xs, ys, zs = (axis.ravel() for axis in np.indices((n, n, n)))
 
     out: list[tuple[str, tuple[int, int, int]]] = []
 

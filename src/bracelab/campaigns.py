@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 from pathlib import Path
 from typing import Callable, Optional
@@ -24,7 +24,7 @@ from .enumeration import (
     groups_of_order,
     sample_involutive_solutions,
 )
-from .errors import BraceLabError, SuiteUnknown
+from .errors import BadCatalog, BraceLabError, SuiteUnknown
 from .series import gamma_distributivity_check, nilpotency_report, series
 from .subsets import Subset
 from .substructures import (
@@ -52,29 +52,13 @@ TRANSVERSAL_BUDGET = 4096
 
 @dataclass
 class CheckResult:
+    """One claim's tally; a suite records each instance as it checks it."""
+
     claim_id: str
     statement: str
-    instances: int
-    failures: int
-    witnesses: list
-
-    def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "instances": self.instances,
-            "failures": self.failures,
-            "witnesses": self.witnesses,
-        }
-
-
-class _Check:
-    def __init__(self, claim_id: str, statement: str):
-        self.claim_id = claim_id
-        self.statement = statement
-        self.instances = 0
-        self.failures = 0
-        self.witnesses: list = []
+    instances: int = 0
+    failures: int = 0
+    witnesses: list = field(default_factory=list)
 
     def record(self, ok: bool, witness=None, count: int = 1) -> None:
         self.instances += count
@@ -86,10 +70,8 @@ class _Check:
     def note_witness(self, witness) -> None:
         self.witnesses.append(witness)
 
-    def result(self) -> CheckResult:
-        return CheckResult(
-            self.claim_id, self.statement, self.instances, self.failures, self.witnesses
-        )
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -137,7 +119,10 @@ def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
 
     path = Path(catalog_dir) / f"{kind}-{n}.jsonl"
     if path.exists():
-        return read_catalog(path)
+        try:
+            return read_catalog(path)
+        except (BraceLabError, OSError, ValueError) as exc:
+            raise BadCatalog(f"cached catalog {path}: {exc}") from None
     cat = enumerate_catalog(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_catalog(cat, path)
@@ -189,7 +174,7 @@ def run_suite(
 def _suite_axioms(max_order, catalog_dir, **_) -> CampaignReport:
     from .serialize import brace_from_json, brace_to_json
 
-    check = _Check(
+    check = CheckResult(
         "brace_axioms_revalidate",
         "every catalog brace revalidates from its serialized form with "
         "identical tables",
@@ -204,17 +189,17 @@ def _suite_axioms(max_order, catalog_dir, **_) -> CampaignReport:
                 ok = False
             check.record(ok, witness={"order": n, "index": i})
     return CampaignReport(
-        "axioms", {"max_order": max_order}, [check.result()], 0.0
+        "axioms", {"max_order": max_order}, [check], 0.0
     )
 
 
 def _suite_identities(max_order, catalog_dir, **_) -> CampaignReport:
-    expansion = _Check(
+    expansion = CheckResult(
         "star_expansion_identities",
         "x*(y+z), (x+y)*z and (x o y)*z expand through star and lambda on "
         "all triples of every catalog brace",
     )
-    distrib = _Check(
+    distrib = CheckResult(
         "bracket_chain_distributivity",
         "for annihilator nilpotent braces, star and additive commutators "
         "distribute over + and o on all admissible bracketed-chain triples",
@@ -238,49 +223,49 @@ def _suite_identities(max_order, catalog_dir, **_) -> CampaignReport:
     return CampaignReport(
         "identities",
         {"max_order": max_order},
-        [expansion.result(), distrib.result()],
+        [expansion, distrib],
         0.0,
     )
 
 
 def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
-    routes = _Check(
+    routes = CheckResult(
         "annihilator_routes_agree",
         "the ascending annihilator series, the gamma series and the "
         "bracketed gamma series render the same annihilator-nilpotency "
         "verdict on every brace",
     )
-    diagram = _Check(
+    diagram = CheckResult(
         "implication_diagram",
         "annihilator nilpotent implies strongly nilpotent; strongly "
         "nilpotent holds exactly when left and right nilpotent both hold",
     )
-    three_way = _Check(
+    three_way = CheckResult(
         "nilpotent_type_three_way",
         "for braces of nilpotent type: annihilator nilpotent, left-and-right "
         "nilpotent, and strongly nilpotent are equivalent",
     )
-    left_mul = _Check(
+    left_mul = CheckResult(
         "left_iff_multiplicative_nilpotent",
         "for finite braces of nilpotent type, left nilpotency holds exactly "
         "when the multiplicative group is nilpotent",
     )
-    lr_mul = _Check(
+    lr_mul = CheckResult(
         "left_right_give_multiplicative_nilpotent",
         "a left and right nilpotent brace of nilpotent type has a nilpotent "
         "multiplicative group",
     )
-    gamma_nest = _Check(
+    gamma_nest = CheckResult(
         "gamma_chain_nesting",
         "each gamma term lies in the bracketed gamma term of the same chain "
         "position, and consecutive bracketed terms nest as ideals",
     )
-    socle_bound = _Check(
+    socle_bound = CheckResult(
         "right_series_within_socle_series",
         "when the socle series reaches the whole brace, the right series "
         "term of index i+1 lies in the socle term of complementary index",
     )
-    witnesses = _Check(
+    witnesses = CheckResult(
         "strict_implication_witnesses",
         "within the census there are braces that are strongly nilpotent but "
         "not annihilator nilpotent, right but not strongly nilpotent, and "
@@ -343,16 +328,7 @@ def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
     return CampaignReport(
         "series",
         {"max_order": max_order},
-        [
-            routes.result(),
-            diagram.result(),
-            three_way.result(),
-            left_mul.result(),
-            lr_mul.result(),
-            gamma_nest.result(),
-            socle_bound.result(),
-            witnesses.result(),
-        ],
+        [routes, diagram, three_way, left_mul, lr_mul, gamma_nest, socle_bound, witnesses],
         0.0,
     )
 
@@ -396,18 +372,18 @@ def _hirsch_brace(args: tuple[int, int, SkewBrace]) -> list[tuple[dict, str, boo
 
 
 def _suite_hirsch(max_order, catalog_dir, jobs, **_) -> CampaignReport:
-    right_gen = _Check(
+    right_gen = CheckResult(
         "right_nilpotent_generation",
         "in a right nilpotent brace, a sub-brace that spans B modulo B*B "
         "and absorbs star products from the right is the whole brace",
     )
-    ann_gen = _Check(
+    ann_gen = CheckResult(
         "annihilator_nilpotent_generation",
         "in an annihilator nilpotent brace, a sub-brace that spans B modulo "
         "B*B is the whole brace; equivalently, surjectivity onto B/B*B "
         "lifts to surjectivity onto B",
     )
-    transversal = _Check(
+    transversal = CheckResult(
         "lambda_orbit_transversal_generates",
         "in an annihilator nilpotent brace, any set containing one element "
         "from each lambda orbit generates the brace",
@@ -429,27 +405,27 @@ def _suite_hirsch(max_order, catalog_dir, jobs, **_) -> CampaignReport:
     return CampaignReport(
         "hirsch",
         {"max_order": max_order},
-        [right_gen.result(), ann_gen.result(), transversal.result()],
+        [right_gen, ann_gen, transversal],
         0.0,
     )
 
 
 def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
-    max_ideal = _Check(
+    max_ideal = CheckResult(
         "maximal_subbraces_are_ideals",
         "in an annihilator nilpotent brace every maximal sub skew brace is "
         "an ideal",
     )
-    rad_eq = _Check(
+    rad_eq = CheckResult(
         "radical_is_intersection_of_maximal_subbraces",
         "in an annihilator nilpotent brace the intersection of maximal "
         "ideals equals the intersection of maximal sub skew braces",
     )
-    rad_sub = _Check(
+    rad_sub = CheckResult(
         "radical_within_every_maximal_ideal",
         "the radical lies in every maximal ideal",
     )
-    chains = _Check(
+    chains = CheckResult(
         "subideal_chains_exist",
         "in an annihilator nilpotent brace every sub skew brace starts a "
         "chain of successive ideals reaching the whole brace, built by "
@@ -484,7 +460,7 @@ def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
     return CampaignReport(
         "radical",
         {"max_order": max_order},
-        [max_ideal.result(), rad_eq.result(), rad_sub.result(), chains.result()],
+        [max_ideal, rad_eq, rad_sub, chains],
         0.0,
     )
 
@@ -497,20 +473,20 @@ def _equivalence_worker(sol: Solution) -> tuple[bool, Optional[str], Optional[di
 
 
 def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir, **_) -> CampaignReport:
-    equivalence = _Check(
+    equivalence = CheckResult(
         "multipermutation_iff_right_nilpotent_of_nilpotent_type",
         "a solution is multipermutation exactly when its permutation brace "
         "is right nilpotent of nilpotent type",
     )
-    abelian = _Check(
+    abelian = CheckResult(
         "involutive_brace_abelian_type",
         "the permutation brace of an involutive solution is of abelian type",
     )
-    retracts = _Check(
+    retracts = CheckResult(
         "retraction_revalidates",
         "every retraction step of a catalog solution revalidates",
     )
-    witness_present = _Check(
+    witness_present = CheckResult(
         "non_multipermutation_witness_present",
         "the exhaustive catalog contains at least one solution that is not "
         "multipermutation",
@@ -562,12 +538,7 @@ def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir, **_) -> Campa
             "samples_size_5": len(sampled),
             "samples_requested": samples,
         },
-        [
-            equivalence.result(),
-            abelian.result(),
-            retracts.result(),
-            witness_present.result(),
-        ],
+        [equivalence, abelian, retracts, witness_present],
         0.0,
         seed=seed,
     )
@@ -589,22 +560,22 @@ CENSUS_CSV_COLUMNS = (
 
 
 def _suite_census(max_order, catalog_dir, **_) -> CampaignReport:
-    brace_counts = _Check(
+    brace_counts = CheckResult(
         "brace_counts",
         "the number of brace isomorphism classes at each order matches the "
         "expected census figures",
     )
-    group_counts = _Check(
+    group_counts = CheckResult(
         "group_counts",
         "the number of group isomorphism classes at each order matches the "
         "classical figures",
     )
-    order8 = _Check(
+    order8 = CheckResult(
         "order8_non_annihilator",
         "exactly two braces of order 8 are not annihilator nilpotent, and "
         "both are of abelian type",
     )
-    double = _Check(
+    double = CheckResult(
         "double_method_agreement",
         "holomorph-based and direct-search enumeration agree on the brace "
         "count at every order where both run",
@@ -659,7 +630,7 @@ def _suite_census(max_order, catalog_dir, **_) -> CampaignReport:
     return CampaignReport(
         "census",
         {"max_order": max_order},
-        [c.result() for c in checks],
+        checks,
         0.0,
         tables=tables,
     )

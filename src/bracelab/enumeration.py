@@ -12,6 +12,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import count
 from pathlib import Path
 from random import Random
@@ -54,9 +55,6 @@ class Catalog:
 # Groups of a given order
 
 
-_GROUPS_CACHE: dict[int, list[GroupTable]] = {}
-
-
 def groups_of_order(n: int) -> Catalog:
     started = time.monotonic()
     items = _groups_of_order(n)
@@ -70,6 +68,7 @@ def groups_of_order(n: int) -> Catalog:
     return Catalog("groups", n, list(items), meta)
 
 
+@cache
 def _groups_of_order(n: int) -> list[GroupTable]:
     """All groups of order n up to isomorphism.
 
@@ -81,12 +80,8 @@ def _groups_of_order(n: int) -> list[GroupTable]:
     """
     if n > GROUP_ORDER_BUDGET:
         raise BudgetExceeded("group order", n, GROUP_ORDER_BUDGET)
-    if n in _GROUPS_CACHE:
-        return _GROUPS_CACHE[n]
     if n == 1:
-        out = [verify_group([[0]])]
-        _GROUPS_CACHE[1] = out
-        return out
+        return [verify_group([[0]])]
     found: list[GroupTable] = []
     for p in _primes_dividing(n):
         for base in _groups_of_order(n // p):
@@ -99,7 +94,6 @@ def _groups_of_order(n: int) -> list[GroupTable]:
             f"group census at order {n}: got {len(found)}, "
             f"expected {EXPECTED_GROUP_COUNTS[n]}"
         )
-    _GROUPS_CACHE[n] = found
     return found
 
 
@@ -171,24 +165,17 @@ class _SearchTables:
 
 # The census searches one additive group unit by unit, so only the tables of
 # the most recently searched group are kept.
-_LAST_SEARCH_TABLES: Optional[_SearchTables] = None
-
-
-def _search_tables(auts: list[Perm]) -> _SearchTables:
-    global _LAST_SEARCH_TABLES
-    tables = _LAST_SEARCH_TABLES
-    # all_automorphisms returns one cached list per group
-    if tables is None or tables.auts is not auts:
-        n = len(auts[0])
-        aut_order = [perm_order(p) for p in auts]
-        tables = _LAST_SEARCH_TABLES = _SearchTables(
-            auts=auts,
-            aut_index={p: i for i, p in enumerate(auts)},
-            aut_order=aut_order,
-            usable=[i for i, k in enumerate(aut_order) if n % k == 0],
-            comp={},
-        )
-    return tables
+@lru_cache(maxsize=1)
+def _search_tables(a_group: GroupTable) -> _SearchTables:
+    auts = all_automorphisms(a_group)
+    aut_order = [perm_order(p) for p in auts]
+    return _SearchTables(
+        auts=auts,
+        aut_index={p: i for i, p in enumerate(auts)},
+        aut_order=aut_order,
+        usable=[i for i, k in enumerate(aut_order) if a_group.n % k == 0],
+        comp={},
+    )
 
 
 def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -> list[LambdaMap]:
@@ -197,8 +184,9 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
     A regular subgroup has exactly one element (a, f_a) per first coordinate;
     the search extends a partial subgroup by the unique element at the least
     uncovered coordinate, so every regular subgroup is produced exactly once.
-    first_choice restricts the top-level branch (work unit for checkpointing
-    and parallelism).
+    Each choice of the automorphism part at coordinate 1 is one work unit
+    (for checkpointing and parallelism): first_choice runs that unit alone,
+    and None runs every unit in index order.
 
     Candidate automorphism parts are limited to those whose order divides n:
     the cyclic group generated by any member of a regular subgroup has order
@@ -207,7 +195,7 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
     n = a_group.n
     if n == 1:
         return [(tuple(range(n)),)]
-    tables = _search_tables(all_automorphisms(a_group))
+    tables = _search_tables(a_group)
     auts, aut_index, aut_order = tables.auts, tables.aut_index, tables.aut_order
     comp_cache = tables.comp
     rows = a_group.table
@@ -265,15 +253,11 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
                 extend(closed, gens2)
 
     ident_idx = aut_index[tuple(range(n))]
-    if first_choice is None:
-        extend({0: ident_idx}, ())
-        return results
-    if n % aut_order[first_choice] != 0:
-        return results
-    gens = ((1, first_choice),)
-    closed = close({0: ident_idx}, gens)
-    if closed is not None:
-        extend(closed, gens)
+    for fi in tables.usable if first_choice is None else (first_choice,):
+        gens = ((1, fi),)
+        closed = close({0: ident_idx}, gens)
+        if closed is not None:
+            extend(closed, gens)
     return results
 
 

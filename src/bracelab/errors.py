@@ -133,6 +133,10 @@ class BadCheckpoint(BraceLabError):
     """A census checkpoint is corrupt or was written for another census."""
 
 
+class BadCatalog(BraceLabError):
+    """A cached catalog file cannot be read back."""
+
+
 class HypothesisUnmet(BraceLabError):
     pass
 

@@ -74,7 +74,7 @@ def verify_group(table: Sequence[Sequence[int]]) -> GroupTable:
     if t.shape != (n, n):
         raise ValueError(f"table must be square, got shape {t.shape}")
     # numpy reads a bool among ints as an int; the rows still hold the bool.
-    if not isinstance(table, np.ndarray) and any(bool in set(map(type, row)) for row in table):
+    if any(bool in set(map(type, row)) for row in table):
         raise ValueError("table entries must be integers, got bool")
     t = t.astype(np.int64, copy=False)
     if t.min() < 0 or t.max() >= n:
@@ -123,9 +123,8 @@ def relabeled(g: GroupTable, relabel: Perm) -> GroupTable:
     """Transport the group structure along a carrier bijection fixing 0."""
     if relabel[0] != 0:
         raise ValueError("relabeling must fix the identity")
-    new = np.asarray(relabel, dtype=np.int64)
-    old = np.asarray(invert(relabel), dtype=np.int64)
-    return verify_group(new[g.as_array()[np.ix_(old, old)]])
+    old, t = invert(relabel), g.table
+    return verify_group([[relabel[t[x][y]] for y in old] for x in old])
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +320,34 @@ def nilpotency_class(g: GroupTable) -> Optional[int]:
     return len(chain) - 1 if chain[-1].is_zero_only() else None
 
 
+def ascending_chain(n: int, step) -> list[Subset]:
+    """{0}, then step(last term), until a term repeats the one before; the
+    chain is returned without the repeat. Each term must contain the one
+    before.
+    """
+    chain = [Subset.zero(n)]
+    while True:
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        if not chain[-1] <= nxt:
+            raise CrossCheckFailed(
+                f"ascending series term {nxt.indices()} misses part of {chain[-1].indices()}"
+            )
+        chain.append(nxt)
+
+
 def upper_central_series(g: GroupTable) -> list[Subset]:
     """Z_0 = 1, Z_{k+1} = {x : [x,a] in Z_k for all a}; cut at repetition."""
-    chain = [Subset.zero(g.n)]
-    while True:
-        prev = chain[-1].mask
-        nxt = Subset.of(
+
+    def step(last: Subset) -> Subset:
+        prev = last.mask
+        return Subset.of(
             g.n,
             (x for x in range(g.n) if all(prev >> g.commutator(x, a) & 1 for a in range(g.n))),
         )
-        if nxt == chain[-1]:
-            return chain
-        chain.append(nxt)
+
+    return ascending_chain(g.n, step)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +497,7 @@ def _perm_closure(gens: list[Perm], n: int) -> set[Perm]:
     return members
 
 
-_AUTOMORPHISM_CACHE: dict[GroupTable, list[Perm]] = {}
-
-
+@cache
 def all_automorphisms(g: GroupTable) -> list[Perm]:
-    """Every automorphism of G, sorted."""
-    cached = _AUTOMORPHISM_CACHE.get(g)
-    if cached is None:
-        cached = _AUTOMORPHISM_CACHE[g] = sorted(_group_homomorphisms(g, g))
-    return cached
+    """Every automorphism of G, sorted; one list per group, computed once."""
+    return sorted(_group_homomorphisms(g, g))

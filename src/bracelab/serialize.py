@@ -109,11 +109,11 @@ def read_catalog(path: PathLike) -> Catalog:
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty catalog file")
+        raise ValueError("empty catalog file")
     header = _fields(json.loads(lines[0]), "catalog header")
     meta = _fields(header.get("meta", header), "catalog meta", "kind")
     kind = meta["kind"]
     items = [item_from_json(kind, json.loads(line)) for line in lines[1:]]
     if meta.get("count") is not None and meta["count"] != len(items):
-        raise ValueError(f"{path}: meta count {meta['count']} != {len(items)} items")
+        raise ValueError(f"meta count {meta['count']} != {len(items)} items")
     return Catalog(kind, meta.get("order", 0), items, meta)

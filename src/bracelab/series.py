@@ -2,11 +2,13 @@
 
 Every descending kind, the group lower central series included, goes through
 groups.descending_chain with star products and commutators as its steps;
-the brace kinds close under the additive table. Ascending kinds (socle,
-annihilator) go through quotients and preimages; the first step quotients
-by {0}, which is the brace itself, so no table is rebuilt for it. An
-ascending chain is cut at its first repetition. A descending chain is cut at
-its limit, which the first repetition need not be: the strong and bracketed
+the brace kinds close under the additive table. Every ascending kind, the
+group upper central series included, goes through groups.ascending_chain.
+The socle and annihilator steps go through quotients and preimages; the
+first step quotients by {0}, which is the brace itself, so no table is
+rebuilt for it. An ascending chain is cut at its first repetition, and each
+of its terms must contain the one before. A descending chain is cut at its
+limit, which the first repetition need not be: the strong and bracketed
 gamma steps read every earlier term (see groups.descending_chain). Every
 chain ends with the first occurrence of its limit.
 """
@@ -19,7 +21,7 @@ from typing import Literal, Optional
 from . import groups
 from .brace import SkewBrace, quotient
 from .errors import CrossCheckFailed, HypothesisUnmet
-from .groups import commutator_products, descending_chain
+from .groups import ascending_chain, commutator_products, descending_chain
 from .subsets import Subset
 from .substructures import (
     invariant_substructures,
@@ -57,15 +59,6 @@ class SeriesReport:
     stabilized_at: int
     terminates: bool
     cls: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "chain": [s.indices() for s in self.chain],
-            "stabilized_at": self.stabilized_at,
-            "terminates": self.terminates,
-            "class": self.cls,
-        }
 
 
 def series(b: SkewBrace, kind: SeriesKind) -> SeriesReport:
@@ -157,19 +150,14 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
 
 
 def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:
-    chain = [Subset.zero(b.n)]
-    while True:
-        prev = chain[-1]
-        quot, proj = quotient(b, prev)
+    """A_0 = {0}, A_{k+1} the preimage of pick(B/A_k) under the projection."""
+
+    def step(last: Subset) -> Subset:
+        quot, proj = quotient(b, last)
         target = pick(quot)
-        nxt = Subset.of(b.n, (a for a in range(b.n) if proj[a] in target))
-        if nxt == prev:
-            return chain
-        if not prev <= nxt:
-            raise CrossCheckFailed(
-                f"ascending series term {nxt.indices()} misses part of {prev.indices()}"
-            )
-        chain.append(nxt)
+        return Subset.of(b.n, (a for a in range(b.n) if proj[a] in target))
+
+    return ascending_chain(b.n, step)
 
 
 _BUILDERS = {

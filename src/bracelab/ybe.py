@@ -156,14 +156,15 @@ def permutation_brace(
     """The finite skew brace on the subgroup of Sym(X) x Sym(X) generated by
     (sigma_x, tau_x^{-1}).
 
-    Multiplication is componentwise composition. Addition is reconstructed by
-    breadth-first search over right-addition moves: a + g_x = a o g_{alpha^-1(x)}
-    for a with first component alpha, which realizes the generator rule
-    lambda_a(g_y) = g_{alpha(y)}; each reachable element gets a move word and
-    a + b replays b's word starting from a. The generator rule is only a
-    construction heuristic: the resulting tables are revalidated in full, and
-    the structure relation g_x o g_y = g_{sigma_x(y)} o g_{tau_y(x)} is
-    asserted, so no unproved identity is trusted.
+    Multiplication is componentwise composition. Addition is built column by
+    column from the right-addition moves a + g_x = a o g_{alpha^-1(x)}, for a
+    with first component alpha, which realize the generator rule
+    lambda_a(g_y) = g_{alpha(y)} (Guarnieri and Vendramin, Math. Comp. 2017).
+    In a finite group the forward moves reach every element, so no inverse
+    move is needed. The generator rule is only a construction heuristic: the
+    resulting tables are revalidated in full, and the structure relation
+    g_x o g_y = g_{sigma_x(y)} o g_{tau_y(x)} is asserted, so no unproved
+    identity is trusted.
     """
     budget = env_budget(DEFAULT_CLOSURE_BUDGET) if budget is None else budget
     n = sol.n
@@ -195,43 +196,26 @@ def permutation_brace(
         for (a1, b1) in elements
     ]
 
+    # plus[j][x] = j + g_x = j o g_{alpha_j^-1(x)}, alpha_j the first component of j.
     alpha_inv = [invert(g[0]) for g in elements]
-    forward = [[mul_table[i][gen_map[alpha_inv[i][x]]] for x in range(n)] for i in range(m)]
-    backward: list[Optional[Perm]] = []
-    for x in range(n):
-        col = tuple(forward[i][x] for i in range(m))
-        backward.append(invert(col) if is_perm(col, m) else None)
+    plus = [[mul_table[j][gen_map[alpha_inv[j][x]]] for x in range(n)] for j in range(m)]
 
-    # BFS from the identity over signed moves; words replay as additions.
-    words: dict[int, tuple[tuple[int, int], ...]] = {e_idx: ()}
+    # cols[k][i] = i + k. Breadth first from cols[e] = identity: whenever
+    # k = j + g_x is new, i + k = (i + j) + g_x gives its column from j's.
+    cols: dict[int, list[int]] = {e_idx: list(range(m))}
     queue = [e_idx]
     while queue:
         nxt = []
-        for i in queue:
+        for j in queue:
             for x in range(n):
-                for sign, target in ((1, forward[i][x]), (-1, backward[x][i] if backward[x] is not None else None)):
-                    if target is not None and target not in words:
-                        words[target] = words[i] + ((x, sign),)
-                        nxt.append(target)
+                k = plus[j][x]
+                if k not in cols:
+                    cols[k] = [plus[v][x] for v in cols[j]]
+                    nxt.append(k)
         queue = nxt
-    if len(words) != m:
-        raise AdditiveGenerationFailed(
-            f"addition moves reach {len(words)} of {m} elements"
-        )
-
-    def replay(start: int, word) -> int:
-        state = start
-        for x, sign in word:
-            if sign == 1:
-                state = forward[state][x]
-            else:
-                back = backward[x]
-                if back is None:
-                    raise AdditiveGenerationFailed(f"move {x} is not invertible")
-                state = back[state]
-        return state
-
-    add_table = [[replay(i, words[j]) for j in range(m)] for i in range(m)]
+    if len(cols) != m:
+        raise AdditiveGenerationFailed(f"addition moves reach {len(cols)} of {m} elements")
+    add_table = [[cols[k][i] for k in range(m)] for i in range(m)]
 
     try:
         brace = verify_skew_brace(verify_group(add_table), verify_group(mul_table))

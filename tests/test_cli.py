@@ -114,6 +114,24 @@ def test_verify_stdout_json():
     assert json.loads(res.output)["suite"] == "axioms"
 
 
+def test_verify_identities_past_order_12():
+    # every carrier is checked on all triples; no order needs a sampling seed
+    res = run("verify", "--suite", "identities", "--max-order", "13")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["passed"] is True
+
+
+def test_damaged_cached_catalog_exits_2(tmp_path):
+    args = ("verify", "--suite", "census", "--max-order", "4", "--catalog-dir", str(tmp_path))
+    assert run(*args).exit_code == 0
+    path = tmp_path / "braces-4.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")  # drop one brace
+    res = run(*args)
+    assert res.exit_code == 2
+    assert f"error: cached catalog {path}: meta count 4 != 3 items" in res.stderr
+
+
 def test_verify_unknown_suite_usage_error():
     res = run("verify", "--suite", "nope")
     assert res.exit_code == 2

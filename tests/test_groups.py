@@ -4,9 +4,10 @@ from itertools import permutations
 import pytest
 
 from bracelab.enumeration import _groups_of_order
-from bracelab.errors import BudgetExceeded, NoIdentity, NotAssociative, NotLatin
+from bracelab.errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
 from bracelab.groups import (
     all_automorphisms,
+    ascending_chain,
     automorphism_group,
     cyclic,
     dihedral,
@@ -24,6 +25,7 @@ from bracelab.groups import (
     verify_group,
 )
 from bracelab.perms import compose, invert
+from bracelab.subsets import Subset
 
 # a Latin square with identity that is not a group (first bad triple (1,1,2))
 NONASSOC_LOOP = [
@@ -328,3 +330,12 @@ def test_is_normal_matches_conjugation():
             not_normal_seen += not want
         assert all(is_normal(g, t) for t in terms)
     assert normal_seen and not_normal_seen
+
+
+def test_ascending_chain_stops_at_first_repeat_and_checks_containment():
+    grow = {0b001: 0b011, 0b011: 0b111, 0b111: 0b111}
+    chain = ascending_chain(3, lambda last: Subset(3, grow[last.mask]))
+    assert [t.mask for t in chain] == [0b001, 0b011, 0b111]
+    drop = {0b001: 0b011, 0b011: 0b101}  # the third term misses 1
+    with pytest.raises(CrossCheckFailed):
+        ascending_chain(3, lambda last: Subset(3, drop[last.mask]))

@@ -1,12 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
+from bracelab.enumeration import enumerate_involutive_solutions, sample_involutive_solutions
 from bracelab.errors import (
     BraidFailed,
     BudgetExceeded,
     NotBijective,
 )
 from bracelab.groups import cyclic, isomorphic_groups, symmetric
-from bracelab.perms import from_cycles, identity, invert, perm_order
+from bracelab.perms import compose, from_cycles, identity, invert, perm_order
 from bracelab.series import nilpotency_report
 from bracelab.ybe import (
     equivalence_check,
@@ -156,3 +160,50 @@ def test_equivalence_check(five_point_solution):
     assert rep["right_nilpotent"] and rep["nilpotent_type"]
     assert rep["abelian_type"]
     assert not rep["left_nilpotent"]
+
+
+def _pinned_solutions():
+    """The size 1..4 catalogs and eight seeded size-5 samples."""
+    sets = {f"size {n}": enumerate_involutive_solutions(n).items for n in range(1, 5)}
+    sets["sample 5/8/987653"] = sample_involutive_solutions(5, 8, 987653)
+    return sets
+
+
+# Pinned permutation-brace tables (add, then mul, of each solution in order).
+PERMUTATION_BRACE_DIGESTS = {
+    "size 1": "3cabb44f21b758fcd608b0a3cc848e5de615457fc5e77d156b7273acfd8b29e0",
+    "size 2": "eec3309d99b13e1595c664bf99130e4a25e93a50ca6ca81a117e4e4df2a22a0e",
+    "size 3": "a07ccc350029788e8086449fb63fb3b48cb95bf54d631fa763a77aebf245cb31",
+    "size 4": "b1d823c0c3a528872be24597bcfd4eb01ad691732f3782fc8386b5ed718b1dcf",
+    "sample 5/8/987653": "8e92d17f324d824cac247c2e88adcf19664cfda00bc309659bf114d456d1d36d",
+}
+
+
+def test_permutation_brace_tables_are_pinned():
+    for name, sols in _pinned_solutions().items():
+        braces = [permutation_brace(sol)[0] for sol in sols]
+        tables = json.dumps([[b.add.table, b.mul.table] for b in braces])
+        assert hashlib.sha256(tables.encode()).hexdigest() == PERMUTATION_BRACE_DIGESTS[name], name
+
+
+def test_permutation_brace_addition_matches_its_definition():
+    # a + g_x = a o g_{alpha_a^-1(x)}, alpha_a the first component of a. The
+    # first components are read off the multiplication table: alpha of
+    # a o g_x is alpha_a . sigma_x, from alpha = identity at the identity.
+    for sols in _pinned_solutions().values():
+        for sol in sols:
+            b, gen_map = permutation_brace(sol)
+            alpha = {0: identity(sol.n)}
+            queue = [0]
+            while queue:
+                a = queue.pop()
+                for x in range(sol.n):
+                    c = b.mul_(a, gen_map[x])
+                    if c not in alpha:
+                        alpha[c] = compose(alpha[a], sol.sigma[x])
+                        queue.append(c)
+            assert len(alpha) == b.n
+            for a in range(b.n):
+                alpha_inv = invert(alpha[a])
+                for x in range(sol.n):
+                    assert b.add_(a, gen_map[x]) == b.mul_(a, gen_map[alpha_inv[x]])
