@@ -24,7 +24,8 @@ from .enumeration import (
     sample_involutive_solutions,
 )
 from .groups import GroupTable, automorphism_group, isomorphic_groups, verify_group
-from .series import SeriesReport, gamma_distributivity_check, nilpotency_report, series
+# The function series is not re-exported: bracelab.series stays the module.
+from .series import SeriesReport, gamma_distributivity_check, nilpotency_report
 from .subsets import Subset
 from .substructures import (
     commutator,

@@ -216,8 +216,14 @@ def _is_two_sided(b: SkewBrace) -> bool:
 # Isomorphism
 
 
-def _element_fingerprint(b: SkewBrace, a: int, orbit_sizes: dict[int, int]) -> tuple:
-    return (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]))
+def _element_fingerprints(b: SkewBrace) -> list[tuple]:
+    """Per element: its orders in both groups, the size of its lambda orbit
+    and the cycle type of its lambda map."""
+    orbit_sizes = {x: len(o) for o in lambda_orbits(b) for x in o}
+    return [
+        (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]))
+        for a in range(b.n)
+    ]
 
 
 def lambda_orbits(b: SkewBrace) -> list[list[int]]:
@@ -235,26 +241,13 @@ def lambda_orbits(b: SkewBrace) -> list[list[int]]:
 
 
 def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
-    """A bijection fixing 0 that preserves both tables, or None.
-
-    Searches generator images with groups._homomorphisms, pruning candidates
-    by element order in both groups and lambda-orbit data.
-    """
-    if b1.n != b2.n:
-        return None
-    orb1, orb2 = ({x: len(o) for o in lambda_orbits(b) for x in o} for b in (b1, b2))
-    fp2: dict[tuple, list[int]] = {}
-    for a in range(b2.n):
-        fp2.setdefault(_element_fingerprint(b2, a, orb2), []).append(a)
-    fp1 = [_element_fingerprint(b1, a, orb1) for a in range(b1.n)]
-    if sorted(fp1) != sorted(k for k, v in fp2.items() for _ in v):
-        return None
-
-    t1 = (b1.add.table, b1.mul.table)
-    gens = groups._generating_sequence(t1)
-    candidates = [fp2.get(fp1[a], []) for a in gens]
-    maps = groups._homomorphisms(
-        t1, (b2.add.table, b2.mul.table), gens, groups._expression_plan(t1, gens), candidates
+    """A bijection fixing 0 that preserves both tables, or None: the first
+    map of groups._isomorphisms, with element fingerprints as marks."""
+    maps = groups._isomorphisms(
+        (b1.add.table, b1.mul.table),
+        (b2.add.table, b2.mul.table),
+        _element_fingerprints(b1),
+        _element_fingerprints(b2),
     )
     return next(maps, None)
 

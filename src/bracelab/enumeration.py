@@ -13,7 +13,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import count
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -544,17 +543,9 @@ def _enumerate_braces_direct(n: int) -> list[SkewBrace]:
 # Involutive solutions
 
 
-SIGMA_SPACE_BUDGET = 10**7
-
-
-def _sigma_space(n: int) -> int:
-    from math import factorial
-
-    return factorial(n) ** n
-
-
-# The largest size whose sigma-family space fits the budget.
-MAX_SOLUTION_SIZE = next(n for n in count(1) if _sigma_space(n + 1) > SIGMA_SPACE_BUDGET)
+# The largest size the exhaustive solution census runs; verify --max-size
+# stops here too.
+MAX_SOLUTION_SIZE = 4
 
 
 def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator[Solution]:
@@ -690,8 +681,8 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
     """Involutive solutions of size n up to relabeling, with the
     multipermutation level and permutation-brace size of each item."""
     started = time.monotonic()
-    if _sigma_space(n) > SIGMA_SPACE_BUDGET:
-        raise BudgetExceeded("sigma-family space", _sigma_space(n), SIGMA_SPACE_BUDGET)
+    if n > MAX_SOLUTION_SIZE:
+        raise BudgetExceeded("exhaustive solution census", n, MAX_SOLUTION_SIZE)
     indices = range(len(all_perms(n)))
     seen: dict[tuple, Solution] = {}
     for sol in _involutive_families(n, lambda: indices):

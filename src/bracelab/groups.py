@@ -16,7 +16,7 @@ from .subsets import Subset
 # Exhaustive triple validation keeps indices in one byte.
 MAX_CARRIER = 255
 
-# Cayley tables on one carrier, as the closure and homomorphism kernels take them.
+# Cayley tables on one carrier, as the closure and isomorphism kernels take them.
 Tables = Sequence[Sequence[Sequence[int]]]
 
 
@@ -354,61 +354,64 @@ def upper_central_series(g: GroupTable) -> list[Subset]:
 # Isomorphism testing: generator-image backtracking over tuples of tables
 
 
-def _generating_sequence(tables: Tables) -> list[int]:
-    """Greedy generators: the least element not yet reached, until the closure
-    under tables is the whole carrier."""
-    n = len(tables[0])
-    gens: list[int] = []
-    mask = 1
-    while mask != (1 << n) - 1:
-        nxt = min(a for a in range(n) if not mask >> a & 1)
-        gens.append(nxt)
-        mask = closure_mask(tables, mask | 1 << nxt)
-    return gens
+def _generation_plan(tables: Tables) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """Greedy generators of the carrier under tables, and a plan of steps
+    (target, op, x, y), target = tables[op][x][y], that derives every other
+    element from them.
 
-
-def _expression_plan(tables: Tables, gens: list[int]) -> list[tuple[int, int, int, int]]:
-    """Plan (target, op, x, y) with target = tables[op][x][y] deriving all
-    elements from gens.
-
-    Seeds are the identity and the generators; every other element appears
-    exactly once as a target, with x and y already derived.
+    One breadth-first pass from {0}: each round multiplies the frontier by
+    every element reached before the round, in both orders and under every
+    table, and each element first reached is a target. A round that reaches
+    nothing leaves a closed set short of the carrier; its least unreached
+    element becomes the next generator and the next frontier. So each
+    generator is the least element outside the closure of those before it.
     """
     n = len(tables[0])
-    known = {0} | set(gens)
+    mask, known, frontier = 1, [0], [0]
+    gens: list[int] = []
     plan: list[tuple[int, int, int, int]] = []
-    frontier = sorted(known)
     while len(known) < n:
-        nxt = []
+        new = []
         for a in frontier:
-            for c in sorted(known):
+            for c in known:
                 for op, t in enumerate(tables):
                     for target, x, y in ((t[a][c], a, c), (t[c][a], c, a)):
-                        if target not in known:
-                            known.add(target)
+                        if not mask >> target & 1:
+                            mask |= 1 << target
                             plan.append((target, op, x, y))
-                            nxt.append(target)
-        if not nxt:
-            raise ValueError("generators do not generate the carrier")
-        frontier = nxt
-    return plan
+                            new.append(target)
+        if not new:
+            new = [next(a for a in range(n) if not mask >> a & 1)]
+            gens.append(new[0])
+            mask |= 1 << new[0]
+        known += new
+        frontier = new
+    return gens, plan
 
 
-def _homomorphisms(
+def _isomorphisms(
     src_tables: Tables,
     dst_tables: Tables,
-    gens: list[int],
-    plan: list[tuple[int, int, int, int]],
-    candidates: Sequence[Sequence[int]],
+    src_marks: Sequence,
+    dst_marks: Sequence,
 ) -> Iterator[Perm]:
     """Every bijection phi fixing 0 with phi(s[a][b]) = d[phi(a)][phi(b)] for
     each table pair (s, d) of src_tables and dst_tables.
 
-    Backtracks over the images of gens, gens[k] trying candidates[k] in
-    order; the plan derives the other images and each completed map is
-    verified on all pairs of every table.
+    Marks are per-element invariants, which every such phi preserves; there
+    is no phi when the two mark multisets differ. The search backtracks over
+    the images of the generators of _generation_plan, each trying the dst
+    elements with its mark in index order; the plan derives the other images
+    and each completed map is verified on all pairs of every table.
     """
-    n = len(src_tables[0])
+    if sorted(src_marks) != sorted(dst_marks):
+        return
+    n = len(src_marks)
+    gens, plan = _generation_plan(src_tables)
+    by_mark: dict = {}
+    for b, mark in enumerate(dst_marks):
+        by_mark.setdefault(mark, []).append(b)
+    candidates = [by_mark[src_marks[a]] for a in gens]
     pairs = tuple(zip(src_tables, dst_tables))
     phi = [-1] * n
     phi[0] = 0
@@ -436,34 +439,13 @@ def _homomorphisms(
                 phi[gens[k]] = cand
                 yield from extend(k + 1, used | {cand})
 
-    return extend(0, {0})
-
-
-def _order_classes(g: GroupTable) -> dict[int, list[int]]:
-    classes: dict[int, list[int]] = {}
-    for a in range(g.n):
-        classes.setdefault(g.order_of(a), []).append(a)
-    return classes
-
-
-def _group_homomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[Perm]:
-    """Isomorphisms g1 -> g2, generator images pruned by element order."""
-    tables = (g1.table,)
-    gens = _generating_sequence(tables)
-    by_order = _order_classes(g2)
-    candidates = [by_order.get(g1.order_of(a), []) for a in gens]
-    return _homomorphisms(
-        tables, (g2.table,), gens, _expression_plan(tables, gens), candidates
-    )
+    yield from extend(0, {0})
 
 
 def isomorphic_groups(g1: GroupTable, g2: GroupTable) -> Optional[Perm]:
     """A bijection phi with phi(a*b) = phi(a)*phi(b), or None."""
-    if g1.n != g2.n:
-        return None
-    if sorted(g1.element_orders()) != sorted(g2.element_orders()):
-        return None
-    return next(_group_homomorphisms(g1, g2), None)
+    maps = _isomorphisms((g1.table,), (g2.table,), g1.element_orders(), g2.element_orders())
+    return next(maps, None)
 
 
 def automorphism_group(g: GroupTable) -> tuple[list[Perm], int]:
@@ -476,15 +458,19 @@ def automorphism_group(g: GroupTable) -> tuple[list[Perm], int]:
         if p in reached:
             continue
         gens.append(p)
-        reached = _perm_closure(gens, g.n)
+        reached = set(generated_group(gens, g.n))
         if len(reached) == len(auts):
             break
     return gens, len(auts)
 
 
-def _perm_closure(gens: list[Perm], n: int) -> set[Perm]:
-    members = {tuple(range(n))}
-    frontier = list(members)
+def generated_group(gens: Sequence[Perm], degree: int) -> Iterator[Perm]:
+    """Each element of the group of permutations of 0..degree-1 generated by
+    gens, once, breadth first from the identity."""
+    identity = tuple(range(degree))
+    members = {identity}
+    frontier = [identity]
+    yield identity
     while frontier:
         nxt = []
         for p in frontier:
@@ -493,11 +479,12 @@ def _perm_closure(gens: list[Perm], n: int) -> set[Perm]:
                 if r not in members:
                     members.add(r)
                     nxt.append(r)
+                    yield r
         frontier = nxt
-    return members
 
 
 @cache
 def all_automorphisms(g: GroupTable) -> list[Perm]:
     """Every automorphism of G, sorted; one list per group, computed once."""
-    return sorted(_group_homomorphisms(g, g))
+    orders = g.element_orders()
+    return sorted(_isomorphisms((g.table,), (g.table,), orders, orders))

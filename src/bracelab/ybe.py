@@ -18,7 +18,7 @@ from .errors import (
     NotBijective,
     env_budget,
 )
-from .groups import verify_group
+from .groups import from_permutations, generated_group, verify_group
 from .perms import Perm, compose, invert, is_perm
 from .series import nilpotency_report
 
@@ -168,42 +168,30 @@ def permutation_brace(
     """
     budget = env_budget(DEFAULT_CLOSURE_BUDGET) if budget is None else budget
     n = sol.n
-    gens = [(sol.sigma[x], invert(sol.tau[x])) for x in range(n)]
-    ident = (tuple(range(n)), tuple(range(n)))
-
-    members = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a1, b1 in frontier:
-            for a2, b2 in gens:
-                g = (compose(a1, a2), compose(b1, b2))
-                if g not in members:
-                    members.add(g)
-                    nxt.append(g)
-                    if len(members) > budget:
-                        raise BudgetExceeded("multiplicative closure", len(members), budget)
-        frontier = nxt
-
-    elements = sorted(members)
+    # (sigma_x, tau_x^-1) as one permutation of 0..2n-1, the second component
+    # moved to n..2n-1; these sort as the pairs do, identity first.
+    gens = [sol.sigma[x] + tuple(n + i for i in invert(sol.tau[x])) for x in range(n)]
+    elements = []
+    for g in generated_group(gens, 2 * n):
+        elements.append(g)
+        # the identity alone never exceeds the budget
+        if len(elements) > max(budget, 1):
+            raise BudgetExceeded("multiplicative closure", len(elements), budget)
+    elements.sort()
     index = {g: i for i, g in enumerate(elements)}
-    e_idx = index[ident]
-    m = len(elements)
     gen_map = tuple(index[g] for g in gens)
 
-    mul_table = [
-        [index[(compose(a1, a2), compose(b1, b2))] for (a2, b2) in elements]
-        for (a1, b1) in elements
-    ]
-
     # plus[j][x] = j + g_x = j o g_{alpha_j^-1(x)}, alpha_j the first component of j.
-    alpha_inv = [invert(g[0]) for g in elements]
-    plus = [[mul_table[j][gen_map[alpha_inv[j][x]]] for x in range(n)] for j in range(m)]
+    plus = []
+    for g in elements:
+        alpha_inv = invert(g[:n])
+        plus.append([index[compose(g, gens[alpha_inv[x]])] for x in range(n)])
 
-    # cols[k][i] = i + k. Breadth first from cols[e] = identity: whenever
+    # cols[k][i] = i + k. Breadth first from cols[0] = identity: whenever
     # k = j + g_x is new, i + k = (i + j) + g_x gives its column from j's.
-    cols: dict[int, list[int]] = {e_idx: list(range(m))}
-    queue = [e_idx]
+    m = len(elements)
+    cols: dict[int, list[int]] = {0: list(range(m))}
+    queue = [0]
     while queue:
         nxt = []
         for j in queue:
@@ -218,7 +206,7 @@ def permutation_brace(
     add_table = [[cols[k][i] for k in range(m)] for i in range(m)]
 
     try:
-        brace = verify_skew_brace(verify_group(add_table), verify_group(mul_table))
+        brace = verify_skew_brace(verify_group(add_table), from_permutations(elements))
     except BraceLabError as exc:
         raise BraceValidationFailed(f"reconstructed tables fail validation: {exc}") from exc
 

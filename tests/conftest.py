@@ -1,7 +1,7 @@
 import pytest
 
 from bracelab.brace import from_group_trivial, from_zn_quadratic
-from bracelab.enumeration import enumerate_skew_braces
+from bracelab.enumeration import _groups_of_order, enumerate_skew_braces
 from bracelab.groups import cyclic, symmetric
 from bracelab.perms import from_cycles, identity
 from bracelab.ybe import involutive_from_sigma, permutation_brace
@@ -32,6 +32,11 @@ FIVE_POINT_SIGMA = (
     from_cycles(5, [(1, 2), (3, 4)]),
     from_cycles(5, [(0, 1), (3, 4)]),
 )
+
+
+def groups_up_to(n):
+    """One group per isomorphism class of every order 1..n."""
+    return [g for k in range(1, n + 1) for g in _groups_of_order(k)]
 
 
 @pytest.fixture(scope="session")

@@ -364,3 +364,17 @@ def test_checkpoint_outside_holomorph_census_exits_2(tmp_path, args):
     assert res.exit_code == 2, res.output
     assert "error: --checkpoint applies only to --kind braces with --method holomorph" in res.output
     assert not ckpt.exists()
+
+
+def test_solution_analyze_empty_solution(tmp_path):
+    # no points, no generators: the permutation brace is the one-element group
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "sigma": []}))
+    res = run("solution", "analyze", "--in", str(path))
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert (data["n"], data["involutive"], data["level"]) == (0, True, 0)
+    brace = data["permutation_brace"]
+    assert brace["size"] == 1
+    assert brace["right"] == {"holds": True, "class": 1}
+    assert brace["annihilator"] == {"holds": True, "class": 0}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import permutations
 
@@ -26,6 +28,7 @@ from bracelab.groups import (
 )
 from bracelab.perms import compose, invert
 from bracelab.subsets import Subset
+from conftest import groups_up_to
 
 # a Latin square with identity that is not a group (first bad triple (1,1,2))
 NONASSOC_LOOP = [
@@ -339,3 +342,37 @@ def test_ascending_chain_stops_at_first_repeat_and_checks_containment():
     drop = {0b001: 0b011, 0b011: 0b101}  # the third term misses 1
     with pytest.raises(CrossCheckFailed):
         ascending_chain(3, lambda last: Subset(3, drop[last.mask]))
+
+
+# ---------------------------------------------------------------------------
+# Pinned answers of the isomorphism search and Aut(G)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+AUTOMORPHISMS_DIGEST = "fffacab0831a18cdc7349762898651be8196f2b6b2507fce197392f26f30eac1"
+AUTOMORPHISM_GROUPS_DIGEST = "3febd59046d35d92e34827460493ba09967f8e2febf2390491e235f040ed4fb3"
+ISOMORPHIC_GROUPS_DIGEST = "971fe25a4c1f77b5b32ac398ee95cfc1fcdc1226f79d41e35aa3b50800482644"
+
+
+def test_automorphisms_are_pinned():
+    # every list in order, and the greedy generators drawn from it
+    groups = groups_up_to(16)
+    assert _digest([all_automorphisms(g) for g in groups]) == AUTOMORPHISMS_DIGEST
+    assert _digest([automorphism_group(g) for g in groups]) == AUTOMORPHISM_GROUPS_DIGEST
+
+
+def test_isomorphic_groups_results_are_pinned():
+    # which isomorphism is found first, both ways round, for seeded
+    # relabelings of every group of order <= 16 and every same-order pair
+    rng = random.Random(20171)
+    groups = groups_up_to(16)
+    found = []
+    for g in groups:
+        for _ in range(2):
+            h = relabeled(g, tuple([0] + rng.sample(range(1, g.n), g.n - 1)))
+            found += [isomorphic_groups(g, h), isomorphic_groups(h, g)]
+    found += [isomorphic_groups(g, h) for g in groups for h in groups if g.n == h.n]
+    assert _digest(found) == ISOMORPHIC_GROUPS_DIGEST

@@ -1,0 +1,167 @@
+"""Brute-force oracles for the isomorphism search and the permutation-group
+closure."""
+
+from itertools import permutations
+
+from bracelab.brace import _element_fingerprints
+from bracelab.enumeration import _groups_of_order, enumerate_involutive_solutions
+from bracelab.groups import (
+    _generation_plan,
+    _isomorphisms,
+    all_automorphisms,
+    automorphism_group,
+    generated_group,
+)
+from bracelab.perms import compose, invert
+from conftest import groups_up_to
+
+
+def _brace_tables(b):
+    return (b.add.table, b.mul.table)
+
+
+def _preserving_bijections(src, dst):
+    """Every bijection fixing 0 that carries each table of src onto its
+    partner in dst, by trying them all."""
+    n = len(src[0])
+    if len(dst[0]) != n:
+        return set()
+    out = set()
+    for rest in permutations(range(1, n)):
+        phi = (0,) + rest
+        if all(
+            phi[s[a][b]] == d[phi[a]][phi[b]]
+            for s, d in zip(src, dst)
+            for a in range(n)
+            for b in range(n)
+        ):
+            out.add(phi)
+    return out
+
+
+def _check_isomorphisms(src, dst, src_marks, dst_marks):
+    found = list(_isomorphisms(src, dst, src_marks, dst_marks))
+    assert len(found) == len(set(found))
+    assert set(found) == _preserving_bijections(src, dst)
+    # marks prune the search but never the answer
+    n = len(src[0])
+    assert set(_isomorphisms(src, dst, [0] * n, [0] * len(dst[0]))) == set(found)
+
+
+def test_isomorphisms_match_brute_force_on_groups():
+    groups = groups_up_to(6)
+    for g in groups:
+        for h in groups:
+            if g.n == h.n:
+                _check_isomorphisms(
+                    (g.table,), (h.table,), g.element_orders(), h.element_orders()
+                )
+
+
+def test_isomorphisms_match_brute_force_on_braces(braces_up_to_8):
+    braces = [b for b in braces_up_to_8 if b.n <= 6]
+    for b in braces:
+        for c in braces:
+            if b.n == c.n:
+                _check_isomorphisms(
+                    _brace_tables(b), _brace_tables(c),
+                    _element_fingerprints(b), _element_fingerprints(c),
+                )
+
+
+def test_isomorphisms_need_equal_mark_multisets():
+    g = _groups_of_order(4)[0]
+    orders = list(g.element_orders())
+    assert list(_isomorphisms((g.table,), (g.table,), orders, orders))
+    assert not list(_isomorphisms((g.table,), (g.table,), orders, [0] + orders[1:] + [0]))
+    assert not list(_isomorphisms((g.table,), (g.table,), orders, orders[:-1]))
+
+
+def test_all_automorphisms_match_brute_force():
+    for g in groups_up_to(8):
+        assert all_automorphisms(g) == sorted(_preserving_bijections((g.table,), (g.table,)))
+
+
+def _naive_closure(tables, seed):
+    """Least set holding 0 and seed and closed under every table, products of
+    all pairs to a fixpoint."""
+    members = {0} | set(seed)
+    while True:
+        grown = members | {t[a][b] for t in tables for a in members for b in members}
+        if grown == members:
+            return members
+        members = grown
+
+
+def _check_generation_plan(tables):
+    n = len(tables[0])
+    gens, plan = _generation_plan(tables)
+    # the greedy rule: the least element outside the closure of those before
+    expected, reached = [], _naive_closure(tables, ())
+    while len(reached) < n:
+        expected.append(min(set(range(n)) - reached))
+        reached = _naive_closure(tables, expected)
+    assert gens == expected
+    # each other element is derived once, from operands already known
+    known = {0} | set(gens)
+    for target, op, x, y in plan:
+        assert target not in known and x in known and y in known
+        assert tables[op][x][y] == target
+        known.add(target)
+    assert known == set(range(n))
+    assert len(plan) == n - 1 - len(gens)
+
+
+def test_generation_plan_replays_on_groups():
+    for g in groups_up_to(16):
+        _check_generation_plan((g.table,))
+
+
+def test_generation_plan_replays_on_braces(braces_up_to_8):
+    for b in braces_up_to_8:
+        _check_generation_plan(_brace_tables(b))
+
+
+def _naive_group(gens, identity, product):
+    """Products of members by generators to a fixpoint."""
+    members = {identity}
+    while True:
+        grown = members | {product(p, q) for p in members for q in gens}
+        if grown == members:
+            return members
+        members = grown
+
+
+def _check_generated_group(gens, degree):
+    found = list(generated_group(gens, degree))
+    assert found[0] == tuple(range(degree))
+    assert len(found) == len(set(found))
+    assert set(found) == _naive_group(gens, tuple(range(degree)), compose)
+    return found
+
+
+def test_generated_group_matches_fixpoint_on_automorphisms():
+    for g in groups_up_to(16):
+        gens, size = automorphism_group(g)
+        assert len(_check_generated_group(gens, g.n)) == size
+
+
+def test_generated_group_matches_fixpoint_on_solutions():
+    # the pairs (sigma_x, tau_x^-1), composed componentwise, against their
+    # encoding as one permutation of 2n points
+    for n in range(1, 5):
+        for sol in enumerate_involutive_solutions(n).items:
+            pairs = [(sol.sigma[x], invert(sol.tau[x])) for x in range(n)]
+            joined = [a + tuple(n + i for i in b) for a, b in pairs]
+            found = _check_generated_group(joined, 2 * n)
+            naive = _naive_group(
+                pairs,
+                (tuple(range(n)),) * 2,
+                lambda p, q: (compose(p[0], q[0]), compose(p[1], q[1])),
+            )
+            assert {(g[:n], tuple(i - n for i in g[n:])) for g in found} == naive
+
+
+def test_generated_group_without_generators():
+    assert list(generated_group([], 0)) == [()]
+    assert list(generated_group([], 3)) == [(0, 1, 2)]

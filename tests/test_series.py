@@ -7,6 +7,7 @@ from bracelab.brace import (
     classify_flags,
     from_group_almost_trivial,
     from_group_trivial,
+    from_zn_quadratic,
     lambda_orbits,
     relabeled,
 )
@@ -312,3 +313,16 @@ def _ascending_chain(b, kind):
 def test_ascending_chains_match_preimage_fixpoint(braces_up_to_12, kind):
     for b in braces_up_to_12:
         assert [set(t.indices()) for t in series(b, kind).chain] == _ascending_chain(b, kind)
+
+
+def test_series_is_the_module_under_the_package():
+    # the package does not shadow its submodule with the function series
+    import types
+
+    import bracelab
+    import bracelab.series as S
+
+    assert isinstance(S, types.ModuleType) and bracelab.series is S
+    b = from_zn_quadratic(4, 2)
+    assert chains(S.series(b, "annihilator")) == [[0], [0, 2], [0, 1, 2, 3]]
+    assert S.nilpotency_report(b).annihilator.cls == 2
