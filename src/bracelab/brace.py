@@ -148,6 +148,7 @@ def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
         raise NotAnIdeal(verdict.condition, verdict.witness)
 
     n = b.n
+    add_t, mul_t = b.add.table, b.mul.table
     members = ideal.indices()
     proj = [-1] * n
     reps: list[int] = []
@@ -156,17 +157,19 @@ def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
             continue
         idx = len(reps)
         reps.append(a)
+        row = add_t[a]
         for i in members:
-            proj[b.add_(a, i)] = idx
-    qn = len(reps)
-    qadd = [[proj[b.add_(reps[x], reps[y])] for y in range(qn)] for x in range(qn)]
-    qmul = [[proj[b.mul_(reps[x], reps[y])] for y in range(qn)] for x in range(qn)]
+            proj[row[i]] = idx
+    qadd = [[proj[add_t[x][y]] for y in reps] for x in reps]
+    qmul = [[proj[mul_t[x][y]] for y in reps] for x in reps]
     # Well-definedness over all pairs, not just representatives.
     for a in range(n):
+        add_row, mul_row = add_t[a], mul_t[a]
+        qadd_row, qmul_row = qadd[proj[a]], qmul[proj[a]]
         for c in range(n):
-            if proj[b.add_(a, c)] != qadd[proj[a]][proj[c]]:
+            if proj[add_row[c]] != qadd_row[proj[c]]:
                 raise NotAnIdeal("additive_cosets_ill_defined", (a, c))
-            if proj[b.mul_(a, c)] != qmul[proj[a]][proj[c]]:
+            if proj[mul_row[c]] != qmul_row[proj[c]]:
                 raise NotAnIdeal("multiplicative_cosets_ill_defined", (a, c))
     quot = brace_from_tables(qadd, qmul)
     return quot, tuple(proj)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -18,6 +18,11 @@ MAX_CARRIER = 255
 
 # Cayley tables on one carrier, as the closure and isomorphism kernels take them.
 Tables = Sequence[Sequence[Sequence[int]]]
+
+# Entries kept by the per-table caches below. No order within the lattice
+# budget has more than 52 groups; analyze-24 meets 258 distinct tables.
+SUBGROUP_LATTICE_CACHE = 64
+NILPOTENCY_CLASS_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,39 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> Subset:
     return Subset(g.n, closure_mask((g.table,), Subset.of(g.n, seed).mask))
 
 
+@lru_cache(maxsize=SUBGROUP_LATTICE_CACHE)
+def subgroup_lattice(g: GroupTable) -> tuple[int, ...]:
+    """Masks of every subgroup of g, ordered by (size, mask); computed once
+    per distinct table.
+
+    Atoms are the closures of singletons. Every subgroup H is reached from an
+    atom in H by closing the join with one more atom in H at a time, so each
+    round joins every new member m with every atom and closes the join from
+    m, which is already closed. A join that is a member, or was closed
+    before, is skipped. Exponential in the worst case; callers guard the
+    carrier size.
+    """
+    tables = (g.table,)
+    atoms = sorted({closure_mask(tables, 1 << x) for x in range(1, g.n)})
+    found: set[int] = {1, *atoms}
+    joined: set[int] = set()
+    new = atoms
+    while new:
+        nxt: list[int] = []
+        for m in new:
+            for a in atoms:
+                join = m | a
+                if join in found or join in joined:
+                    continue
+                joined.add(join)
+                closed = closure_mask(tables, join, m)
+                if closed not in found:
+                    found.add(closed)
+                    nxt.append(closed)
+        new = nxt
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+
+
 def is_normal(g: GroupTable, s: Subset) -> bool:
     m, members = s.mask, s.indices()
     t, inv = g.table, g.inv
@@ -314,8 +352,10 @@ def lower_central_series(g: GroupTable) -> list[Subset]:
     return descending_chain((g.table,), full, lambda last: commutator_products(g, full, last))
 
 
+@lru_cache(maxsize=NILPOTENCY_CLASS_CACHE)
 def nilpotency_class(g: GroupTable) -> Optional[int]:
-    """Class c with gamma_{c+1} = 1, or None if not nilpotent."""
+    """Class c with gamma_{c+1} = 1, or None if not nilpotent; computed once
+    per distinct table."""
     chain = lower_central_series(g)
     return len(chain) - 1 if chain[-1].is_zero_only() else None
 

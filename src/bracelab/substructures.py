@@ -14,7 +14,7 @@ from .errors import (
     NotASubBrace,
     env_budget,
 )
-from .groups import closure_mask, commutator_products
+from .groups import closure_mask, commutator_products, subgroup_lattice
 from .subsets import Subset
 
 DEFAULT_LATTICE_BUDGET = 48
@@ -208,37 +208,19 @@ def invariant_substructures(b: SkewBrace) -> InvariantSubstructures:
 
 
 def subbrace_lattice(b: SkewBrace) -> list[Subset]:
-    """All sub skew braces, ordered by (size, mask).
-
-    Atoms are the closures of singletons. Every sub skew brace S is reached
-    from an atom in S by closing the join with one more atom in S at a time,
-    so each round joins every new member m with every atom and closes the
-    join from m, which is already closed. A join that is a member, or was
-    closed before, is skipped. Exponential in the worst case; guarded by the
-    carrier budget.
-    """
+    """All sub skew braces, ordered by (size, mask): the subgroups of (B,+)
+    closed under o, filtered from the lattice of the additive table."""
     budget = env_budget(DEFAULT_LATTICE_BUDGET)
     if b.n > budget:
         raise BudgetExceeded("sub-brace lattice carrier", b.n, budget)
-    tables = (b.add.table, b.mul.table)
-    atoms = sorted({closure_mask(tables, 1 << x) for x in range(1, b.n)})
-    found: set[int] = {1, *atoms}
-    joined: set[int] = set()
-    new = atoms
-    while new:
-        nxt: list[int] = []
-        for m in new:
-            for a in atoms:
-                join = m | a
-                if join in found or join in joined:
-                    continue
-                joined.add(join)
-                closed = closure_mask(tables, join, m)
-                if closed not in found:
-                    found.add(closed)
-                    nxt.append(closed)
-        new = nxt
-    return [Subset(b.n, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
+    n, mul_t = b.n, b.mul.table
+    out = []
+    for m in subgroup_lattice(b.add):
+        members = [x for x in range(n) if m >> x & 1]
+        rows = [mul_t[a] for a in members]
+        if all(m >> row[c] & 1 for row in rows for c in members):
+            out.append(Subset(n, m))
+    return out
 
 
 def maximal_subbraces(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:

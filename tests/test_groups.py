@@ -8,6 +8,8 @@ import pytest
 from bracelab.enumeration import _groups_of_order
 from bracelab.errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
 from bracelab.groups import (
+    NILPOTENCY_CLASS_CACHE,
+    SUBGROUP_LATTICE_CACHE,
     all_automorphisms,
     ascending_chain,
     automorphism_group,
@@ -22,6 +24,7 @@ from bracelab.groups import (
     quaternion8,
     relabeled,
     subgroup_closure,
+    subgroup_lattice,
     symmetric,
     upper_central_series,
     verify_group,
@@ -342,6 +345,26 @@ def test_ascending_chain_stops_at_first_repeat_and_checks_containment():
     drop = {0b001: 0b011, 0b011: 0b101}  # the third term misses 1
     with pytest.raises(CrossCheckFailed):
         ascending_chain(3, lambda last: Subset(3, drop[last.mask]))
+
+
+# ---------------------------------------------------------------------------
+# Per-table caches
+
+
+@pytest.mark.parametrize("fn", [subgroup_lattice, nilpotency_class])
+def test_equal_tables_share_one_cache_entry(fn):
+    g = dihedral(6)
+    twin = verify_group([list(row) for row in g.table])
+    assert twin == g and twin is not g
+    first = fn(g)
+    hits = fn.cache_info().hits
+    assert fn(twin) is first
+    assert fn.cache_info().hits == hits + 1
+
+
+def test_caches_are_bounded():
+    assert subgroup_lattice.cache_info().maxsize == SUBGROUP_LATTICE_CACHE > 0
+    assert nilpotency_class.cache_info().maxsize == NILPOTENCY_CLASS_CACHE > 0
 
 
 # ---------------------------------------------------------------------------

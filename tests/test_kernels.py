@@ -1,5 +1,5 @@
-"""Brute-force oracles for the isomorphism search and the permutation-group
-closure."""
+"""Brute-force oracles for the isomorphism search, the permutation-group
+closure and the subgroup lattice."""
 
 from itertools import permutations
 
@@ -11,6 +11,7 @@ from bracelab.groups import (
     all_automorphisms,
     automorphism_group,
     generated_group,
+    subgroup_lattice,
 )
 from bracelab.perms import compose, invert
 from conftest import groups_up_to
@@ -165,3 +166,49 @@ def test_generated_group_matches_fixpoint_on_solutions():
 def test_generated_group_without_generators():
     assert list(generated_group([], 0)) == [()]
     assert list(generated_group([], 3)) == [(0, 1, 2)]
+
+
+def _is_closed(t, mask):
+    members = [x for x in range(len(t)) if mask >> x & 1]
+    return all(mask >> t[a][c] & 1 for a in members for c in members)
+
+
+def _fixpoint_closure(t, mask):
+    """Add every product of members until nothing changes."""
+    mask |= 1
+    while True:
+        members = [x for x in range(len(t)) if mask >> x & 1]
+        grown = mask
+        for a in members:
+            for c in members:
+                grown |= 1 << t[a][c]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _closures_of_small_subsets(t):
+    """Closures of every subset of at most floor(log2 n) elements. Each
+    element outside a subgroup at least doubles it, so every subgroup has a
+    generating set that small. The closure of S + {x} is the closure of
+    closure(S) + {x}, so each size extends the distinct closures of the size
+    before by one element."""
+    n = len(t)
+    found = level = {1}
+    for _ in range(n.bit_length() - 1):
+        level = {_fixpoint_closure(t, h | 1 << x) for h in level for x in range(n)}
+        found = found | level
+    return found
+
+
+def test_subgroup_lattice_matches_definition():
+    # every subset holding 0 closed under the table up to order 12, the
+    # closures of small subsets above; 74 groups of order <= 24
+    groups = groups_up_to(24)
+    assert len(groups) == 74
+    for g in groups:
+        if g.n <= 12:
+            brute = {m for m in range(1, 1 << g.n, 2) if _is_closed(g.table, m)}
+        else:
+            brute = _closures_of_small_subsets(g.table)
+        assert subgroup_lattice(g) == tuple(sorted(brute, key=lambda m: (m.bit_count(), m)))

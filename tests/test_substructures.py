@@ -1,14 +1,16 @@
 import gzip
+import hashlib
 import json
+import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from bracelab.brace import from_group_trivial, lambda_orbits
+from bracelab.brace import from_group_trivial, lambda_orbits, relabeled
 from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLabError, BudgetExceeded, NotASubBrace
-from bracelab.groups import closure_mask, cyclic
+from bracelab.groups import closure_mask, cyclic, nilpotency_class, subgroup_lattice
 from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
 from bracelab.substructures import (
@@ -143,6 +145,32 @@ def test_lattice_budget_guard(monkeypatch):
     assert len(subbrace_lattice(big)) == 3  # {0}, the 7-element subgroup, B
 
 
+def test_lattice_budget_guard_holds_for_a_cached_table(monkeypatch):
+    big = from_group_trivial(cyclic(49))
+    monkeypatch.setenv("BRACELAB_BUDGET", "49")
+    subbrace_lattice(big)
+    monkeypatch.delenv("BRACELAB_BUDGET")
+    hits = subgroup_lattice.cache_info().hits
+    with pytest.raises(BudgetExceeded):
+        subbrace_lattice(big)
+    assert subgroup_lattice.cache_info().hits == hits
+
+
+def test_relabeled_brace_gets_the_relabeled_lattice(braces_up_to_8):
+    rng = random.Random(20170612)
+    for b in braces_up_to_8:
+        relabel = tuple([0] + rng.sample(range(1, b.n), b.n - 1))
+        moved = relabeled(b, relabel)
+        subgroup_lattice.cache_clear()
+        expected = sorted(
+            (Subset.of(b.n, (relabel[x] for x in s.indices())) for s in subbrace_lattice(b)),
+            key=lambda s: (len(s), s.mask),
+        )
+        assert subbrace_lattice(moved) == expected
+        # a relabeling that moves the additive table misses the entry of b's
+        assert subgroup_lattice.cache_info().misses == (1 if moved.add == b.add else 2)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "4.5"])
 def test_malformed_budget_is_rejected(monkeypatch, value):
     monkeypatch.setenv("BRACELAB_BUDGET", value)
@@ -208,6 +236,28 @@ def test_lattice_and_radical_sizes_match_order_24_reference(tmp_path):
     for b, row in zip(braces, reference["rows"]):
         lattice = subbrace_lattice(b)
         assert (len(lattice), len(radical(b, lattice))) == (row[lattice_col], row[radical_col])
+
+
+# sha256 of each brace's lattice masks and (add, mul) nilpotency classes,
+# pinned at the commit before the lattice became a filter of Sub(B,+)
+LATTICES_UP_TO_12_DIGEST = "697b8036e051db008cee245e2e10d6a2c65ccf3d63b7fbfc1e5027816ea20ceb"
+LATTICES_24_DIGEST = "919509728cdee898623a049f14c3a03da2ccc421303dc5ed07afcdce62da404a"
+
+
+def _lattice_digest(braces):
+    answers = [
+        [[s.mask for s in subbrace_lattice(b)],
+         [nilpotency_class(b.add), nilpotency_class(b.mul)]]
+        for b in braces
+    ]
+    return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+
+
+def test_lattices_and_classes_are_pinned(braces_up_to_12, tmp_path):
+    assert _lattice_digest(braces_up_to_12) == LATTICES_UP_TO_12_DIGEST
+    catalog = tmp_path / "braces-24.jsonl"
+    catalog.write_bytes(gzip.decompress((BENCH_DATA / "braces-24.jsonl.gz").read_bytes()))
+    assert _lattice_digest(read_catalog(catalog).items) == LATTICES_24_DIGEST
 
 
 def test_radical_of_trivial_prime_brace():
