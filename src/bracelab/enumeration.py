@@ -152,14 +152,30 @@ LambdaMap = tuple[Perm, ...]  # a -> the additive automorphism lambda_a
 
 @dataclass
 class _SearchTables:
-    """What regular_subgroups needs of one additive group, built once from
-    its automorphism list."""
+    """What regular_subgroups and reduce_by_aut_conjugation need of one
+    additive group, built once from its automorphism list."""
 
     auts: list[Perm]
     aut_index: dict[Perm, int]
     aut_order: list[int]
     usable: list[int]  # automorphisms whose order divides n
+    inv: list[int]  # index of each automorphism's inverse
     comp: dict[int, int]  # i * len(auts) + j -> index of auts[i] . auts[j], filled lazily
+    units: list[int]  # the census units: one first choice per Stab(1)-class of usable
+
+    def compose(self, i: int, j: int) -> int:
+        key = i * len(self.auts) + j
+        k = self.comp.get(key)
+        if k is None:
+            k = self.aut_index[tuple(map(self.auts[i].__getitem__, self.auts[j]))]
+            if len(self.comp) > 1 << 24:  # a bound on memory, whatever the group
+                self.comp.clear()
+            self.comp[key] = k
+        return k
+
+    def conj(self, p: int, f: int) -> int:
+        """The index of auts[p] . auts[f] . auts[p]^-1."""
+        return self.compose(self.compose(p, f), self.inv[p])
 
 
 # The census searches one additive group unit by unit, so only the tables of
@@ -167,25 +183,63 @@ class _SearchTables:
 @lru_cache(maxsize=1)
 def _search_tables(a_group: GroupTable) -> _SearchTables:
     auts = all_automorphisms(a_group)
+    aut_index = {p: i for i, p in enumerate(auts)}
     aut_order = [perm_order(p) for p in auts]
-    return _SearchTables(
+    tables = _SearchTables(
         auts=auts,
-        aut_index={p: i for i, p in enumerate(auts)},
+        aut_index=aut_index,
         aut_order=aut_order,
         usable=[i for i, k in enumerate(aut_order) if a_group.n % k == 0],
+        inv=[aut_index[invert(p)] for p in auts],
         comp={},
+        units=[],
     )
+    if a_group.n > 1:
+        tables.units = [fi for fi, _ in _classes(tables, range(len(auts)), 1)]
+    return tables
+
+
+def _classes(tables: _SearchTables, stab: Iterable[int], a0: int) -> list[tuple[int, list[int]]]:
+    """The classes of tables.usable under conjugation by the members of the
+    group stab that fix the point a0: the least index of each class, in index
+    order, with its centralizer among those members."""
+    auts = tables.auts
+    fixing = [p for p in stab if auts[p][a0] == a0]
+    if len(fixing) == 1:  # the identity alone
+        return [(fi, fixing) for fi in tables.usable]
+    covered: set[int] = set()
+    out = []
+    for fi in tables.usable:
+        if fi in covered:
+            continue
+        images = [tables.conj(p, fi) for p in fixing]
+        covered.update(images)
+        out.append((fi, [p for p, c in zip(fixing, images) if c == fi]))
+    return out
 
 
 def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -> list[LambdaMap]:
-    """Regular subgroups of Hol(A), each as the map a -> f_a.
+    """Regular subgroups of Hol(A), each as the map a -> f_a: at least one
+    from every Aut(A)-conjugation orbit, and often only one.
 
     A regular subgroup has exactly one element (a, f_a) per first coordinate;
-    the search extends a partial subgroup by the unique element at the least
-    uncovered coordinate, so every regular subgroup is produced exactly once.
-    Each choice of the automorphism part at coordinate 1 is one work unit
-    (for checkpointing and parallelism): first_choice runs that unit alone,
-    and None runs every unit in index order.
+    the search extends a partial subgroup by the element at the least
+    uncovered coordinate a0, so a regular subgroup is produced at most once.
+    Each node carries stab, the automorphisms phi that fix every generator
+    (x_i, f_i) chosen so far: phi(x_i) = x_i and phi f_i phi^-1 = f_i. Of the
+    members of stab that fix a0, the node tries one candidate per class of
+    their conjugation action, the least index of each, and hands the
+    candidate's centralizer down as the child's stab. This loses no orbit:
+    let H be a regular subgroup holding the generators so far, with element
+    (a0, g), and let psi, a member of stab fixing a0, conjugate g to the
+    class representative. Then psi H psi^-1 holds the same generators and
+    (a0, representative), so the representative's branch reaches it.
+
+    At the root a0 = 1 and stab is all of Aut(A), so the work units (for
+    checkpointing and parallelism) are the Stab(1)-class representatives in
+    _SearchTables.units. first_choice runs the unit with that automorphism
+    part at coordinate 1 alone, representative or not; None runs every
+    representative in index order.
 
     Candidate automorphism parts are limited to those whose order divides n:
     the cyclic group generated by any member of a regular subgroup has order
@@ -196,19 +250,8 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
         return [(tuple(range(n)),)]
     tables = _search_tables(a_group)
     auts, aut_index, aut_order = tables.auts, tables.aut_index, tables.aut_order
-    comp_cache = tables.comp
+    comp = tables.compose
     rows = a_group.table
-    m = len(auts)
-
-    def comp(i: int, j: int) -> int:
-        key = i * m + j
-        k = comp_cache.get(key)
-        if k is None:
-            k = aut_index[compose(auts[i], auts[j])]
-            if len(comp_cache) > 1 << 24:  # keep hours-long runs within memory
-                comp_cache.clear()
-            comp_cache[key] = k
-        return k
 
     results: list[LambdaMap] = []
 
@@ -240,23 +283,24 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
             return None
         return h
 
-    def extend(h: dict[int, int], gens: tuple[tuple[int, int], ...]) -> None:
+    def extend(h: dict[int, int], gens: tuple[tuple[int, int], ...], stab: list[int]) -> None:
         if len(h) == n:
             results.append(tuple(auts[h[a]] for a in range(n)))
             return
         a0 = min(a for a in range(n) if a not in h)
-        for fi in tables.usable:
+        for fi, centralizer in _classes(tables, stab, a0):
             gens2 = gens + ((a0, fi),)
             closed = close(dict(h), gens2)
             if closed is not None:
-                extend(closed, gens2)
+                extend(closed, gens2, centralizer)
 
     ident_idx = aut_index[tuple(range(n))]
-    for fi in tables.usable if first_choice is None else (first_choice,):
+    fixing_1 = [p for p in range(len(auts)) if auts[p][1] == 1]
+    for fi in tables.units if first_choice is None else (first_choice,):
         gens = ((1, fi),)
         closed = close({0: ident_idx}, gens)
         if closed is not None:
-            extend(closed, gens)
+            extend(closed, gens, [p for p in fixing_1 if tables.conj(p, fi) == fi])
     return results
 
 
@@ -266,45 +310,43 @@ def brace_from_lambda_map(a_group: GroupTable, lam: LambdaMap) -> SkewBrace:
     return verify_skew_brace(a_group, verify_group(mul))
 
 
-def reduce_by_aut_conjugation(
-    lams: Iterable[LambdaMap], aut_gens: Sequence[Perm]
-) -> list[LambdaMap]:
-    """One representative per Aut(A)-conjugation orbit (orbits give
-    isomorphic braces via the conjugating automorphism).
+def reduce_by_aut_conjugation(lams: Iterable[LambdaMap], a_group: GroupTable) -> list[LambdaMap]:
+    """The least member of each Aut(A)-conjugation orbit that lams meets,
+    sorted (orbits give isomorphic braces via the conjugating automorphism).
 
-    phi conjugates a map lam to a -> phi lam_(phi^-1 a) phi^-1; each
-    automorphism's conjugate under a generator is computed once.
-
-    The input must be the complete search result: orbits are walked with
-    automorphism generators, so the collection has to be closed under the
-    action."""
-    index = set(lams)
-    gens = [(phi, invert(phi), {}) for phi in aut_gens]  # memo: f -> phi f phi^-1
-    seen: set[LambdaMap] = set()
-    reps: list[LambdaMap] = []
-    for lam in sorted(index):
-        if lam in seen:
+    phi conjugates a map lam to a -> phi lam_(phi^-1 a) phi^-1. Each orbit is
+    walked once, with maps as tuples of automorphism indices and one
+    conjugation table per generator of Aut(A). all_automorphisms is sorted,
+    so index order is the order of the maps themselves. lams need not be
+    closed under the action: regular_subgroups leaves a member of every
+    orbit, not the whole orbit."""
+    tables = _search_tables(a_group)
+    auts, aut_index = tables.auts, tables.aut_index
+    moves = [
+        (phi, [tables.conj(aut_index[phi], f) for f in range(len(auts))])
+        for phi in automorphism_group(a_group)[0]
+    ]
+    seen: set[tuple[int, ...]] = set()
+    minima = []
+    for lam in lams:
+        least = tuple(aut_index[f] for f in lam)
+        if least in seen:
             continue
-        component = {lam}
-        queue = [lam]
+        seen.add(least)
+        queue = [least]
         while queue:
             cur = queue.pop()
-            for phi, phi_inv, memo in gens:
-                out: list[Perm] = [()] * len(cur)
+            for phi, table in moves:
+                out = [0] * len(cur)
                 for a, f in enumerate(cur):
-                    g = memo.get(f)
-                    if g is None:
-                        g = memo[f] = compose(phi, compose(f, phi_inv))
-                    out[phi[a]] = g
+                    out[phi[a]] = table[f]
                 nxt = tuple(out)
-                if nxt not in index:
-                    raise CrossCheckFailed("regular-subgroup set not closed under Aut")
-                if nxt not in component:
-                    component.add(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
                     queue.append(nxt)
-        seen |= component
-        reps.append(lam)
-    return reps
+                    least = min(least, nxt)
+        minima.append(least)
+    return [tuple(auts[f] for f in lam) for lam in sorted(minima)]
 
 
 def brace_fingerprint(b: SkewBrace) -> tuple:
@@ -452,12 +494,11 @@ def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> lis
 
     braces: list[SkewBrace] = []
     for gi, a_group in enumerate(groups):
-        auts = all_automorphisms(a_group)
         if n == 1:
             braces.append(brace_from_lambda_map(a_group, (tuple([0]),)))
             continue
         lams: list[LambdaMap] = []
-        for unit in range(len(auts)):
+        for unit in _search_tables(a_group).units:
             key = (gi, unit)
             if key not in done:
                 found = regular_subgroups(a_group, first_choice=unit)
@@ -475,8 +516,7 @@ def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> lis
                             + "\n"
                         )
             lams.extend(done[key])
-        aut_gens, _ = automorphism_group(a_group)
-        reduced = reduce_by_aut_conjugation(lams, aut_gens)
+        reduced = reduce_by_aut_conjugation(lams, a_group)
         braces.extend(brace_from_lambda_map(a_group, lam) for lam in reduced)
     return dedup_braces(braces)
 

@@ -252,7 +252,7 @@ def test_criterion_9_double_method_agreement():
 
 @pytest.mark.skipif(
     not os.environ.get("BRACELAB_STRETCH"),
-    reason="hours-long stretch census; set BRACELAB_STRETCH=1 to run",
+    reason="stretch census, about 25 s on a 2-vCPU machine; set BRACELAB_STRETCH=1 to run",
 )
 @pytest.mark.parametrize(
     "order,total,non_ann",

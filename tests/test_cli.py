@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from bracelab.cli import main
 from bracelab.enumeration import GROUP_ORDER_BUDGET, MAX_SOLUTION_SIZE, groups_of_order
 from bracelab.groups import all_automorphisms
+from bracelab.perms import compose, invert, perm_order
 from bracelab.serialize import solution_to_json
 from bracelab.ybe import involutive_from_sigma
 from conftest import FIVE_POINT_SIGMA
@@ -188,9 +189,22 @@ def test_checkpoint_header_names_order_and_groups(tmp_path):
     assert header["order"] == 4
     assert len(header["groups"]) == 2
     groups = groups_of_order(4).items
-    assert {(r["group"], r["unit"]) for r in records} == {
-        (gi, unit) for gi, g in enumerate(groups) for unit in range(len(all_automorphisms(g)))
-    }
+    assert [(r["group"], r["unit"]) for r in records] == [
+        (gi, unit) for gi, g in enumerate(groups) for unit in census_units(g)
+    ]
+
+
+def census_units(g):
+    """The index of the least usable automorphism (order dividing |G|) of
+    each class under conjugation by the automorphisms fixing 1."""
+    auts = all_automorphisms(g)
+    fixing_1 = [p for p in auts if p[1] == 1]
+    covered, units = set(), []
+    for i, f in enumerate(auts):
+        if g.n % perm_order(f) == 0 and f not in covered:
+            covered.update(compose(p, compose(f, invert(p))) for p in fixing_1)
+            units.append(i)
+    return units
 
 
 def test_foreign_checkpoint_is_refused(tmp_path):

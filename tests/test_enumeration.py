@@ -1,14 +1,17 @@
 import functools
+import gzip
 import hashlib
 import json
 import random
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 from bracelab.brace import isomorphic
 from bracelab.enumeration import (
     EXPECTED_GROUP_COUNTS,
+    _checkpoint_header,
     _involutive_families,
     brace_from_lambda_map,
     dedup_braces,
@@ -19,7 +22,7 @@ from bracelab.enumeration import (
     regular_subgroups,
     sample_involutive_solutions,
 )
-from bracelab.errors import BraceLabError, BudgetExceeded, CrossCheckFailed
+from bracelab.errors import BraceLabError, BudgetExceeded
 from bracelab.groups import (
     all_automorphisms,
     automorphism_group,
@@ -31,6 +34,7 @@ from bracelab.groups import (
     verify_group,
 )
 from bracelab.perms import all_perms, compose, identity, invert, perm_order
+from bracelab.serialize import write_catalog
 from bracelab.ybe import involutive_from_sigma, multipermutation_level, verify_solution
 
 
@@ -354,16 +358,6 @@ def test_solution_catalog_is_pinned(n, digest, levels, brace_sizes):
     assert cat.meta["method"] == "exhaustive-sigma"
 
 
-def test_aut_reduction_rejects_a_set_not_closed_under_aut():
-    e4 = direct_product(cyclic(2), cyclic(2))
-    gens, _ = automorphism_group(e4)
-    lams = regular_subgroups(e4)
-    reps = reduce_by_aut_conjugation(lams, gens)
-    missing = next(lam for lam in lams if lam not in reps)
-    with pytest.raises(CrossCheckFailed):
-        reduce_by_aut_conjugation([lam for lam in lams if lam != missing], gens)
-
-
 def reference_regular_subgroups(a_group, first_choice=None):
     """The search with the whole partial subgroup re-closed at every step,
     and no tables kept between calls (brute-force oracle for the search)."""
@@ -431,12 +425,40 @@ def reference_regular_subgroups(a_group, first_choice=None):
 GROUPS_UP_TO_12 = [g for n in range(1, 13) for g in groups_of_order(n).items]
 
 
+def is_subsequence(part, whole):
+    it = iter(whole)
+    return all(x in it for x in part)
+
+
+def aut_orbits(lams, aut_gens):
+    """Every map reachable from lams by conjugation with aut_gens, by compose."""
+    memo = {}  # (phi, f) -> phi f phi^-1
+    reached, queue = set(lams), list(lams)
+    while queue:
+        cur = queue.pop()
+        for phi in aut_gens:
+            out = [()] * len(cur)
+            for a, f in enumerate(cur):
+                if (phi, f) not in memo:
+                    memo[phi, f] = compose(phi, compose(f, invert(phi)))
+                out[phi[a]] = memo[phi, f]
+            nxt = tuple(out)
+            if nxt not in reached:
+                reached.add(nxt)
+                queue.append(nxt)
+    return reached
+
+
 @pytest.mark.parametrize("gi", range(len(GROUPS_UP_TO_12)))
 def test_regular_subgroups_match_full_reclosure(gi):
     g = GROUPS_UP_TO_12[gi]
     for unit in range(len(all_automorphisms(g))):
-        assert regular_subgroups(g, first_choice=unit) == reference_regular_subgroups(g, unit)
-    assert regular_subgroups(g) == reference_regular_subgroups(g)
+        found = regular_subgroups(g, first_choice=unit)
+        assert is_subsequence(found, reference_regular_subgroups(g, unit))
+    found, full = regular_subgroups(g), reference_regular_subgroups(g)
+    gens, _ = automorphism_group(g)
+    assert aut_orbits(found, gens) == set(full)
+    assert reduce_by_aut_conjugation(found, g) == naive_reduce_by_aut_conjugation(full, gens)
 
 
 def test_regular_subgroups_keep_no_state_between_groups():
@@ -477,6 +499,64 @@ def naive_reduce_by_aut_conjugation(lams, aut_gens):
 @pytest.mark.parametrize("gi", range(len(GROUPS_UP_TO_12)))
 def test_aut_reduction_matches_naive_orbit_walk(gi):
     g = GROUPS_UP_TO_12[gi]
-    lams = regular_subgroups(g)
+    found, full = regular_subgroups(g), reference_regular_subgroups(g)
     gens, _ = automorphism_group(g)
-    assert reduce_by_aut_conjugation(lams, gens) == naive_reduce_by_aut_conjugation(lams, gens)
+    expected = naive_reduce_by_aut_conjugation(full, gens)
+    # The input order does not matter, nor whether the input is closed.
+    for lams in (found, found[::-1], full):
+        assert reduce_by_aut_conjugation(lams, g) == expected
+
+
+# Regular subgroups of Hol(A) for each additive group A of the order, in
+# _groups_of_order order: the full count the search found before it was
+# pruned by Aut(A)-conjugation.
+FULL_REGULAR_SUBGROUP_COUNTS = {
+    8: [232, 28, 20, 6, 28],
+    12: [12, 6, 28, 28, 42],
+    24: [1856, 120, 80, 1568, 608, 368, 20, 128, 368, 96, 400, 400, 132, 100, 42],
+}
+
+
+@pytest.mark.parametrize("n", sorted(FULL_REGULAR_SUBGROUP_COUNTS))
+def test_aut_orbits_of_the_representatives_cover_every_regular_subgroup(n):
+    counts = []
+    for g in groups_of_order(n).items:
+        gens, _ = automorphism_group(g)
+        reps = reduce_by_aut_conjugation(regular_subgroups(g), g)
+        orbits = [aut_orbits([lam], gens) for lam in reps]
+        assert len(set().union(*orbits)) == sum(map(len, orbits))  # disjoint
+        counts.append(sum(map(len, orbits)))
+    assert counts == FULL_REGULAR_SUBGROUP_COUNTS[n]
+    assert sum(counts) == {8: 314, 12: 116, 24: 6286}[n]
+
+
+BENCH_CATALOG_24 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "braces-24.jsonl.gz"
+
+
+def test_order_24_catalog_matches_the_benchmark_catalog(tmp_path):
+    out = tmp_path / "braces-24.jsonl"
+    write_catalog(enumerate_skew_braces(24), out)
+    with gzip.open(BENCH_CATALOG_24, "rt") as fh:
+        expected = fh.read().splitlines()[1:]
+    assert out.read_text().splitlines()[1:] == expected
+
+
+def test_resume_from_full_unit_records(tmp_path):
+    # Records written by a search that kept every member of a unit, and for
+    # every unit, hold a superset of the pruned units: the census reads them
+    # and searches nothing more.
+    groups = groups_of_order(8).items
+    path = tmp_path / "braces8.ckpt"
+    lines = [json.dumps(_checkpoint_header(8, groups))]
+    for gi, g in enumerate(groups):
+        for unit in range(len(all_automorphisms(g))):
+            maps = [[list(p) for p in lam] for lam in reference_regular_subgroups(g, unit)]
+            lines.append(json.dumps({"group": gi, "unit": unit, "maps": maps}))
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_text()
+    resumed = enumerate_skew_braces(8, checkpoint=str(path))
+    assert path.read_text() == before
+    fresh = enumerate_skew_braces(8)
+    assert [(b.add.table, b.mul.table) for b in resumed.items] == [
+        (b.add.table, b.mul.table) for b in fresh.items
+    ]
