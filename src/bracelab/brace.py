@@ -134,15 +134,11 @@ def from_zn_quadratic(n: int, c: int) -> SkewBrace:
 def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
     """Quotient brace on additive cosets of an ideal, identity coset first.
 
-    B/{0} is B itself with the identity projection: its cosets are the
-    singletons in carrier order, so its tables are b's, already validated.
-    Every other quotient is checked in full: the ideal, coset
-    well-definedness over all pairs and the quotient tables.
+    Every quotient is checked in full: the ideal, coset well-definedness over
+    all pairs and the quotient tables.
     """
     from .substructures import is_ideal
 
-    if ideal.is_zero_only():
-        return b, tuple(range(b.n))
     verdict = is_ideal(b, ideal)
     if not verdict.ok:
         raise NotAnIdeal(verdict.condition, verdict.witness)

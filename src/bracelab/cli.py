@@ -163,19 +163,11 @@ def analyze(in_path: str):
     }
     try:
         brace, _ = permutation_brace(sol)
-        rep = nilpotency_report(brace)
-        flags = classify_flags(brace)
+        rep = nilpotency_report(brace).to_json()
         out["permutation_brace"] = {
             "size": brace.n,
-            "abelian_type": flags.abelian_type,
-            "nilpotent_type": rep.nilpotent_type,
-            "left": {"holds": rep.left.holds, "class": rep.left.cls},
-            "right": {"holds": rep.right.holds, "class": rep.right.cls},
-            "strong": {"holds": rep.strong.holds, "class": rep.strong.cls},
-            "annihilator": {
-                "holds": rep.annihilator.holds,
-                "class": rep.annihilator.cls,
-            },
+            "abelian_type": classify_flags(brace).abelian_type,
+            **{k: rep[k] for k in ("nilpotent_type", "left", "right", "strong", "annihilator")},
         }
     except BraceLabError as exc:
         out["permutation_brace"] = {"error": str(exc)}

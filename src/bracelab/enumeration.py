@@ -322,10 +322,10 @@ def reduce_by_aut_conjugation(lams: Iterable[LambdaMap], a_group: GroupTable) ->
     orbit, not the whole orbit."""
     tables = _search_tables(a_group)
     auts, aut_index = tables.auts, tables.aut_index
-    moves = [
-        (phi, [tables.conj(aut_index[phi], f) for f in range(len(auts))])
-        for phi in automorphism_group(a_group)[0]
-    ]
+    moves = []
+    for phi in automorphism_group(a_group)[0]:
+        phi_inv = invert(phi)
+        moves.append((phi, [aut_index[compose(compose(phi, f), phi_inv)] for f in auts]))
     seen: set[tuple[int, ...]] = set()
     minima = []
     for lam in lams:
@@ -518,7 +518,13 @@ def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> lis
             lams.extend(done[key])
         reduced = reduce_by_aut_conjugation(lams, a_group)
         braces.extend(brace_from_lambda_map(a_group, lam) for lam in reduced)
-    return dedup_braces(braces)
+    classes = dedup_braces(braces)
+    if len(classes) != len(braces):
+        raise CrossCheckFailed(
+            f"order {n}: {len(braces)} Aut(A)-orbit representatives "
+            f"fall into only {len(classes)} isomorphism classes"
+        )
+    return classes
 
 
 def _enumerate_braces_direct(n: int) -> list[SkewBrace]:

@@ -360,14 +360,16 @@ def nilpotency_class(g: GroupTable) -> Optional[int]:
     return len(chain) - 1 if chain[-1].is_zero_only() else None
 
 
-def ascending_chain(n: int, step) -> list[Subset]:
-    """{0}, then step(last term), until a term repeats the one before; the
-    chain is returned without the repeat. Each term must contain the one
-    before.
+def ascending_chain(needs: Sequence[int]) -> list[Subset]:
+    """A_0 = {0}, A_{k+1} = {x : needs[x] lies in A_k}, until a term repeats
+    the one before; the chain is returned without the repeat. Each term must
+    contain the one before.
     """
+    n = len(needs)
     chain = [Subset.zero(n)]
     while True:
-        nxt = step(chain[-1])
+        last = chain[-1].mask
+        nxt = Subset.of(n, (x for x, need in enumerate(needs) if need | last == last))
         if nxt == chain[-1]:
             return chain
         if not chain[-1] <= nxt:
@@ -379,15 +381,8 @@ def ascending_chain(n: int, step) -> list[Subset]:
 
 def upper_central_series(g: GroupTable) -> list[Subset]:
     """Z_0 = 1, Z_{k+1} = {x : [x,a] in Z_k for all a}; cut at repetition."""
-
-    def step(last: Subset) -> Subset:
-        prev = last.mask
-        return Subset.of(
-            g.n,
-            (x for x in range(g.n) if all(prev >> g.commutator(x, a) & 1 for a in range(g.n))),
-        )
-
-    return ascending_chain(g.n, step)
+    full = Subset.full(g.n)
+    return ascending_chain([commutator_products(g, Subset(g.n, 1 << x), full) for x in range(g.n)])
 
 
 # ---------------------------------------------------------------------------

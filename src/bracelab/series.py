@@ -3,14 +3,17 @@
 Every descending kind, the group lower central series included, goes through
 groups.descending_chain with star products and commutators as its steps;
 the brace kinds close under the additive table. Every ascending kind, the
-group upper central series included, goes through groups.ascending_chain.
-The socle and annihilator steps go through quotients and preimages; the
-first step quotients by {0}, which is the brace itself, so no table is
-rebuilt for it. An ascending chain is cut at its first repetition, and each
-of its terms must contain the one before. A descending chain is cut at its
-limit, which the first repetition need not be: the strong and bracketed
-gamma steps read every earlier term (see groups.descending_chain). Every
-chain ends with the first occurrence of its limit.
+group upper central series included, goes through groups.ascending_chain
+with one requirement mask per element: x joins A_{k+1} when its mask lies in
+A_k. For an ideal I, x + I lies in Soc(B/I) exactly when x*a and [x,a]_+ lie
+in I for every a, and in Ann(B/I) when a*x does too, so the socle and
+annihilator terms are pulled back without building a quotient brace; every
+term is then checked to be an ideal. An ascending chain is cut at its first
+repetition, and each of its terms must contain the one before. A descending
+chain is cut at its limit, which the first repetition need not be: the
+strong and bracketed gamma steps read every earlier term (see
+groups.descending_chain). Every chain ends with the first occurrence of its
+limit.
 """
 
 from __future__ import annotations
@@ -19,16 +22,11 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from . import groups
-from .brace import SkewBrace, quotient
+from .brace import SkewBrace
 from .errors import CrossCheckFailed, HypothesisUnmet
 from .groups import ascending_chain, commutator_products, descending_chain
 from .subsets import Subset
-from .substructures import (
-    invariant_substructures,
-    is_ideal,
-    is_left_ideal,
-    star_products,
-)
+from .substructures import is_ideal, is_left_ideal, star_products
 
 SeriesKind = Literal[
     "left",
@@ -149,15 +147,19 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
     return descending_chain((b.add.table,), Subset.full(b.n), step, history=True)
 
 
-def _ascend_by_quotient(b: SkewBrace, pick) -> list[Subset]:
-    """A_0 = {0}, A_{k+1} the preimage of pick(B/A_k) under the projection."""
-
-    def step(last: Subset) -> Subset:
-        quot, proj = quotient(b, last)
-        target = pick(quot)
-        return Subset.of(b.n, (a for a in range(b.n) if proj[a] in target))
-
-    return ascending_chain(b.n, step)
+def _pull_back_chain(b: SkewBrace, both_sides: bool) -> list[Subset]:
+    """A_0 = {0}, A_{k+1} = {x : x*a, [x,a]_+ and, with both_sides, a*x in A_k
+    for all a}: the socle series, or the annihilator series with both_sides."""
+    n, st = b.n, b.star
+    full = Subset.full(n)
+    needs = []
+    for x in range(n):
+        images = set(st[x])  # x*a
+        if both_sides:
+            images.update(row[x] for row in st)  # a*x
+        comm = commutator_products(b.add, Subset(n, 1 << x), full)
+        needs.append(comm | Subset.of(n, images).mask)
+    return ascending_chain(needs)
 
 
 _BUILDERS = {
@@ -166,8 +168,8 @@ _BUILDERS = {
     "strong": _strong_chain,
     "gamma": lambda b: gamma_series(b, Subset.full(b.n)),
     "gamma_bracket": _gamma_bracket_chain,
-    "socle": lambda b: _ascend_by_quotient(b, lambda q: invariant_substructures(q).soc),
-    "annihilator": lambda b: _ascend_by_quotient(b, lambda q: invariant_substructures(q).ann),
+    "socle": lambda b: _pull_back_chain(b, both_sides=False),
+    "annihilator": lambda b: _pull_back_chain(b, both_sides=True),
     "lcs_add": lambda b: groups.lower_central_series(b.add),
     "lcs_mul": lambda b: groups.lower_central_series(b.mul),
     "ucs_add": lambda b: groups.upper_central_series(b.add),

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from bracelab.brace import from_group_trivial, from_zn_quadratic
 from bracelab.enumeration import _groups_of_order, enumerate_skew_braces
 from bracelab.groups import cyclic, symmetric
 from bracelab.perms import from_cycles, identity
+from bracelab.series import ASCENDING_KINDS, DESCENDING_KINDS, nilpotency_report, series
 from bracelab.ybe import involutive_from_sigma, permutation_brace
 
 
@@ -32,6 +36,19 @@ FIVE_POINT_SIGMA = (
     from_cycles(5, [(1, 2), (3, 4)]),
     from_cycles(5, [(0, 1), (3, 4)]),
 )
+
+
+def series_digest(braces):
+    """sha256 of each brace's series of every kind (term masks, whether the
+    chain terminates, its class) and its nilpotency report."""
+    answers = []
+    for b in braces:
+        reports = [series(b, kind) for kind in sorted(DESCENDING_KINDS | ASCENDING_KINDS)]
+        answers.append(
+            [[[t.mask for t in r.chain], r.terminates, r.cls] for r in reports]
+            + [nilpotency_report(b).to_json()]
+        )
+    return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
 
 
 def groups_up_to(n):

@@ -81,6 +81,45 @@ def test_solution_analyze(tmp_path):
     assert data["permutation_brace"]["left"]["holds"] is False
 
 
+FIVE_POINT_ANALYSIS = """\
+{
+  "n": 5,
+  "involutive": true,
+  "multipermutation": true,
+  "level": 3,
+  "permutation_brace": {
+    "size": 6,
+    "abelian_type": true,
+    "nilpotent_type": true,
+    "left": {
+      "holds": false,
+      "class": null
+    },
+    "right": {
+      "holds": true,
+      "class": 3
+    },
+    "strong": {
+      "holds": false,
+      "class": null
+    },
+    "annihilator": {
+      "holds": false,
+      "class": null
+    }
+  }
+}
+"""
+
+
+def test_solution_analyze_output_is_pinned(tmp_path):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(solution_to_json(involutive_from_sigma(FIVE_POINT_SIGMA))))
+    res = run("solution", "analyze", "--in", str(path))
+    assert res.exit_code == 0, res.output
+    assert res.output == FIVE_POINT_ANALYSIS
+
+
 def test_solution_analyze_tau_omitted(tmp_path):
     path = tmp_path / "sol.json"
     path.write_text(json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]]}))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bracelab import enumeration
 from bracelab.brace import isomorphic
 from bracelab.enumeration import (
     EXPECTED_GROUP_COUNTS,
@@ -22,7 +23,7 @@ from bracelab.enumeration import (
     regular_subgroups,
     sample_involutive_solutions,
 )
-from bracelab.errors import BraceLabError, BudgetExceeded
+from bracelab.errors import BraceLabError, BudgetExceeded, CrossCheckFailed
 from bracelab.groups import (
     all_automorphisms,
     automorphism_group,
@@ -127,6 +128,22 @@ def test_reduction_order_independence(n):
         for lam in regular_subgroups(a_group):
             total.append(brace_from_lambda_map(a_group, lam))
     assert len(dedup_braces(total)) == len(enumerate_skew_braces(n))
+
+
+def test_census_refuses_a_class_kept_twice(monkeypatch):
+    # The orbit reduction keeps one map per Aut(A)-orbit, so every brace it
+    # keeps is a class of its own; passed through unreduced, the 105 maps
+    # of order 8 fall into 47 classes, and the census must not drop the rest.
+    passed = []
+
+    def pass_through(lams, a_group):
+        passed.extend(lams)
+        return lams
+
+    monkeypatch.setattr(enumeration, "reduce_by_aut_conjugation", pass_through)
+    with pytest.raises(CrossCheckFailed):
+        enumerate_skew_braces(8)
+    assert len(passed) == 105
 
 
 def test_catalog_items_pairwise_non_isomorphic():

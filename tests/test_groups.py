@@ -339,12 +339,15 @@ def test_is_normal_matches_conjugation():
 
 
 def test_ascending_chain_stops_at_first_repeat_and_checks_containment():
-    grow = {0b001: 0b011, 0b011: 0b111, 0b111: 0b111}
-    chain = ascending_chain(3, lambda last: Subset(3, grow[last.mask]))
+    # 0 and 1 need only 0, and 2 needs 1: {0}, {0,1}, {0,1,2}
+    chain = ascending_chain([0b001, 0b001, 0b010])
     assert [t.mask for t in chain] == [0b001, 0b011, 0b111]
-    drop = {0b001: 0b011, 0b011: 0b101}  # the third term misses 1
+    # 2 needs itself, so {0,1} repeats and the chain stops short of the carrier
+    chain = ascending_chain([0b001, 0b001, 0b100])
+    assert [t.mask for t in chain] == [0b001, 0b011]
+    # 0 needs 1, so the second term {1,2} misses 0
     with pytest.raises(CrossCheckFailed):
-        ascending_chain(3, lambda last: Subset(3, drop[last.mask]))
+        ascending_chain([0b010, 0b001, 0b001])
 
 
 # ---------------------------------------------------------------------------

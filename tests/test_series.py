@@ -1,4 +1,6 @@
+import gzip
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from bracelab.brace import (
     from_group_trivial,
     from_zn_quadratic,
     lambda_orbits,
+    quotient,
     relabeled,
 )
 from bracelab.errors import HypothesisUnmet
@@ -21,8 +24,10 @@ from bracelab.series import (
     nilpotency_report,
     series,
 )
+from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
-from bracelab.substructures import radical, subbrace_lattice
+from bracelab.substructures import invariant_substructures, radical, subbrace_lattice
+from conftest import series_digest
 
 
 def chains(report):
@@ -313,6 +318,41 @@ def _ascending_chain(b, kind):
 def test_ascending_chains_match_preimage_fixpoint(braces_up_to_12, kind):
     for b in braces_up_to_12:
         assert [set(t.indices()) for t in series(b, kind).chain] == _ascending_chain(b, kind)
+
+
+def _quotient_chain(b, kind):
+    """The socle or annihilator chain through quotient braces: A_{k+1} is the
+    preimage of Soc(B/A_k), or Ann(B/A_k), under the projection from B."""
+    chain = [Subset.zero(b.n)]
+    while True:
+        quot, proj = quotient(b, chain[-1])
+        found = invariant_substructures(quot)
+        target = found.soc if kind == "socle" else found.ann
+        nxt = Subset.of(b.n, (x for x in range(b.n) if proj[x] in target))
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+@pytest.mark.parametrize("kind", ["socle", "annihilator"])
+def test_ascending_chains_match_quotient_route(braces_up_to_12, kind):
+    for b in braces_up_to_12:
+        assert list(series(b, kind).chain) == _quotient_chain(b, kind)
+
+
+BENCH_CATALOG_24 = Path(__file__).resolve().parents[1] / "perfbench/data/braces-24.jsonl.gz"
+
+# conftest.series_digest pinned at the commit before the socle and annihilator
+# terms were pulled back without quotient braces
+SERIES_UP_TO_12_DIGEST = "534c863470c2a88b85dc80baa39dad5c63b03feceeef36dfcc9d97cf29b1e67e"
+SERIES_24_DIGEST = "9b4759b28767340dd785da1e302f4b20c7f38bc5c06f5784df0b993aa9272a37"
+
+
+def test_series_and_reports_are_pinned(braces_up_to_12, tmp_path):
+    assert series_digest(braces_up_to_12) == SERIES_UP_TO_12_DIGEST
+    catalog = tmp_path / "braces-24.jsonl"
+    catalog.write_bytes(gzip.decompress(BENCH_CATALOG_24.read_bytes()))
+    assert series_digest(read_catalog(catalog).items) == SERIES_24_DIGEST
 
 
 def test_series_is_the_module_under_the_package():
