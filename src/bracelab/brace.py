@@ -216,11 +216,19 @@ def _is_two_sided(b: SkewBrace) -> bool:
 
 
 def _element_fingerprints(b: SkewBrace) -> list[tuple]:
-    """Per element: its orders in both groups, the size of its lambda orbit
-    and the cycle type of its lambda map."""
+    """Per element: its orders in both groups, the size of its lambda orbit,
+    the cycle type of its lambda map, and whether it is central in (B,+) and
+    in (B,o). Every isomorphism preserves each mark, so the sorted marks are
+    a brace invariant. They fix the order pairs, the lambda-orbit sizes,
+    |Ker lambda| (identity cycle type), |Fix| (orbit size 1), |Soc| (Ker
+    lambda meet Z(B,+)), |Ann| (Soc meet Fix) and whether each group is
+    abelian."""
     orbit_sizes = {x: len(o) for o in lambda_orbits(b) for x in o}
+    add_t, mul_t = b.add.table, b.mul.table
+    add_cols, mul_cols = list(zip(*add_t)), list(zip(*mul_t))
     return [
-        (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]))
+        (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]),
+         add_t[a] == add_cols[a], mul_t[a] == mul_cols[a])
         for a in range(b.n)
     ]
 
@@ -241,7 +249,9 @@ def lambda_orbits(b: SkewBrace) -> list[list[int]]:
 
 def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
     """A bijection fixing 0 that preserves both tables, or None: the first
-    map of groups._isomorphisms, with element fingerprints as marks."""
+    map of groups._isomorphisms, with _element_fingerprints as marks. Finer
+    marks only drop candidates no isomorphism can use, so they never change
+    which map is first."""
     maps = groups._isomorphisms(
         (b1.add.table, b1.mul.table),
         (b2.add.table, b2.mul.table),

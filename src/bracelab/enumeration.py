@@ -1,9 +1,11 @@
 """Census machinery: small groups, automorphism groups, skew braces via
 regular subgroups of the holomorph, and involutive solutions.
 
-Search spaces partition by additive group and by first-generator choice;
-candidate production is deterministic and deduplication happens in a single
-merge stage, so shuffled worker output cannot change the result.
+The brace search runs unit by unit, one first-generator choice of one
+additive group at a time, in a fixed order, so a checkpointed run resumes to
+the same catalog. Groups and braces reach their isomorphism classes through
+one kernel, _isomorphism_classes, which keeps the first member of each class
+in input order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .brace import SkewBrace, isomorphic, lambda_orbits, verify_skew_brace
+from .brace import SkewBrace, _element_fingerprints, isomorphic, verify_skew_brace
 from .errors import BadCheckpoint, BraceLabError, BudgetExceeded, CrossCheckFailed
 from .groups import (
     GroupTable,
@@ -27,7 +29,6 @@ from .groups import (
     verify_group,
 )
 from .perms import Perm, all_perms, compose, invert, perm_order
-from .substructures import invariant_substructures
 from .ybe import Solution, involutive_from_sigma, multipermutation_level, permutation_brace
 
 # Classical group counts; groups_of_order() must reproduce these.
@@ -75,25 +76,45 @@ def _groups_of_order(n: int) -> list[GroupTable]:
     prime index; so each candidate arises as a cyclic extension of a group
     of order n/p by data (alpha, z) with alpha in Aut(N), alpha(z) = z and
     alpha^p equal to conjugation by z. Candidates are validated and then
-    deduplicated by isomorphism.
+    reduced to their isomorphism classes, with element orders as marks.
     """
     if n > GROUP_ORDER_BUDGET:
         raise BudgetExceeded("group order", n, GROUP_ORDER_BUDGET)
     if n == 1:
         return [verify_group([[0]])]
-    found: list[GroupTable] = []
-    for p in _primes_dividing(n):
-        for base in _groups_of_order(n // p):
-            for table in _cyclic_extensions(base, p):
-                g = verify_group(table)
-                if not any(isomorphic_groups(g, h) is not None for h in found):
-                    found.append(g)
+    candidates = (
+        verify_group(table)
+        for p in _primes_dividing(n)
+        for base in _groups_of_order(n // p)
+        for table in _cyclic_extensions(base, p)
+    )
+    found = _isomorphism_classes(candidates, GroupTable.element_orders, isomorphic_groups)
     if n in EXPECTED_GROUP_COUNTS and len(found) != EXPECTED_GROUP_COUNTS[n]:
         raise CrossCheckFailed(
             f"group census at order {n}: got {len(found)}, "
             f"expected {EXPECTED_GROUP_COUNTS[n]}"
         )
     return found
+
+
+def _isomorphism_classes(items: Iterable, marks: Callable, iso: Callable) -> list:
+    """The first item of each isomorphism class, in input order.
+
+    marks(item) gives per-element invariants that every isomorphism
+    preserves, so isomorphic items have equal sorted marks. Items are
+    bucketed by the hash of their sorted marks, and an item is dropped when
+    iso(item, kept) is not None for a kept item of its bucket. A hash
+    collision only merges two buckets. Keys are hashes, not the mark tuples,
+    so a bucket costs no copy of its marks.
+    """
+    buckets: dict[int, list] = {}
+    kept = []
+    for item in items:
+        bucket = buckets.setdefault(hash(tuple(sorted(marks(item)))), [])
+        if not any(iso(item, other) is not None for other in bucket):
+            bucket.append(item)
+            kept.append(item)
+    return kept
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -349,36 +370,11 @@ def reduce_by_aut_conjugation(lams: Iterable[LambdaMap], a_group: GroupTable) ->
     return [tuple(auts[f] for f in lam) for lam in sorted(minima)]
 
 
-def brace_fingerprint(b: SkewBrace) -> tuple:
-    """Cheap isomorphism invariants for dedup bucketing."""
-    inv = invariant_substructures(b)
-    orders = sorted(zip(b.add.element_orders(), b.mul.element_orders()))
-    orbit_sizes = sorted(len(o) for o in lambda_orbits(b))
-    return (
-        b.n,
-        tuple(orders),
-        tuple(orbit_sizes),
-        b.add.is_abelian(),
-        b.mul.is_abelian(),
-        len(inv.soc),
-        len(inv.ann),
-        len(inv.fix),
-        len(inv.ker_lambda),
-    )
-
-
 def dedup_braces(braces: Iterable[SkewBrace]) -> list[SkewBrace]:
-    """Keep one representative per isomorphism class (fingerprint buckets,
-    then pairwise backtracking tests)."""
-    buckets: dict[tuple, list[SkewBrace]] = {}
-    out: list[SkewBrace] = []
-    for b in braces:
-        fp = brace_fingerprint(b)
-        bucket = buckets.setdefault(fp, [])
-        if not any(isomorphic(b, other) is not None for other in bucket):
-            bucket.append(b)
-            out.append(b)
-    return out
+    """The first brace of each isomorphism class, in input order: the class
+    kernel with _element_fingerprints as marks and brace.isomorphic as the
+    test."""
+    return _isomorphism_classes(braces, _element_fingerprints, isomorphic)
 
 
 def enumerate_skew_braces(

@@ -362,20 +362,24 @@ def nilpotency_class(g: GroupTable) -> Optional[int]:
 
 def ascending_chain(needs: Sequence[int]) -> list[Subset]:
     """A_0 = {0}, A_{k+1} = {x : needs[x] lies in A_k}, until a term repeats
-    the one before; the chain is returned without the repeat. Each term must
-    contain the one before.
+    the one before; the chain is returned without the repeat.
+
+    Each term must contain the one before. The step is monotone (S inside T
+    gives step(S) inside step(T)), so that holds for every term once A_1
+    holds 0, that is once needs[0] lies in {0}; that one condition is checked
+    up front.
     """
     n = len(needs)
+    if needs[0] | 1 != 1:
+        raise CrossCheckFailed(
+            f"ascending series term A_1 misses 0, which needs {Subset(n, needs[0]).indices()}"
+        )
     chain = [Subset.zero(n)]
     while True:
         last = chain[-1].mask
         nxt = Subset.of(n, (x for x, need in enumerate(needs) if need | last == last))
         if nxt == chain[-1]:
             return chain
-        if not chain[-1] <= nxt:
-            raise CrossCheckFailed(
-                f"ascending series term {nxt.indices()} misses part of {chain[-1].indices()}"
-            )
         chain.append(nxt)
 
 

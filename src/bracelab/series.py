@@ -7,19 +7,22 @@ group upper central series included, goes through groups.ascending_chain
 with one requirement mask per element: x joins A_{k+1} when its mask lies in
 A_k. For an ideal I, x + I lies in Soc(B/I) exactly when x*a and [x,a]_+ lie
 in I for every a, and in Ann(B/I) when a*x does too, so the socle and
-annihilator terms are pulled back without building a quotient brace; every
-term is then checked to be an ideal. An ascending chain is cut at its first
-repetition, and each of its terms must contain the one before. A descending
-chain is cut at its limit, which the first repetition need not be: the
-strong and bracketed gamma steps read every earlier term (see
-groups.descending_chain). Every chain ends with the first occurrence of its
-limit.
+annihilator terms are pulled back without building a quotient brace. An
+ascending chain is cut at its first repetition, and each of its terms must
+contain the one before. A descending chain is cut at its limit, which the
+first repetition need not be: the strong and bracketed gamma steps read
+every earlier term (see groups.descending_chain). Every chain ends with the
+first occurrence of its limit.
+
+Each kind is one _Kind record: its builder, its direction, the index of its
+first term, and the member test every term must pass (ideal, left ideal or
+normal subgroup).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Optional
 
 from . import groups
 from .brace import SkewBrace
@@ -27,27 +30,6 @@ from .errors import CrossCheckFailed, HypothesisUnmet
 from .groups import ascending_chain, commutator_products, descending_chain
 from .subsets import Subset
 from .substructures import is_ideal, is_left_ideal, star_products
-
-SeriesKind = Literal[
-    "left",
-    "right",
-    "strong",
-    "gamma",
-    "gamma_bracket",
-    "socle",
-    "annihilator",
-    "lcs_add",
-    "lcs_mul",
-    "ucs_add",
-    "ucs_mul",
-]
-
-DESCENDING_KINDS = {"left", "right", "strong", "gamma", "gamma_bracket", "lcs_add", "lcs_mul"}
-ASCENDING_KINDS = {"socle", "annihilator", "ucs_add", "ucs_mul"}
-
-# Kinds whose terms are ideals; "left" terms are only left ideals, and the
-# group series terms are normal subgroups of their group.
-IDEAL_KINDS = {"right", "strong", "gamma", "gamma_bracket", "socle", "annihilator"}
 
 
 @dataclass(frozen=True)
@@ -59,44 +41,23 @@ class SeriesReport:
     cls: Optional[int]
 
 
-def series(b: SkewBrace, kind: SeriesKind) -> SeriesReport:
-    builder = _BUILDERS.get(kind)
-    if builder is None:
+def series(b: SkewBrace, kind: str) -> SeriesReport:
+    spec = _KINDS.get(kind)
+    if spec is None:
         raise ValueError(f"unknown series kind {kind!r}")
-    chain = builder(b)
-    _check_members(b, kind, chain)
-    if kind in DESCENDING_KINDS:
-        terminates = chain[-1].is_zero_only()
-    else:
-        terminates = chain[-1].is_full()
-    cls: Optional[int] = None
-    if terminates:
-        if kind in ("left", "right", "strong", "gamma_bracket"):
-            cls = len(chain)  # series indexed from 1, class = first zero index
-        else:
-            cls = len(chain) - 1  # series indexed from 0
+    chain = spec.build(b)
+    for term in chain:
+        # {0} and the carrier are ideals, left ideals and normal subgroups
+        if not (term.is_full() or term.is_zero_only() or spec.member(b, term)):
+            raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {spec.term}")
+    terminates = chain[-1].is_zero_only() if spec.descends else chain[-1].is_full()
     return SeriesReport(
         kind=kind,
         chain=tuple(chain),
         stabilized_at=len(chain) - 1,
         terminates=terminates,
-        cls=cls,
+        cls=len(chain) - 1 + spec.first if terminates else None,
     )
-
-
-def _check_members(b: SkewBrace, kind: str, chain: list[Subset]) -> None:
-    for term in chain:
-        if term.is_full() or term.is_zero_only():
-            continue  # an ideal, a left ideal and a normal subgroup by definition
-        if kind in IDEAL_KINDS:
-            ok, what = is_ideal(b, term).ok, "an ideal"
-        elif kind == "left":
-            ok, what = is_left_ideal(b, term), "a left ideal"
-        else:
-            g = b.add if kind.endswith("_add") else b.mul
-            ok, what = groups.is_normal(g, term), "a normal subgroup"
-        if not ok:
-            raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {what}")
 
 
 def _left_chain(b: SkewBrace) -> list[Subset]:
@@ -162,19 +123,39 @@ def _pull_back_chain(b: SkewBrace, both_sides: bool) -> list[Subset]:
     return ascending_chain(needs)
 
 
-_BUILDERS = {
-    "left": _left_chain,
-    "right": _right_chain,
-    "strong": _strong_chain,
-    "gamma": lambda b: gamma_series(b, Subset.full(b.n)),
-    "gamma_bracket": _gamma_bracket_chain,
-    "socle": lambda b: _pull_back_chain(b, both_sides=False),
-    "annihilator": lambda b: _pull_back_chain(b, both_sides=True),
-    "lcs_add": lambda b: groups.lower_central_series(b.add),
-    "lcs_mul": lambda b: groups.lower_central_series(b.mul),
-    "ucs_add": lambda b: groups.upper_central_series(b.add),
-    "ucs_mul": lambda b: groups.upper_central_series(b.mul),
+@dataclass(frozen=True)
+class _Kind:
+    build: Callable[[SkewBrace], list[Subset]]
+    descends: bool  # toward {0}; an ascending chain climbs toward the carrier
+    first: int  # index of the first term; the class is the index of the last
+    member: Callable[[SkewBrace, Subset], bool]  # what every term must pass
+    term: str  # what that makes a term
+
+
+def _ideal(b: SkewBrace, s: Subset) -> bool:
+    return is_ideal(b, s).ok
+
+
+_KINDS = {
+    "left": _Kind(_left_chain, True, 1, is_left_ideal, "a left ideal"),
+    "right": _Kind(_right_chain, True, 1, _ideal, "an ideal"),
+    "strong": _Kind(_strong_chain, True, 1, _ideal, "an ideal"),
+    "gamma": _Kind(lambda b: gamma_series(b, Subset.full(b.n)), True, 0, _ideal, "an ideal"),
+    "gamma_bracket": _Kind(_gamma_bracket_chain, True, 1, _ideal, "an ideal"),
+    "socle": _Kind(lambda b: _pull_back_chain(b, False), False, 0, _ideal, "an ideal"),
+    "annihilator": _Kind(lambda b: _pull_back_chain(b, True), False, 0, _ideal, "an ideal"),
+    "lcs_add": _Kind(lambda b: groups.lower_central_series(b.add), True, 0,
+                     lambda b, s: groups.is_normal(b.add, s), "a normal subgroup"),
+    "lcs_mul": _Kind(lambda b: groups.lower_central_series(b.mul), True, 0,
+                     lambda b, s: groups.is_normal(b.mul, s), "a normal subgroup"),
+    "ucs_add": _Kind(lambda b: groups.upper_central_series(b.add), False, 0,
+                     lambda b, s: groups.is_normal(b.add, s), "a normal subgroup"),
+    "ucs_mul": _Kind(lambda b: groups.upper_central_series(b.mul), False, 0,
+                     lambda b, s: groups.is_normal(b.mul, s), "a normal subgroup"),
 }
+
+DESCENDING_KINDS = {kind for kind, spec in _KINDS.items() if spec.descends}
+ASCENDING_KINDS = set(_KINDS) - DESCENDING_KINDS
 
 
 # ---------------------------------------------------------------------------

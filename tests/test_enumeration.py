@@ -95,6 +95,20 @@ def test_groups_of_order_eight_matches_explicit_list():
         assert sum(1 for h in explicit if isomorphic_groups(g, h) is not None) == 1
 
 
+# sha256 of [[g.table for g in _groups_of_order(n)] for n = 1..24], pinned
+# before the group census went through the isomorphism-class kernel; the
+# checkpoint headers hash these tables, so old checkpoints resume only while
+# this holds
+GROUP_CENSUS_UP_TO_24_DIGEST = "f1985a336defbef4ab3dcab00aa3736122baed703c8c5cc16aee8af7b0f77dcb"
+
+
+def test_group_census_tables_are_pinned():
+    from bracelab.enumeration import _groups_of_order
+
+    tables = [[g.table for g in _groups_of_order(n)] for n in range(1, 25)]
+    assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == GROUP_CENSUS_UP_TO_24_DIGEST
+
+
 def test_group_order_budget():
     with pytest.raises(BudgetExceeded):
         groups_of_order(50)

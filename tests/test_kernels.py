@@ -1,16 +1,24 @@
-"""Brute-force oracles for the isomorphism search, the permutation-group
-closure and the subgroup lattice."""
+"""Brute-force oracles for the isomorphism search, the isomorphism-class
+kernel, the permutation-group closure and the subgroup lattice."""
 
+import random
 from itertools import permutations
 
+from bracelab import brace, groups
 from bracelab.brace import _element_fingerprints
-from bracelab.enumeration import _groups_of_order, enumerate_involutive_solutions
+from bracelab.enumeration import (
+    _groups_of_order,
+    _isomorphism_classes,
+    enumerate_involutive_solutions,
+)
 from bracelab.groups import (
+    GroupTable,
     _generation_plan,
     _isomorphisms,
     all_automorphisms,
     automorphism_group,
     generated_group,
+    isomorphic_groups,
     subgroup_lattice,
 )
 from bracelab.perms import compose, invert
@@ -76,6 +84,65 @@ def test_isomorphisms_need_equal_mark_multisets():
     assert list(_isomorphisms((g.table,), (g.table,), orders, orders))
     assert not list(_isomorphisms((g.table,), (g.table,), orders, [0] + orders[1:] + [0]))
     assert not list(_isomorphisms((g.table,), (g.table,), orders, orders[:-1]))
+
+
+def _relabeling(rng, n):
+    return tuple([0] + rng.sample(range(1, n), n - 1))
+
+
+def _with_relabelings(items, relabeled, seed):
+    """Each item and two seeded relabelings of it, shuffled by the seed."""
+    rng = random.Random(seed)
+    out = []
+    for x in items:
+        out += [x] + [relabeled(x, _relabeling(rng, x.n)) for _ in range(2)]
+    rng.shuffle(out)
+    return out
+
+
+def _first_of_each_class(items, tables):
+    """The first item of each isomorphism class, in input order, by trying
+    every bijection."""
+    kept = []
+    for x in items:
+        if not any(_preserving_bijections(tables(x), tables(k)) for k in kept):
+            kept.append(x)
+    return kept
+
+
+def _check_classes(items, tables, marks, iso):
+    expected = [id(x) for x in _first_of_each_class(items, tables)]
+    assert [id(x) for x in _isomorphism_classes(items, marks, iso)] == expected
+    # marks only bucket; constant marks put everything in one bucket
+    assert [id(x) for x in _isomorphism_classes(items, lambda x: [0] * x.n, iso)] == expected
+
+
+def test_isomorphism_classes_match_brute_force_on_groups():
+    items = _with_relabelings(groups_up_to(6), groups.relabeled, 1501)
+    _check_classes(items, lambda g: (g.table,), GroupTable.element_orders, isomorphic_groups)
+
+
+def test_isomorphism_classes_match_brute_force_on_braces(braces_up_to_8):
+    items = _with_relabelings([b for b in braces_up_to_8 if b.n <= 6], brace.relabeled, 1502)
+    _check_classes(items, _brace_tables, _element_fingerprints, brace.isomorphic)
+
+
+def test_element_marks_follow_relabelings(braces_up_to_8):
+    # bucketing by sorted marks is sound only if each mark moves with its
+    # element under every isomorphism
+    rng = random.Random(1503)
+    for b in braces_up_to_8:
+        marks = _element_fingerprints(b)
+        for _ in range(2):
+            p = _relabeling(rng, b.n)
+            moved = _element_fingerprints(brace.relabeled(b, p))
+            assert all(moved[p[x]] == marks[x] for x in range(b.n))
+    for g in groups_up_to(16):
+        orders = g.element_orders()
+        for _ in range(2):
+            p = _relabeling(rng, g.n)
+            moved = groups.relabeled(g, p).element_orders()
+            assert all(moved[p[x]] == orders[x] for x in range(g.n))
 
 
 def test_all_automorphisms_match_brute_force():
