@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .brace import SkewBrace, classify_flags, lambda_orbits, star_identity_violations
 from .enumeration import (
@@ -25,7 +25,7 @@ from .enumeration import (
     sample_involutive_solutions,
 )
 from .errors import BadCatalog, BraceLabError, SuiteUnknown
-from .series import gamma_distributivity_check, nilpotency_report, series
+from .series import VERDICTS, gamma_distributivity_check, nilpotency_report, series
 from .subsets import Subset
 from .substructures import (
     is_ideal,
@@ -79,7 +79,7 @@ class CampaignReport:
     suite: str
     scope: dict
     checks: list[CheckResult]
-    wall_time_s: float
+    wall_time_s: float = 0.0
     seed: Optional[int] = None
     tables: list[dict] = field(default_factory=list)
 
@@ -129,8 +129,14 @@ def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
     return cat
 
 
-def _census_braces(max_order: int, catalog_dir: Optional[Path]) -> dict[int, Catalog]:
-    return {n: _catalog("braces", n, catalog_dir) for n in range(1, max_order + 1)}
+def _catalog_braces(
+    max_order: int, catalog_dir: Optional[Path]
+) -> Iterator[tuple[dict, SkewBrace]]:
+    """Every brace of the order 1..max_order catalogs, in catalog order, with
+    its witness {"order": n, "index": i}."""
+    for n in range(1, max_order + 1):
+        for i, b in enumerate(_catalog("braces", n, catalog_dir).items):
+            yield {"order": n, "index": i}, b
 
 
 def _pmap(fn: Callable, items: list, jobs: int) -> list:
@@ -179,18 +185,14 @@ def _suite_axioms(max_order, catalog_dir, **_) -> CampaignReport:
         "every catalog brace revalidates from its serialized form with "
         "identical tables",
     )
-    catalogs = _census_braces(max_order, catalog_dir)
-    for n, cat in catalogs.items():
-        for i, b in enumerate(cat.items):
-            try:
-                again = brace_from_json(brace_to_json(b))
-                ok = again.add.table == b.add.table and again.mul.table == b.mul.table
-            except BraceLabError:
-                ok = False
-            check.record(ok, witness={"order": n, "index": i})
-    return CampaignReport(
-        "axioms", {"max_order": max_order}, [check], 0.0
-    )
+    for wit, b in _catalog_braces(max_order, catalog_dir):
+        try:
+            again = brace_from_json(brace_to_json(b))
+            ok = again.add.table == b.add.table and again.mul.table == b.mul.table
+        except BraceLabError:
+            ok = False
+        check.record(ok, witness=wit)
+    return CampaignReport("axioms", {"max_order": max_order}, [check])
 
 
 def _suite_identities(max_order, catalog_dir, **_) -> CampaignReport:
@@ -204,28 +206,21 @@ def _suite_identities(max_order, catalog_dir, **_) -> CampaignReport:
         "for annihilator nilpotent braces, star and additive commutators "
         "distribute over + and o on all admissible bracketed-chain triples",
     )
-    catalogs = _census_braces(max_order, catalog_dir)
-    for n, cat in catalogs.items():
-        for i, b in enumerate(cat.items):
-            violations = star_identity_violations(b)
-            expansion.record(
-                not violations,
-                witness={"order": n, "index": i, "violations": violations[:3]},
-                count=b.n**3,
+    for wit, b in _catalog_braces(max_order, catalog_dir):
+        violations = star_identity_violations(b)
+        expansion.record(
+            not violations,
+            witness={**wit, "violations": violations[:3]},
+            count=b.n**3,
+        )
+        if nilpotency_report(b).annihilator.holds:
+            rep = gamma_distributivity_check(b)
+            distrib.record(
+                not rep["counterexamples"],
+                witness={**wit, "examples": rep["counterexamples"][:3]},
+                count=max(rep["checked"], 1),
             )
-            if nilpotency_report(b).annihilator.holds:
-                rep = gamma_distributivity_check(b)
-                distrib.record(
-                    not rep["counterexamples"],
-                    witness={"order": n, "index": i, "examples": rep["counterexamples"][:3]},
-                    count=max(rep["checked"], 1),
-                )
-    return CampaignReport(
-        "identities",
-        {"max_order": max_order},
-        [expansion, distrib],
-        0.0,
-    )
+    return CampaignReport("identities", {"max_order": max_order}, [expansion, distrib])
 
 
 def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
@@ -271,56 +266,47 @@ def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
         "not annihilator nilpotent, right but not strongly nilpotent, and "
         "left but not strongly nilpotent",
     )
-    catalogs = _census_braces(max_order, catalog_dir)
     found = {"strong_not_annihilator": None, "right_not_strong": None, "left_not_strong": None}
-    for n, cat in catalogs.items():
-        for i, b in enumerate(cat.items):
-            wit = {"order": n, "index": i}
-            try:
-                rep = nilpotency_report(b)
-            except BraceLabError as exc:
-                routes.record(False, witness={**wit, "error": str(exc)})
-                continue
-            routes.record(True)
-            flags = classify_flags(b)
-            left, right = rep.left.holds, rep.right.holds
-            strong, ann = rep.strong.holds, rep.annihilator.holds
-            diagram.record(
-                (not ann or strong) and strong == (left and right), witness=wit
+    for wit, b in _catalog_braces(max_order, catalog_dir):
+        try:
+            rep = nilpotency_report(b)
+        except BraceLabError as exc:
+            routes.record(False, witness={**wit, "error": str(exc)})
+            continue
+        routes.record(True)
+        flags = classify_flags(b)
+        left, right = rep.left.holds, rep.right.holds
+        strong, ann = rep.strong.holds, rep.annihilator.holds
+        diagram.record(
+            (not ann or strong) and strong == (left and right), witness=wit
+        )
+        if rep.nilpotent_type:
+            three_way.record(ann == strong == (left and right), witness=wit)
+            left_mul.record(left == flags.mul_nilpotent, witness=wit)
+            if left and right:
+                lr_mul.record(flags.mul_nilpotent, witness=wit)
+        gam, gam_br = rep.gamma.chain, rep.gamma_bracket.chain
+        for pos, term in enumerate(gam):
+            if pos < len(gam_br):
+                gamma_nest.record(term <= gam_br[pos], witness=wit)
+        for pos in range(1, len(gam_br)):
+            gamma_nest.record(
+                gam_br[pos] <= gam_br[pos - 1] and is_ideal(b, gam_br[pos]).ok,
+                witness=wit,
             )
-            if rep.nilpotent_type:
-                three_way.record(ann == strong == (left and right), witness=wit)
-                left_mul.record(left == flags.mul_nilpotent, witness=wit)
-                if left and right:
-                    lr_mul.record(flags.mul_nilpotent, witness=wit)
-            gam = series(b, "gamma")
-            gam_br = series(b, "gamma_bracket")
-            for pos, term in enumerate(gam.chain):
-                if pos < len(gam_br.chain):
-                    gamma_nest.record(term <= gam_br.chain[pos], witness=wit)
-            for pos in range(1, len(gam_br.chain)):
-                gamma_nest.record(
-                    gam_br.chain[pos] <= gam_br.chain[pos - 1]
-                    and is_ideal(b, gam_br.chain[pos]).ok,
-                    witness=wit,
-                )
-            soc = series(b, "socle")
-            if soc.terminates:
-                right_chain = series(b, "right").chain
-                m = len(soc.chain) - 1
-                for idx in range(m + 1):
-                    term = (
-                        right_chain[idx]
-                        if idx < len(right_chain)
-                        else right_chain[-1]
-                    )
-                    socle_bound.record(term <= soc.chain[m - idx], witness=wit)
-            if strong and not ann and found["strong_not_annihilator"] is None:
-                found["strong_not_annihilator"] = wit
-            if right and not strong and found["right_not_strong"] is None:
-                found["right_not_strong"] = wit
-            if left and not strong and found["left_not_strong"] is None:
-                found["left_not_strong"] = wit
+        soc = series(b, "socle")
+        if soc.holds:
+            right_chain = rep.right.chain
+            m = len(soc.chain) - 1
+            for idx in range(m + 1):
+                term = right_chain[idx] if idx < len(right_chain) else right_chain[-1]
+                socle_bound.record(term <= soc.chain[m - idx], witness=wit)
+        if strong and not ann and found["strong_not_annihilator"] is None:
+            found["strong_not_annihilator"] = wit
+        if right and not strong and found["right_not_strong"] is None:
+            found["right_not_strong"] = wit
+        if left and not strong and found["left_not_strong"] is None:
+            found["left_not_strong"] = wit
     for name, wit in found.items():
         witnesses.record(wit is not None, witness={"missing": name})
         if wit is not None:
@@ -329,12 +315,11 @@ def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
         "series",
         {"max_order": max_order},
         [routes, diagram, three_way, left_mul, lr_mul, gamma_nest, socle_bound, witnesses],
-        0.0,
     )
 
 
-def _hirsch_brace(args: tuple[int, int, SkewBrace]) -> list[tuple[dict, str, bool]]:
-    n, i, b = args
+def _hirsch_brace(item: tuple[dict, SkewBrace]) -> list[tuple[dict, str, bool]]:
+    witness, b = item
     out: list[tuple[dict, str, bool]] = []
     rep = nilpotency_report(b)
     full = Subset.full(b.n)
@@ -347,7 +332,7 @@ def _hirsch_brace(args: tuple[int, int, SkewBrace]) -> list[tuple[dict, str, boo
             for c in b2.indices():
                 span.add(add_t[a][c])
         spans = len(span) == b.n
-        wit = {"order": n, "index": i, "subbrace": s.indices()}
+        wit = {**witness, "subbrace": s.indices()}
         if rep.right.holds and spans:
             star_into = all(
                 b.star[a][x] in s for a in s.indices() for x in range(b.n)
@@ -367,7 +352,7 @@ def _hirsch_brace(args: tuple[int, int, SkewBrace]) -> list[tuple[dict, str, boo
             transversals = ([orbit[0] for orbit in orbits],)
         for t in transversals:
             ok = generates(b, Subset.of(b.n, t))
-            out.append(({"order": n, "index": i, "transversal": list(t)}, "transversal", ok))
+            out.append(({**witness, "transversal": list(t)}, "transversal", ok))
     return out
 
 
@@ -388,12 +373,7 @@ def _suite_hirsch(max_order, catalog_dir, jobs, **_) -> CampaignReport:
         "in an annihilator nilpotent brace, any set containing one element "
         "from each lambda orbit generates the brace",
     )
-    catalogs = _census_braces(max_order, catalog_dir)
-    items = [
-        (n, i, b)
-        for n, cat in catalogs.items()
-        for i, b in enumerate(cat.items)
-    ]
+    items = list(_catalog_braces(max_order, catalog_dir))
     for results in _pmap(_hirsch_brace, items, jobs):
         for wit, key, ok in results:
             if key == "right":
@@ -402,12 +382,7 @@ def _suite_hirsch(max_order, catalog_dir, jobs, **_) -> CampaignReport:
                 ann_gen.record(ok, witness=wit)
             else:
                 transversal.record(ok, witness=wit)
-    return CampaignReport(
-        "hirsch",
-        {"max_order": max_order},
-        [right_gen, ann_gen, transversal],
-        0.0,
-    )
+    return CampaignReport("hirsch", {"max_order": max_order}, [right_gen, ann_gen, transversal])
 
 
 def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
@@ -431,37 +406,29 @@ def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
         "chain of successive ideals reaching the whole brace, built by "
         "iterated idealizers",
     )
-    catalogs = _census_braces(max_order, catalog_dir)
-    for n, cat in catalogs.items():
-        for i, b in enumerate(cat.items):
-            wit = {"order": n, "index": i}
-            lattice = subbrace_lattice(b)
-            rad = radical(b, lattice)
-            for m in maximal_ideals(b, lattice):
-                rad_sub.record(rad <= m, witness={**wit, "ideal": m.indices()})
-            if not nilpotency_report(b).annihilator.holds:
-                continue
-            maxima = maximal_subbraces(b, lattice)
-            for s in maxima:
-                max_ideal.record(
-                    is_ideal(b, s).ok, witness={**wit, "subbrace": s.indices()}
-                )
-            inter = Subset.full(b.n)
-            for s in maxima:
-                inter = inter & s
-            rad_eq.record(inter == rad, witness=wit)
-            for s in lattice:
-                chain = subideal_chain(b, s, lattice)
-                ok = chain is not None and all(
-                    is_ideal(b, chain[k], within=chain[k + 1])
-                    for k in range(len(chain) - 1)
-                )
-                chains.record(ok, witness={**wit, "subbrace": s.indices()})
+    for wit, b in _catalog_braces(max_order, catalog_dir):
+        lattice = subbrace_lattice(b)
+        rad = radical(b, lattice)
+        for m in maximal_ideals(b, lattice):
+            rad_sub.record(rad <= m, witness={**wit, "ideal": m.indices()})
+        if not nilpotency_report(b).annihilator.holds:
+            continue
+        maxima = maximal_subbraces(b, lattice)
+        for s in maxima:
+            max_ideal.record(is_ideal(b, s).ok, witness={**wit, "subbrace": s.indices()})
+        inter = Subset.full(b.n)
+        for s in maxima:
+            inter = inter & s
+        rad_eq.record(inter == rad, witness=wit)
+        for s in lattice:
+            chain = subideal_chain(b, s, lattice)
+            ok = chain is not None and all(
+                is_ideal(b, chain[k], within=chain[k + 1])
+                for k in range(len(chain) - 1)
+            )
+            chains.record(ok, witness={**wit, "subbrace": s.indices()})
     return CampaignReport(
-        "radical",
-        {"max_order": max_order},
-        [max_ideal, rad_eq, rad_sub, chains],
-        0.0,
+        "radical", {"max_order": max_order}, [max_ideal, rad_eq, rad_sub, chains]
     )
 
 
@@ -539,11 +506,41 @@ def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir, **_) -> Campa
             "samples_requested": samples,
         },
         [equivalence, abelian, retracts, witness_present],
-        0.0,
         seed=seed,
     )
 
 
+# One row of `bracelab classify`: the catalog index, then classification_row.
+CLASSIFY_COLUMNS = (
+    "index", "n", "trivial", "two_sided", "abelian_type", "nilpotent_type",
+    "add_class", "mul_nilpotent", "mul_class",
+    "left", "left_class", "right", "right_class",
+    "strong", "strong_class", "annihilator", "annihilator_class",
+)
+
+
+def classification_row(b: SkewBrace) -> dict:
+    """The brace's classify_flags and its four nilpotency verdicts with their
+    classes, keyed by every CLASSIFY_COLUMNS name but the index."""
+    flags = classify_flags(b)
+    rep = nilpotency_report(b)
+    row = {
+        "n": b.n,
+        "trivial": flags.trivial,
+        "two_sided": flags.two_sided,
+        "abelian_type": flags.abelian_type,
+        "nilpotent_type": flags.nilpotent_type,
+        "add_class": flags.add_nilpotency_class,
+        "mul_nilpotent": flags.mul_nilpotent,
+        "mul_class": flags.mul_nilpotency_class,
+    }
+    for kind in VERDICTS:
+        verdict = getattr(rep, kind)
+        row[kind], row[f"{kind}_class"] = verdict.holds, verdict.cls
+    return row
+
+
+# Per order: the group and brace counts, then classification_row tallies.
 CENSUS_CSV_COLUMNS = (
     "order",
     "groups",
@@ -580,9 +577,9 @@ def _suite_census(max_order, catalog_dir, **_) -> CampaignReport:
         "holomorph-based and direct-search enumeration agree on the brace "
         "count at every order where both run",
     )
-    catalogs = _census_braces(max_order, catalog_dir)
     tables: list[dict] = []
-    for n, cat in catalogs.items():
+    for n in range(1, max_order + 1):
+        cat = _catalog("braces", n, catalog_dir)
         groups = groups_of_order(n)
         if n in EXPECTED_GROUP_COUNTS:
             group_counts.record(
@@ -600,18 +597,11 @@ def _suite_census(max_order, catalog_dir, **_) -> CampaignReport:
         row["braces"] = len(cat)
         non_ann_abelian = []
         for b in cat.items:
-            flags = classify_flags(b)
-            rep = nilpotency_report(b)
-            row["trivial"] += flags.trivial
-            row["two_sided"] += flags.two_sided
-            row["abelian_type"] += flags.abelian_type
-            row["nilpotent_type"] += flags.nilpotent_type
-            row["left"] += rep.left.holds
-            row["right"] += rep.right.holds
-            row["strong"] += rep.strong.holds
-            row["annihilator"] += rep.annihilator.holds
-            if not rep.annihilator.holds:
-                non_ann_abelian.append(flags.abelian_type)
+            brace_row = classification_row(b)
+            for c in CENSUS_CSV_COLUMNS[3:]:
+                row[c] += brace_row[c]
+            if not brace_row["annihilator"]:
+                non_ann_abelian.append(brace_row["abelian_type"])
         tables.append(row)
         if n == 8:
             order8.record(
@@ -631,7 +621,6 @@ def _suite_census(max_order, catalog_dir, **_) -> CampaignReport:
         "census",
         {"max_order": max_order},
         checks,
-        0.0,
         tables=tables,
     )
 

@@ -15,7 +15,14 @@ from pathlib import Path
 import click
 
 from .brace import classify_flags
-from .campaigns import DEFAULT_SEED, SUITES, run_suite, write_report_csv
+from .campaigns import (
+    CLASSIFY_COLUMNS,
+    DEFAULT_SEED,
+    SUITES,
+    classification_row,
+    run_suite,
+    write_report_csv,
+)
 from .enumeration import (
     GROUP_ORDER_BUDGET,
     MAX_SOLUTION_SIZE,
@@ -105,37 +112,11 @@ def classify(in_path: str, report_path: str):
         return
     if cat.kind != "braces":
         _fail_input(f"{in_path}: expected a brace catalog, found {cat.kind}")
-    columns = [
-        "index", "n", "trivial", "two_sided", "abelian_type", "nilpotent_type",
-        "add_class", "mul_nilpotent", "mul_class",
-        "left", "left_class", "right", "right_class",
-        "strong", "strong_class", "annihilator", "annihilator_class",
-    ]
     with Path(report_path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=CLASSIFY_COLUMNS)
         writer.writeheader()
         for i, b in enumerate(cat.items):
-            flags = classify_flags(b)
-            rep = nilpotency_report(b)
-            writer.writerow({
-                "index": i,
-                "n": b.n,
-                "trivial": flags.trivial,
-                "two_sided": flags.two_sided,
-                "abelian_type": flags.abelian_type,
-                "nilpotent_type": flags.nilpotent_type,
-                "add_class": flags.add_nilpotency_class,
-                "mul_nilpotent": flags.mul_nilpotent,
-                "mul_class": flags.mul_nilpotency_class,
-                "left": rep.left.holds,
-                "left_class": rep.left.cls,
-                "right": rep.right.holds,
-                "right_class": rep.right.cls,
-                "strong": rep.strong.holds,
-                "strong_class": rep.strong.cls,
-                "annihilator": rep.annihilator.holds,
-                "annihilator_class": rep.annihilator.cls,
-            })
+            writer.writerow({"index": i, **classification_row(b)})
     click.echo(f"classified {len(cat.items)} braces -> {report_path}")
 
 

@@ -51,21 +51,27 @@ class Catalog:
         return len(self.items)
 
 
+def _with_meta(kind: str, n: int, items: list, started: float, method: str, **extra) -> Catalog:
+    """The catalog of items with its meta: kind, order, count, the seconds
+    since started, method, then any extra keys."""
+    meta = {
+        "kind": kind,
+        "order": n,
+        "count": len(items),
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "method": method,
+        **extra,
+    }
+    return Catalog(kind, n, items, meta)
+
+
 # ---------------------------------------------------------------------------
 # Groups of a given order
 
 
 def groups_of_order(n: int) -> Catalog:
     started = time.monotonic()
-    items = _groups_of_order(n)
-    meta = {
-        "kind": "groups",
-        "order": n,
-        "count": len(items),
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "method": "cyclic-extension",
-    }
-    return Catalog("groups", n, list(items), meta)
+    return _with_meta("groups", n, list(_groups_of_order(n)), started, "cyclic-extension")
 
 
 @cache
@@ -396,14 +402,7 @@ def enumerate_skew_braces(
         items = _enumerate_braces_direct(n)
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
-    meta = {
-        "kind": "braces",
-        "order": n,
-        "count": len(items),
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "method": method,
-    }
-    return Catalog("braces", n, items, meta)
+    return _with_meta("braces", n, items, started, method)
 
 
 CHECKPOINT_VERSION = 1
@@ -737,16 +736,9 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
     for sol in items:
         levels.append(multipermutation_level(sol))
         brace_sizes.append(permutation_brace(sol)[0].n)
-    meta = {
-        "kind": "solutions",
-        "order": n,
-        "count": len(items),
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "method": "exhaustive-sigma",
-        "levels": levels,
-        "brace_sizes": brace_sizes,
-    }
-    return Catalog("solutions", n, items, meta)
+    return _with_meta(
+        "solutions", n, items, started, "exhaustive-sigma", levels=levels, brace_sizes=brace_sizes
+    )
 
 
 def sample_involutive_solutions(n: int, count: int, seed: int) -> list[Solution]:

@@ -36,8 +36,7 @@ from .substructures import is_ideal, is_left_ideal, star_products
 class SeriesReport:
     kind: str
     chain: tuple[Subset, ...]
-    stabilized_at: int
-    terminates: bool
+    holds: bool  # the chain reaches {0}, or the carrier for an ascending kind
     cls: Optional[int]
 
 
@@ -50,13 +49,12 @@ def series(b: SkewBrace, kind: str) -> SeriesReport:
         # {0} and the carrier are ideals, left ideals and normal subgroups
         if not (term.is_full() or term.is_zero_only() or spec.member(b, term)):
             raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {spec.term}")
-    terminates = chain[-1].is_zero_only() if spec.descends else chain[-1].is_full()
+    holds = chain[-1].is_zero_only() if spec.descends else chain[-1].is_full()
     return SeriesReport(
         kind=kind,
         chain=tuple(chain),
-        stabilized_at=len(chain) - 1,
-        terminates=terminates,
-        cls=len(chain) - 1 + spec.first if terminates else None,
+        holds=holds,
+        cls=len(chain) - 1 + spec.first if holds else None,
     )
 
 
@@ -162,33 +160,32 @@ ASCENDING_KINDS = set(_KINDS) - DESCENDING_KINDS
 # Nilpotency verdicts
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    cls: Optional[int]
+# The four nilpotency notions a report renders a verdict on, in report order.
+VERDICTS = ("left", "right", "strong", "annihilator")
 
 
 @dataclass(frozen=True)
 class NilpotencyReport:
-    left: Verdict
-    right: Verdict
-    strong: Verdict
-    annihilator: Verdict
+    """The six series nilpotency_report computes: the four VERDICTS, then the
+    gamma and bracketed gamma series, the annihilator's other two routes."""
+
+    left: SeriesReport
+    right: SeriesReport
+    strong: SeriesReport
+    annihilator: SeriesReport
+    gamma: SeriesReport
+    gamma_bracket: SeriesReport
     nilpotent_type: bool
     cross_checks: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        return {
-            "left": {"holds": self.left.holds, "class": self.left.cls},
-            "right": {"holds": self.right.holds, "class": self.right.cls},
-            "strong": {"holds": self.strong.holds, "class": self.strong.cls},
-            "annihilator": {
-                "holds": self.annihilator.holds,
-                "class": self.annihilator.cls,
-            },
-            "nilpotent_type": self.nilpotent_type,
-            "cross_checks": list(self.cross_checks),
-        }
+        out = {}
+        for kind in VERDICTS:
+            rep = getattr(self, kind)
+            out[kind] = {"holds": rep.holds, "class": rep.cls}
+        out["nilpotent_type"] = self.nilpotent_type
+        out["cross_checks"] = list(self.cross_checks)
+        return out
 
 
 def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
@@ -205,23 +202,23 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
     gam = series(b, "gamma")
     gam_br = series(b, "gamma_bracket")
 
-    if not (ann.terminates == gam.terminates == gam_br.terminates):
+    if not (ann.holds == gam.holds == gam_br.holds):
         raise CrossCheckFailed(
             "annihilator routes disagree: "
-            f"ann={ann.terminates} gamma={gam.terminates} gamma_bracket={gam_br.terminates}"
+            f"ann={ann.holds} gamma={gam.holds} gamma_bracket={gam_br.holds}"
         )
     # Gamma_n sits inside Gamma_[n+1] (positionwise on the two chains), and
     # consecutive bracketed terms nest; both checked on the computed chains.
     for i, term in enumerate(gam.chain):
         if i < len(gam_br.chain) and not term <= gam_br.chain[i]:
             raise CrossCheckFailed("gamma term escapes bracketed gamma term")
-    if strong.terminates != (left.terminates and right.terminates):
+    if strong.holds != (left.holds and right.holds):
         raise CrossCheckFailed("strong vs left-and-right disagree")
-    if ann.terminates and not strong.terminates:
+    if ann.holds and not strong.holds:
         raise CrossCheckFailed("annihilator nilpotent but not strongly nilpotent")
 
     nilpotent_type = groups.nilpotency_class(b.add) is not None
-    if nilpotent_type and ann.terminates != strong.terminates:
+    if nilpotent_type and ann.holds != strong.holds:
         raise CrossCheckFailed("nilpotent type: annihilator vs strong disagree")
 
     checks = []
@@ -233,10 +230,10 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
         checks.append(
             {
                 "name": "left_iff_multiplicative_nilpotent",
-                "holds": left.terminates == mul_nilpotent,
+                "holds": left.holds == mul_nilpotent,
             }
         )
-        if left.terminates and right.terminates:
+        if left.holds and right.holds:
             checks.append(
                 {
                     "name": "left_and_right_give_multiplicative_nilpotent",
@@ -245,10 +242,12 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
             )
 
     return NilpotencyReport(
-        left=Verdict(left.terminates, left.cls),
-        right=Verdict(right.terminates, right.cls),
-        strong=Verdict(strong.terminates, strong.cls),
-        annihilator=Verdict(ann.terminates, ann.cls),
+        left=left,
+        right=right,
+        strong=strong,
+        annihilator=ann,
+        gamma=gam,
+        gamma_bracket=gam_br,
         nilpotent_type=nilpotent_type,
         cross_checks=tuple(checks),
     )
@@ -263,7 +262,7 @@ def gamma_distributivity_check(b: SkewBrace) -> dict:
     distribute over + and o in the second argument; all six identities are
     checked on every admissible triple."""
     gam_br = series(b, "gamma_bracket")
-    c = gam_br.cls  # set exactly when the chain terminates
+    c = gam_br.cls  # set exactly when the chain reaches {0}
     if c is None:
         raise HypothesisUnmet("brace is not annihilator nilpotent")
     chain = gam_br.chain  # chain[j-1] = G[j]

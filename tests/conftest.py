@@ -45,7 +45,7 @@ def series_digest(braces):
     for b in braces:
         reports = [series(b, kind) for kind in sorted(DESCENDING_KINDS | ASCENDING_KINDS)]
         answers.append(
-            [[[t.mask for t in r.chain], r.terminates, r.cls] for r in reports]
+            [[[t.mask for t in r.chain], r.holds, r.cls] for r in reports]
             + [nilpotency_report(b).to_json()]
         )
     return hashlib.sha256(json.dumps(answers).encode()).hexdigest()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -76,9 +77,17 @@ def test_equivalence_suite_deterministic():
     assert ja == jb
 
 
-def test_equivalence_jobs_match_serial():
-    a = run_suite("equivalence", max_size=2, samples=8, seed=3, jobs=1)
-    b = run_suite("equivalence", max_size=2, samples=8, seed=3, jobs=2)
+@pytest.mark.parametrize(
+    "suite, scope",
+    [
+        ("equivalence", {"max_size": 2, "samples": 8, "seed": 3}),
+        ("hirsch", {"max_order": 8}),
+    ],
+    ids=["equivalence", "hirsch"],
+)
+def test_equivalence_jobs_match_serial(suite, scope):
+    a = run_suite(suite, jobs=1, **scope)
+    b = run_suite(suite, jobs=2, **scope)
     ja, jb = a.to_json(), b.to_json()
     ja.pop("wall_time_s"), jb.pop("wall_time_s")
     assert ja == jb
@@ -127,3 +136,27 @@ def test_report_json_shape():
         set(c) == {"claim_id", "statement", "instances", "failures", "witnesses"}
         for c in data["checks"]
     )
+
+
+# sha256 of each suite's to_json() with wall_time_s dropped: every suite at
+# max_order 8, equivalence at max_size 3 with 20 seeded samples
+REPORT_DIGESTS = {
+    "axioms": "bcdbef4a38f1b497a59fcc45bcc771d49e08f9d26848a0fbc3f7dd8196d2e6ee",
+    "identities": "f33aeb27f927dab1cd839c1ec666e8b51dacecf352161e1caac4e5067605b888",
+    "series": "4677533ef80d478a8d857f6ca441022d8ed14f7a4426492735d9e381a62e06ec",
+    "hirsch": "dd4e25f11f3117fa0a9346dfd287b7277d593794dc68071905f4800309edf015",
+    "radical": "1ac40422291e3db6e5f88301b664e74be1f1afa8ada82e2d91738f04e5a27909",
+    "census": "6f4879ec4e217ec5d41ca6f33513e78c1fe0914c384b4ebf8bb25990943da343",
+    "equivalence": "7289457dce9113686c0faf4c8bf9593e3fc00fac0d13d7ce747657b474addb94",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_DIGESTS))
+def test_report_is_pinned(suite):
+    if suite == "equivalence":
+        report = run_suite(suite, max_size=3, samples=20, seed=42)
+    else:
+        report = run_suite(suite, max_order=8)
+    data = report.to_json()
+    data.pop("wall_time_s")
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == REPORT_DIGESTS[suite]

@@ -1,13 +1,19 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from bracelab.cli import main
-from bracelab.enumeration import GROUP_ORDER_BUDGET, MAX_SOLUTION_SIZE, groups_of_order
+from bracelab.enumeration import (
+    GROUP_ORDER_BUDGET,
+    MAX_SOLUTION_SIZE,
+    enumerate_skew_braces,
+    groups_of_order,
+)
 from bracelab.groups import all_automorphisms
 from bracelab.perms import compose, invert, perm_order
-from bracelab.serialize import solution_to_json
+from bracelab.serialize import solution_to_json, write_catalog
 from bracelab.ybe import involutive_from_sigma
 from conftest import FIVE_POINT_SIGMA
 
@@ -54,6 +60,22 @@ def test_classify(tmp_path):
     lines = report.read_text().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("index,n,trivial,two_sided")
+
+
+# sha256 of the classify CSV of the order-n brace catalog
+CLASSIFY_DIGESTS = {
+    8: "56502a8edecb1002b7c3a165b3fa3e39b703011c41e613e258ea351bcc1d5066",
+    12: "b0064e97393af7cb3d5aeb7c726b419ad8a73e92b53b11c2ca8074222f1f6a2e",
+}
+
+
+@pytest.mark.parametrize("order", sorted(CLASSIFY_DIGESTS))
+def test_classify_output_is_pinned(tmp_path, order):
+    catalog, report = tmp_path / "braces.jsonl", tmp_path / "report.csv"
+    write_catalog(enumerate_skew_braces(order), catalog)
+    res = run("classify", "--in", str(catalog), "--report", str(report))
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CLASSIFY_DIGESTS[order]
 
 
 def test_classify_missing_file_exits_2(tmp_path):

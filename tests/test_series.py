@@ -37,7 +37,7 @@ def chains(report):
 def test_left_series_of_trivial_brace(trivial_z2):
     r = series(trivial_z2, "left")
     assert chains(r) == [[0, 1], [0]]
-    assert r.terminates and r.cls == 2
+    assert r.holds and r.cls == 2
 
 
 def test_one_element_brace_series():
@@ -51,7 +51,7 @@ def test_one_element_brace_series():
 def test_annihilator_chain_of_quadratic_brace(z4_quadratic):
     r = series(z4_quadratic, "annihilator")
     assert chains(r) == [[0], [0, 2], [0, 1, 2, 3]]
-    assert r.terminates and r.cls == 2
+    assert r.holds and r.cls == 2
     # gamma route gives the same verdict with its own indexing
     g = series(z4_quadratic, "gamma")
     assert chains(g) == [[0, 1, 2, 3], [0, 2], [0]]
@@ -63,8 +63,8 @@ def test_annihilator_chain_of_quadratic_brace(z4_quadratic):
 def test_five_point_brace_series(five_point_brace):
     right = series(five_point_brace, "right")
     left = series(five_point_brace, "left")
-    assert right.terminates
-    assert not left.terminates
+    assert right.holds
+    assert not left.holds
     assert len(left.chain[-1]) > 1  # stabilizes above zero
 
 
@@ -72,7 +72,7 @@ def test_socle_series_descends_to_s_series(five_point_brace, z4_quadratic):
     # reversed socle chain is an s-series; right terms embed in it
     for b in (five_point_brace, z4_quadratic):
         soc = series(b, "socle")
-        if not soc.terminates:
+        if not soc.holds:
             continue
         right = series(b, "right")
         m = len(soc.chain) - 1
@@ -83,9 +83,9 @@ def test_socle_series_descends_to_s_series(five_point_brace, z4_quadratic):
 
 def test_group_series_kinds(five_point_brace):
     b = five_point_brace
-    assert series(b, "lcs_add").terminates  # Z/6 abelian
+    assert series(b, "lcs_add").holds  # Z/6 abelian
     assert series(b, "lcs_add").cls == 1
-    assert not series(b, "lcs_mul").terminates  # Sym(3)
+    assert not series(b, "lcs_mul").holds  # Sym(3)
     assert series(b, "ucs_mul").chain[-1].indices() == [0]
 
 
@@ -263,7 +263,7 @@ def test_repeated_term_is_not_the_limit():
     for kind in ("strong", "gamma_bracket"):
         r = series(b, kind)
         assert [len(t) for t in r.chain] == [16, 8, 4, 2, 2, 1]
-        assert r.terminates and r.cls == 6
+        assert r.holds and r.cls == 6
     report = nilpotency_report(b)  # the three annihilator routes agree
     assert report.annihilator.holds and report.strong.holds
     for kind in ("left", "right", "strong", "gamma", "gamma_bracket"):
