@@ -9,10 +9,7 @@ from .brace import (
     from_group_trivial,
     from_zn_quadratic,
     isomorphic,
-    lambda_map,
     lambda_orbits,
-    quotient,
-    star,
     verify_skew_brace,
 )
 from .campaigns import CampaignReport, run_suite
@@ -28,11 +25,8 @@ from .groups import GroupTable, automorphism_group, isomorphic_groups, verify_gr
 from .series import SeriesReport, gamma_distributivity_check, nilpotency_report
 from .subsets import Subset
 from .substructures import (
-    commutator,
     generates,
-    ideal_generated,
     idealizer,
-    invariant_substructures,
     is_ideal,
     maximal_ideals,
     maximal_subbraces,

@@ -13,11 +13,9 @@ from .errors import (
     BraceLawViolated,
     LambdaNotHomomorphism,
     NotABrace,
-    NotAnIdeal,
 )
 from .groups import GroupTable, cyclic, opposite, verify_group
 from .perms import Perm, cycle_type
-from .subsets import Subset
 
 
 @dataclass(frozen=True)
@@ -33,12 +31,6 @@ class SkewBrace:
     mul: GroupTable
     lam: tuple[tuple[int, ...], ...]
     star: tuple[tuple[int, ...], ...]
-
-    def add_(self, a: int, b: int) -> int:
-        return self.add.table[a][b]
-
-    def mul_(self, a: int, b: int) -> int:
-        return self.mul.table[a][b]
 
 
 def verify_skew_brace(add: GroupTable, mul: GroupTable) -> SkewBrace:
@@ -96,15 +88,6 @@ def brace_from_tables(add_table, mul_table) -> SkewBrace:
     return verify_skew_brace(verify_group(add_table), verify_group(mul_table))
 
 
-def lambda_map(b: SkewBrace, a: int) -> Perm:
-    """The additive automorphism lam_a."""
-    return b.lam[a]
-
-
-def star(b: SkewBrace, a: int, x: int) -> int:
-    return b.star[a][x]
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 
@@ -125,50 +108,6 @@ def from_zn_quadratic(n: int, c: int) -> SkewBrace:
         return verify_skew_brace(add, verify_group(mul_table))
     except BraceLabError as exc:
         raise NotABrace(f"x+y+{c}xy mod {n} is not a skew brace: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Quotients
-
-
-def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
-    """Quotient brace on additive cosets of an ideal, identity coset first.
-
-    Every quotient is checked in full: the ideal, coset well-definedness over
-    all pairs and the quotient tables.
-    """
-    from .substructures import is_ideal
-
-    verdict = is_ideal(b, ideal)
-    if not verdict.ok:
-        raise NotAnIdeal(verdict.condition, verdict.witness)
-
-    n = b.n
-    add_t, mul_t = b.add.table, b.mul.table
-    members = ideal.indices()
-    proj = [-1] * n
-    reps: list[int] = []
-    for a in range(n):
-        if proj[a] != -1:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        row = add_t[a]
-        for i in members:
-            proj[row[i]] = idx
-    qadd = [[proj[add_t[x][y]] for y in reps] for x in reps]
-    qmul = [[proj[mul_t[x][y]] for y in reps] for x in reps]
-    # Well-definedness over all pairs, not just representatives.
-    for a in range(n):
-        add_row, mul_row = add_t[a], mul_t[a]
-        qadd_row, qmul_row = qadd[proj[a]], qmul[proj[a]]
-        for c in range(n):
-            if proj[add_row[c]] != qadd_row[proj[c]]:
-                raise NotAnIdeal("additive_cosets_ill_defined", (a, c))
-            if proj[mul_row[c]] != qmul_row[proj[c]]:
-                raise NotAnIdeal("multiplicative_cosets_ill_defined", (a, c))
-    quot = brace_from_tables(qadd, qmul)
-    return quot, tuple(proj)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +198,6 @@ def isomorphic(b1: SkewBrace, b2: SkewBrace) -> Optional[Perm]:
         _element_fingerprints(b2),
     )
     return next(maps, None)
-
-
-def relabeled(b: SkewBrace, relabel: Perm) -> SkewBrace:
-    """Transport both tables along a carrier bijection fixing 0."""
-    add, mul = (groups.relabeled(g, relabel) for g in (b.add, b.mul))
-    return verify_skew_brace(add, mul)
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,9 @@ def _suite_identities(max_order, catalog_dir, **_) -> CampaignReport:
             witness={**wit, "violations": violations[:3]},
             count=b.n**3,
         )
-        if nilpotency_report(b).annihilator.holds:
-            rep = gamma_distributivity_check(b)
+        report = nilpotency_report(b)
+        if report.annihilator.holds:
+            rep = gamma_distributivity_check(b, report.gamma_bracket)
             distrib.record(
                 not rep["counterexamples"],
                 witness={**wit, "examples": rep["counterexamples"][:3]},

@@ -598,7 +598,9 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
     r(x, y) = (u, tau_y(x)) with tau_y(x) = sigma_u^{-1}(x). A candidate is
     pruned when a forced tau_y(x) repeats a value in the row tau_y, or when
     a braid triple whose six r-values are all forced fails. Each complete
-    family is validated by involutive_from_sigma.
+    family is validated by involutive_from_sigma; at depth n every entry is
+    forced, so the pruning has checked every tau row and braid triple, and a
+    family that fails validation means the search is wrong: CrossCheckFailed.
 
     Before its candidate loop a node ORs into one `banned` bitset over the
     perm indices every candidate with a forced entry whose tau value is
@@ -652,8 +654,10 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
         if k == n:
             try:
                 sol = involutive_from_sigma(sig)
-            except (BraceLabError, ValueError):
-                return
+            except (BraceLabError, ValueError) as exc:
+                raise CrossCheckFailed(
+                    f"pruned search reached an invalid sigma family {sig}: {exc}"
+                ) from exc
             yield sol
             return
         # The entries that read sigma_k: (x, sigma_x^{-1}(k)) of each older

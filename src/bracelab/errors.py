@@ -55,13 +55,6 @@ class LambdaNotHomomorphism(BraceLabError):
         super().__init__(f"lambda_(a o b) != lambda_a . lambda_b for (a,b)=({a},{b})")
 
 
-class NotAnIdeal(BraceLabError):
-    def __init__(self, condition: str, witness):
-        self.condition = condition
-        self.witness = witness
-        super().__init__(f"not an ideal: {condition} fails at {witness}")
-
-
 class NotASubBrace(BraceLabError):
     pass
 

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
-from .perms import Perm, compose, invert
+from .perms import Perm, compose
 from .subsets import Subset
 
 # verify_group checks associativity on all triples with two n^3 int64
@@ -125,33 +124,12 @@ def _check_latin(t: np.ndarray) -> None:
                 seen[v] = j
 
 
-def relabeled(g: GroupTable, relabel: Perm) -> GroupTable:
-    """Transport the group structure along a carrier bijection fixing 0."""
-    if relabel[0] != 0:
-        raise ValueError("relabeling must fix the identity")
-    old, t = invert(relabel), g.table
-    return verify_group([[relabel[t[x][y]] for y in old] for x in old])
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 
 
 def cyclic(n: int) -> GroupTable:
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return verify_group(table)
-
-
-def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    n = g.n * h.n
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(g.n):
-        for a2 in range(h.n):
-            for b1 in range(g.n):
-                for b2 in range(h.n):
-                    table[a1 * h.n + a2][b1 * h.n + b2] = (
-                        g.table[a1][b1] * h.n + h.table[a2][b2]
-                    )
     return verify_group(table)
 
 
@@ -162,48 +140,6 @@ def from_permutations(perms: list[Perm]) -> GroupTable:
     if len(index) != len(perms):
         raise ValueError("duplicate permutations")
     table = [[index[compose(p, q)] for q in perms] for p in perms]
-    return verify_group(table)
-
-def symmetric(k: int) -> GroupTable:
-    perms = sorted(tuple(p) for p in permutations(range(k)))
-    return from_permutations(perms)
-
-
-def dihedral(k: int) -> GroupTable:
-    """Dihedral group of order 2k: (i, s) with i mod k, s in {0,1}."""
-    n = 2 * k
-    table = [[0] * n for _ in range(n)]
-    for i in range(k):
-        for s in (0, 1):
-            for j in range(k):
-                for u in (0, 1):
-                    # (i, s)(j, u) = (i + j if s == 0 else i - j, s xor u)
-                    m = (i + j) % k if s == 0 else (i - j) % k
-                    table[s * k + i][u * k + j] = (s ^ u) * k + m
-    return verify_group(table)
-
-
-def quaternion8() -> GroupTable:
-    # 0..7 = 1, -1, i, -i, j, -j, k, -k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul = {}
-    sign = lambda s: 1 if not s.startswith("-") else -1
-    base = lambda s: s.lstrip("-")
-    rules = {
-        ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-        ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-    def product(x: str, y: str) -> str:
-        s = sign(x) * sign(y)
-        r = rules[(base(x), base(y))]
-        s *= sign(r)
-        r = base(r)
-        return r if s == 1 else "-" + r
-    idx = {s: i for i, s in enumerate(names)}
-    table = [[idx[product(x, y)] for y in names] for x in names]
     return verify_group(table)
 
 
@@ -259,12 +195,6 @@ def closure_mask(tables: Tables, mask: int, closed: int = 0) -> int:
 def _largest_proper_divisor(n: int) -> int:
     """n // p for p the least prime dividing n; 1 when n is 1."""
     return n // next((p for p in range(2, n + 1) if n % p == 0), 1)
-
-
-def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> Subset:
-    """Subgroup generated by seed (closure under the operation suffices on
-    finite carriers)."""
-    return Subset(g.n, closure_mask((g.table,), Subset.of(g.n, seed).mask))
 
 
 @lru_cache(maxsize=SUBGROUP_LATTICE_CACHE)

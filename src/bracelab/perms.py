@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
 
 
 def is_perm(p: Sequence[int], n: int | None = None) -> bool:
@@ -30,14 +26,6 @@ def invert(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
         out[v] = i
-    return tuple(out)
-
-
-def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
-    out = list(range(n))
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            out[v] = cyc[(i + 1) % len(cyc)]
     return tuple(out)
 
 

@@ -257,11 +257,13 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
 # Distributivity inside the bracketed gamma chain
 
 
-def gamma_distributivity_check(b: SkewBrace) -> dict:
+def gamma_distributivity_check(b: SkewBrace, gam_br: SeriesReport) -> dict:
     """For a in G[c-k] and q, w in G[k-1], star and additive commutators
     distribute over + and o in the second argument; all six identities are
-    checked on every admissible triple."""
-    gam_br = series(b, "gamma_bracket")
+    checked on every admissible triple. gam_br is the bracketed gamma series
+    of b, as nilpotency_report(b).gamma_bracket holds it."""
+    if gam_br.kind != "gamma_bracket":
+        raise ValueError(f"expected the gamma_bracket series, got {gam_br.kind!r}")
     c = gam_br.cls  # set exactly when the chain reaches {0}
     if c is None:
         raise HypothesisUnmet("brace is not annihilator nilpotent")

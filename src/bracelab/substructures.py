@@ -1,5 +1,5 @@
-"""Distinguished substructures of a skew brace: sub-braces, ideals, socle,
-annihilator, lattices, radical, idealizer."""
+"""Distinguished substructures of a skew brace: sub-braces, ideals, star
+products, the sub-brace lattice, maximal ideals, radical, idealizer."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ from typing import Optional
 from .brace import SkewBrace
 from .errors import (
     BudgetExceeded,
-    CrossCheckFailed,
     NoUniqueMaximum,
     NotASubBrace,
     env_budget,
 )
-from .groups import closure_mask, commutator_products, subgroup_lattice
+from .groups import closure_mask, subgroup_lattice
 from .subsets import Subset
 
 DEFAULT_LATTICE_BUDGET = 48
@@ -106,31 +105,8 @@ def is_left_ideal(b: SkewBrace, i: Subset) -> bool:
     return all(m >> lam[a][x] & 1 for a in range(b.n) for x in members)
 
 
-def ideal_generated(b: SkewBrace, seed: Subset) -> Subset:
-    """Least ideal containing seed: fixpoint of additive closure, lambda
-    images, and conjugates under both operations."""
-    add_t, mul_t, lam = b.add.table, b.mul.table, b.lam
-    mask = closure_mask((add_t,), seed.mask)
-    neg, minv = b.add.inv, b.mul.inv
-    while True:
-        new = 0
-        members = [x for x in range(b.n) if mask >> x & 1]
-        for a in range(b.n):
-            for x in members:
-                for y in (
-                    lam[a][x],
-                    add_t[add_t[a][x]][neg[a]],
-                    mul_t[mul_t[a][x]][minv[a]],
-                ):
-                    if not mask >> y & 1:
-                        new |= 1 << y
-        if not new:
-            return Subset(b.n, mask)
-        mask = closure_mask((add_t,), mask | new)
-
-
 # ---------------------------------------------------------------------------
-# Star products and commutators of subsets
+# Star products of subsets
 
 
 def star_products(b: SkewBrace, xs: Subset, ys: Subset) -> int:
@@ -142,65 +118,6 @@ def star_products(b: SkewBrace, xs: Subset, ys: Subset) -> int:
 def star_sets(b: SkewBrace, xs: Subset, ys: Subset) -> Subset:
     """Additive subgroup generated by {x*y : x in X, y in Y}."""
     return Subset(b.n, closure_mask((b.add.table,), star_products(b, xs, ys)))
-
-
-def commutator(b: SkewBrace, xs: Subset, ys: Subset, op: str) -> Subset:
-    """Subgroup of (B,+) or (B,o) generated by pairwise commutators."""
-    if op not in ("+", "o"):
-        raise ValueError(f"op must be '+' or 'o', got {op!r}")
-    g = b.add if op == "+" else b.mul
-    return Subset(b.n, closure_mask((g.table,), commutator_products(g, xs, ys)))
-
-
-# ---------------------------------------------------------------------------
-# Invariant substructures
-
-
-@dataclass(frozen=True)
-class InvariantSubstructures:
-    z_add: Subset
-    z_mul: Subset
-    ker_lambda: Subset
-    fix: Subset
-    soc: Subset
-    ann: Subset
-
-
-def invariant_substructures(b: SkewBrace) -> InvariantSubstructures:
-    """Centers, Ker lambda, Fix, Soc = Ker lambda meet Z(B,+), Ann = Soc meet Fix.
-
-    Ann is recomputed from its elementwise characterization
-    {x : x o a = a o x = x + a = a + x for all a}; both must agree.
-    """
-    n = b.n
-    add_t, mul_t, lam = b.add.table, b.mul.table, b.lam
-    ident = tuple(range(n))
-    z_add = Subset.of(
-        n, (a for a in range(n) if all(add_t[a][c] == add_t[c][a] for c in range(n)))
-    )
-    z_mul = Subset.of(
-        n, (a for a in range(n) if all(mul_t[a][c] == mul_t[c][a] for c in range(n)))
-    )
-    ker = Subset.of(n, (a for a in range(n) if lam[a] == ident))
-    fix = Subset.of(
-        n, (x for x in range(n) if all(lam[a][x] == x for a in range(n)))
-    )
-    soc = ker & z_add
-    ann = soc & fix
-    ann_direct = Subset.of(
-        n,
-        (
-            x
-            for x in range(n)
-            if all(
-                mul_t[x][a] == mul_t[a][x] == add_t[x][a] == add_t[a][x]
-                for a in range(n)
-            )
-        ),
-    )
-    if ann != ann_direct:
-        raise CrossCheckFailed("annihilator characterizations disagree")
-    return InvariantSubstructures(z_add, z_mul, ker, fix, soc, ann)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +145,6 @@ def maximal_subbraces(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> l
     lattice = subbrace_lattice(b) if lattice is None else lattice
     proper = [s for s in lattice if not s.is_full()]
     return [s for s in proper if not any(s < t for t in proper)]
-
-
-def ideals_of(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:
-    lattice = subbrace_lattice(b) if lattice is None else lattice
-    return [s for s in lattice if is_ideal(b, s)]
 
 
 def maximal_ideals(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:

@@ -216,8 +216,8 @@ def permutation_brace(
                 raise BraceValidationFailed(
                     f"lambda generator rule fails at ({x},{y})"
                 )
-            lhs = brace.mul_(gen_map[x], gen_map[y])
-            rhs = brace.mul_(gen_map[sol.sigma[x][y]], gen_map[sol.tau[y][x]])
+            lhs = brace.mul.table[gen_map[x]][gen_map[y]]
+            rhs = brace.mul.table[gen_map[sol.sigma[x][y]]][gen_map[sol.tau[y][x]]]
             if lhs != rhs:
                 raise BraceValidationFailed(f"structure relation fails at ({x},{y})")
     return brace, gen_map

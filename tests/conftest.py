@@ -5,10 +5,10 @@ import pytest
 
 from bracelab.brace import from_group_trivial, from_zn_quadratic
 from bracelab.enumeration import _groups_of_order, enumerate_skew_braces
-from bracelab.groups import cyclic, symmetric
-from bracelab.perms import from_cycles, identity
+from bracelab.groups import cyclic
 from bracelab.series import ASCENDING_KINDS, DESCENDING_KINDS, nilpotency_report, series
 from bracelab.ybe import involutive_from_sigma, permutation_brace
+from oracles import from_cycles, symmetric
 
 
 @pytest.fixture(scope="session")
@@ -30,9 +30,9 @@ def trivial_s3():
 # sigma data of the five-point involutive solution whose permutation brace
 # has additive group Z/6 and multiplicative group Sym(3)
 FIVE_POINT_SIGMA = (
-    identity(5),
-    identity(5),
-    identity(5),
+    tuple(range(5)),
+    tuple(range(5)),
+    tuple(range(5)),
     from_cycles(5, [(1, 2), (3, 4)]),
     from_cycles(5, [(0, 1), (3, 4)]),
 )

@@ -1,0 +1,183 @@
+"""References and fixtures the tests compare against or build inputs from.
+
+quotient and invariant_substructures are the definitional route to the socle
+and annihilator series, which the library pulls back without quotients.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import permutations
+from typing import Iterable, Sequence
+
+from bracelab.brace import SkewBrace, brace_from_tables, verify_skew_brace
+from bracelab.errors import BraceLabError, CrossCheckFailed
+from bracelab.groups import GroupTable, from_permutations, verify_group
+from bracelab.perms import Perm, invert
+from bracelab.subsets import Subset
+from bracelab.substructures import is_ideal
+
+
+class NotAnIdeal(BraceLabError):
+    def __init__(self, condition: str, witness):
+        self.condition = condition
+        self.witness = witness
+        super().__init__(f"not an ideal: {condition} fails at {witness}")
+
+
+def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
+    """Quotient brace on additive cosets of an ideal, identity coset first.
+
+    Every quotient is checked in full: the ideal, coset well-definedness over
+    all pairs and the quotient tables.
+    """
+    verdict = is_ideal(b, ideal)
+    if not verdict.ok:
+        raise NotAnIdeal(verdict.condition, verdict.witness)
+
+    n = b.n
+    add_t, mul_t = b.add.table, b.mul.table
+    members = ideal.indices()
+    proj = [-1] * n
+    reps: list[int] = []
+    for a in range(n):
+        if proj[a] != -1:
+            continue
+        idx = len(reps)
+        reps.append(a)
+        row = add_t[a]
+        for i in members:
+            proj[row[i]] = idx
+    qadd = [[proj[add_t[x][y]] for y in reps] for x in reps]
+    qmul = [[proj[mul_t[x][y]] for y in reps] for x in reps]
+    # Well-definedness over all pairs, not just representatives.
+    for a in range(n):
+        add_row, mul_row = add_t[a], mul_t[a]
+        qadd_row, qmul_row = qadd[proj[a]], qmul[proj[a]]
+        for c in range(n):
+            if proj[add_row[c]] != qadd_row[proj[c]]:
+                raise NotAnIdeal("additive_cosets_ill_defined", (a, c))
+            if proj[mul_row[c]] != qmul_row[proj[c]]:
+                raise NotAnIdeal("multiplicative_cosets_ill_defined", (a, c))
+    quot = brace_from_tables(qadd, qmul)
+    return quot, tuple(proj)
+
+
+@dataclass(frozen=True)
+class InvariantSubstructures:
+    z_add: Subset
+    z_mul: Subset
+    ker_lambda: Subset
+    fix: Subset
+    soc: Subset
+    ann: Subset
+
+
+def invariant_substructures(b: SkewBrace) -> InvariantSubstructures:
+    """Centers, Ker lambda, Fix, Soc = Ker lambda meet Z(B,+), Ann = Soc meet Fix.
+
+    Ann is recomputed from its elementwise characterization
+    {x : x o a = a o x = x + a = a + x for all a}; both must agree.
+    """
+    n = b.n
+    add_t, mul_t, lam = b.add.table, b.mul.table, b.lam
+    ident = tuple(range(n))
+    z_add = Subset.of(
+        n, (a for a in range(n) if all(add_t[a][c] == add_t[c][a] for c in range(n)))
+    )
+    z_mul = Subset.of(
+        n, (a for a in range(n) if all(mul_t[a][c] == mul_t[c][a] for c in range(n)))
+    )
+    ker = Subset.of(n, (a for a in range(n) if lam[a] == ident))
+    fix = Subset.of(n, (x for x in range(n) if all(lam[a][x] == x for a in range(n))))
+    soc = ker & z_add
+    ann = soc & fix
+    ann_direct = Subset.of(
+        n,
+        (
+            x
+            for x in range(n)
+            if all(
+                mul_t[x][a] == mul_t[a][x] == add_t[x][a] == add_t[a][x]
+                for a in range(n)
+            )
+        ),
+    )
+    if ann != ann_direct:
+        raise CrossCheckFailed("annihilator characterizations disagree")
+    return InvariantSubstructures(z_add, z_mul, ker, fix, soc, ann)
+
+
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    n = g.n * h.n
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(g.n):
+        for a2 in range(h.n):
+            for b1 in range(g.n):
+                for b2 in range(h.n):
+                    table[a1 * h.n + a2][b1 * h.n + b2] = g.table[a1][b1] * h.n + h.table[a2][b2]
+    return verify_group(table)
+
+
+def symmetric(k: int) -> GroupTable:
+    perms = sorted(tuple(p) for p in permutations(range(k)))
+    return from_permutations(perms)
+
+
+def dihedral(k: int) -> GroupTable:
+    """Dihedral group of order 2k: (i, s) with i mod k, s in {0,1}."""
+    n = 2 * k
+    table = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for s in (0, 1):
+            for j in range(k):
+                for u in (0, 1):
+                    # (i, s)(j, u) = (i + j if s == 0 else i - j, s xor u)
+                    m = (i + j) % k if s == 0 else (i - j) % k
+                    table[s * k + i][u * k + j] = (s ^ u) * k + m
+    return verify_group(table)
+
+
+def quaternion8() -> GroupTable:
+    # 0..7 = 1, -1, i, -i, j, -j, k, -k
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    sign = lambda s: 1 if not s.startswith("-") else -1
+    base = lambda s: s.lstrip("-")
+    rules = {
+        ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
+        ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
+        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
+        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
+        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
+    }
+    def product(x: str, y: str) -> str:
+        s = sign(x) * sign(y)
+        r = rules[(base(x), base(y))]
+        s *= sign(r)
+        r = base(r)
+        return r if s == 1 else "-" + r
+    idx = {s: i for i, s in enumerate(names)}
+    table = [[idx[product(x, y)] for y in names] for x in names]
+    return verify_group(table)
+
+
+def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
+    out = list(range(n))
+    for cyc in cycles:
+        for i, v in enumerate(cyc):
+            out[v] = cyc[(i + 1) % len(cyc)]
+    return tuple(out)
+
+
+def relabeled_group(g: GroupTable, relabel: Perm) -> GroupTable:
+    """Transport the group structure along a carrier bijection fixing 0."""
+    if relabel[0] != 0:
+        raise ValueError("relabeling must fix the identity")
+    old, t = invert(relabel), g.table
+    return verify_group([[relabel[t[x][y]] for y in old] for x in old])
+
+
+def relabeled(b: SkewBrace, relabel: Perm) -> SkewBrace:
+    """Transport both tables along a carrier bijection fixing 0."""
+    add, mul = (relabeled_group(g, relabel) for g in (b.add, b.mul))
+    return verify_skew_brace(add, mul)

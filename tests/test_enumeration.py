@@ -28,15 +28,13 @@ from bracelab.groups import (
     all_automorphisms,
     automorphism_group,
     cyclic,
-    dihedral,
-    direct_product,
     isomorphic_groups,
-    quaternion8,
     verify_group,
 )
-from bracelab.perms import all_perms, compose, identity, invert, perm_order
+from bracelab.perms import all_perms, compose, invert, perm_order
 from bracelab.serialize import write_catalog
 from bracelab.ybe import involutive_from_sigma, multipermutation_level, verify_solution
+from oracles import dihedral, direct_product, quaternion8
 
 
 def brute_force_group_tables(n):
@@ -247,7 +245,7 @@ def test_sampler_exhausts_tiny_space():
     # size 1 has a single solution; asking for more returns what exists
     found = sample_involutive_solutions(1, 5, seed=3)
     assert len(found) == 1
-    assert found[0].sigma == (identity(1),)
+    assert found[0].sigma == (tuple(range(1)),)
     assert multipermutation_level(found[0]) == 0
 
 
@@ -341,6 +339,24 @@ def test_involutive_search_in_shuffled_order_matches_definition():
     nodes, families = _definition_search(n)
     assert calls == nodes
     assert got == set(families)
+
+
+def test_involutive_search_refuses_an_invalid_complete_family(monkeypatch):
+    # Pruning has checked every tau row and braid triple of a complete
+    # family, so one that fails validation means the search is wrong: the
+    # census must raise, not return a shorter catalog.
+    rejected = next(_involutive_families(3, lambda: range(len(all_perms(3))))).sigma
+
+    def reject_one(sigma):
+        if tuple(sigma) == rejected:
+            raise BraceLabError("rejected")
+        return involutive_from_sigma(sigma)
+
+    monkeypatch.setattr(enumeration, "involutive_from_sigma", reject_one)
+    with pytest.raises(CrossCheckFailed) as exc:
+        enumerate_involutive_solutions(3)
+    assert str(list(rejected)) in str(exc.value)
+    assert str(exc.value.__cause__) == "rejected"
 
 
 def _families_digest(sols):

@@ -4,8 +4,7 @@ kernel, the permutation-group closure and the subgroup lattice."""
 import random
 from itertools import permutations
 
-from bracelab import brace, groups
-from bracelab.brace import _element_fingerprints
+from bracelab.brace import _element_fingerprints, isomorphic
 from bracelab.enumeration import (
     _groups_of_order,
     _isomorphism_classes,
@@ -23,6 +22,7 @@ from bracelab.groups import (
 )
 from bracelab.perms import compose, invert
 from conftest import groups_up_to
+from oracles import relabeled, relabeled_group
 
 
 def _brace_tables(b):
@@ -118,13 +118,13 @@ def _check_classes(items, tables, marks, iso):
 
 
 def test_isomorphism_classes_match_brute_force_on_groups():
-    items = _with_relabelings(groups_up_to(6), groups.relabeled, 1501)
+    items = _with_relabelings(groups_up_to(6), relabeled_group, 1501)
     _check_classes(items, lambda g: (g.table,), GroupTable.element_orders, isomorphic_groups)
 
 
 def test_isomorphism_classes_match_brute_force_on_braces(braces_up_to_8):
-    items = _with_relabelings([b for b in braces_up_to_8 if b.n <= 6], brace.relabeled, 1502)
-    _check_classes(items, _brace_tables, _element_fingerprints, brace.isomorphic)
+    items = _with_relabelings([b for b in braces_up_to_8 if b.n <= 6], relabeled, 1502)
+    _check_classes(items, _brace_tables, _element_fingerprints, isomorphic)
 
 
 def test_element_marks_follow_relabelings(braces_up_to_8):
@@ -135,13 +135,13 @@ def test_element_marks_follow_relabelings(braces_up_to_8):
         marks = _element_fingerprints(b)
         for _ in range(2):
             p = _relabeling(rng, b.n)
-            moved = _element_fingerprints(brace.relabeled(b, p))
+            moved = _element_fingerprints(relabeled(b, p))
             assert all(moved[p[x]] == marks[x] for x in range(b.n))
     for g in groups_up_to(16):
         orders = g.element_orders()
         for _ in range(2):
             p = _relabeling(rng, g.n)
-            moved = groups.relabeled(g, p).element_orders()
+            moved = relabeled_group(g, p).element_orders()
             assert all(moved[p[x]] == orders[x] for x in range(g.n))
 
 

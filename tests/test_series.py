@@ -11,11 +11,9 @@ from bracelab.brace import (
     from_group_trivial,
     from_zn_quadratic,
     lambda_orbits,
-    quotient,
-    relabeled,
 )
 from bracelab.errors import HypothesisUnmet
-from bracelab.groups import cyclic, dihedral, quaternion8, symmetric
+from bracelab.groups import cyclic
 from bracelab.series import (
     ASCENDING_KINDS,
     DESCENDING_KINDS,
@@ -26,8 +24,9 @@ from bracelab.series import (
 )
 from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
-from bracelab.substructures import invariant_substructures, radical, subbrace_lattice
+from bracelab.substructures import radical, subbrace_lattice
 from conftest import series_digest
+from oracles import dihedral, invariant_substructures, quaternion8, quotient, relabeled, symmetric
 
 
 def chains(report):
@@ -128,18 +127,26 @@ def test_gamma_series_general_ideal_argument(z4_quadratic):
 
 
 def test_gamma_distributivity(z4_quadratic, trivial_z2, five_point_brace):
-    rep = gamma_distributivity_check(z4_quadratic)
+    rep = gamma_distributivity_check(z4_quadratic, series(z4_quadratic, "gamma_bracket"))
     assert rep["class"] == 3
     assert rep["checked"] == 64  # one admissible k, all of B^3
     assert rep["counterexamples"] == []
-    rep = gamma_distributivity_check(trivial_z2)
+    rep = gamma_distributivity_check(trivial_z2, series(trivial_z2, "gamma_bracket"))
     assert rep["counterexamples"] == []
     with pytest.raises(HypothesisUnmet):
-        gamma_distributivity_check(five_point_brace)
+        gamma_distributivity_check(five_point_brace, series(five_point_brace, "gamma_bracket"))
+
+
+def test_gamma_distributivity_takes_the_bracketed_gamma_series(z4_quadratic):
+    # the gamma series reaches {0} here too, so unchecked its chain would be
+    # read as the bracketed one
+    with pytest.raises(ValueError):
+        gamma_distributivity_check(z4_quadratic, series(z4_quadratic, "gamma"))
 
 
 def test_distributivity_holds_on_nonabelian_nilpotent_trivial_brace():
-    rep = gamma_distributivity_check(from_group_trivial(dihedral(4)))
+    b = from_group_trivial(dihedral(4))
+    rep = gamma_distributivity_check(b, series(b, "gamma_bracket"))
     assert rep["counterexamples"] == []
     assert rep["checked"] > 0
 

@@ -1,6 +1,7 @@
-"""Checks on the library source itself."""
+"""Checks on the library source itself and on the README example."""
 
 import ast
+import re
 from pathlib import Path
 
 import bracelab
@@ -28,3 +29,40 @@ def test_library_names_no_frozenset():
         if isinstance(node, ast.Name) and node.id == "frozenset"
     ]
     assert found == []
+
+
+def test_every_public_definition_has_a_library_caller():
+    # no helper without a caller: each public top-level function or class
+    # is named somewhere in the library (an ast.Name, an ast.Attribute or an
+    # __init__ import); cli.py is exempt as a definer, since click registers
+    # its commands
+    src = Path(bracelab.__file__).parent
+    mentioned, defined = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                mentioned.update(alias.name for alias in node.names)
+        if path.name != "cli.py":
+            defined += [
+                (path.stem, node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            ]
+    uncalled = [f"{module}.{name}" for module, name in defined if name not in mentioned]
+    assert uncalled == []
+
+
+def test_readme_example_runs():
+    # the README's one python block, with the results its comments state
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    names = {}
+    exec(block, names)
+    assert [t.indices() for t in names["chain"]] == [[0], [0, 2], [0, 1, 2, 3]]
+    assert names["report"].annihilator.cls == 2

@@ -2,23 +2,25 @@ import gzip
 import hashlib
 import json
 import random
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from bracelab.brace import from_group_trivial, lambda_orbits, relabeled
+from bracelab.brace import from_group_trivial, lambda_orbits
 from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLabError, BudgetExceeded, NotASubBrace
-from bracelab.groups import closure_mask, cyclic, nilpotency_class, subgroup_lattice
+from bracelab.groups import (
+    closure_mask,
+    commutator_products,
+    cyclic,
+    nilpotency_class,
+    subgroup_lattice,
+)
 from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
 from bracelab.substructures import (
-    commutator,
     generates,
-    ideal_generated,
     idealizer,
-    invariant_substructures,
     is_ideal,
     is_left_ideal,
     is_subbrace,
@@ -29,6 +31,7 @@ from bracelab.substructures import (
     subbrace_lattice,
     subideal_chain,
 )
+from oracles import invariant_substructures, relabeled
 
 
 def full(b):
@@ -66,16 +69,6 @@ def test_is_ideal_examples(z4_quadratic, five_point_brace):
     assert verdict.witness is not None
 
 
-def test_ideal_generated(z4_quadratic, five_point_brace):
-    b = z4_quadratic
-    assert ideal_generated(b, Subset.empty(4)).indices() == [0]
-    assert ideal_generated(b, Subset.of(4, [2])).indices() == [0, 2]
-    # an additive generator forces the whole brace
-    fp = five_point_brace
-    gen = next(a for a in range(6) if fp.add.order_of(a) == 6)
-    assert ideal_generated(fp, Subset.of(6, [gen])).is_full()
-
-
 def test_star_sets_examples(z4_quadratic, trivial_s3):
     b = z4_quadratic
     assert star_sets(b, Subset.zero(4), full(b)).indices() == [0]
@@ -85,13 +78,18 @@ def test_star_sets_examples(z4_quadratic, trivial_s3):
     assert star_sets(t, full(t), full(t)).indices() == [0]
 
 
+def _commutator(g, xs, ys):
+    """Subgroup of g generated by the commutators [x, y], x in xs, y in ys."""
+    return Subset(g.n, closure_mask((g.table,), commutator_products(g, xs, ys)))
+
+
 def test_commutator_examples(z4_quadratic, five_point_brace):
     b = z4_quadratic
-    assert commutator(b, full(b), full(b), "+").indices() == [0]  # abelian
-    assert commutator(b, Subset.zero(4), full(b), "o").indices() == [0]
+    assert _commutator(b.add, full(b), full(b)).indices() == [0]  # abelian
+    assert _commutator(b.mul, Subset.zero(4), full(b)).indices() == [0]
     # derived subgroup of Sym(3) has order 3
     fp = five_point_brace
-    derived = commutator(fp, full(fp), full(fp), "o")
+    derived = _commutator(fp.mul, full(fp), full(fp))
     assert len(derived) == 3
 
 
@@ -296,23 +294,6 @@ def test_lambda_orbits_and_generates(z4_quadratic, trivial_s3):
     assert lambda_orbits(b) == [[0], [1, 3], [2]]
     assert generates(b, Subset.of(4, [1]))
     assert not generates(b, Subset.of(4, [2]))
-
-
-def test_ideal_generated_is_least(z4_quadratic, five_point_brace):
-    # brute force: intersect all ideals containing the seed
-    for b in (z4_quadratic, five_point_brace):
-        all_ideals = [
-            Subset(b.n, m) for m in range(1, 1 << b.n, 2) if is_ideal(b, Subset(b.n, m))
-        ]
-        for seed_size in (1, 2):
-            for seed in combinations(range(1, b.n), seed_size):
-                s = Subset.of(b.n, seed)
-                least = ideal_generated(b, s)
-                containing = [i for i in all_ideals if s <= i]
-                expected = Subset.full(b.n)
-                for i in containing:
-                    expected = expected & i
-                assert least == expected
 
 
 def _is_ideal_of(b, h, s):
