@@ -47,14 +47,6 @@ class BraceLawViolated(BraceLabError):
         )
 
 
-class LambdaNotHomomorphism(BraceLabError):
-    """Internal inconsistency: unreachable once the brace law holds."""
-
-    def __init__(self, a: int, b: int):
-        self.witness = (a, b)
-        super().__init__(f"lambda_(a o b) != lambda_a . lambda_b for (a,b)=({a},{b})")
-
-
 class NotASubBrace(BraceLabError):
     pass
 

@@ -4,25 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
 from .perms import Perm, compose
 from .subsets import Subset
 
-# verify_group checks associativity on all triples with two n^3 int64
-# gathers, about 133 MB each at this carrier size.
+# A table that fails a generator check is rescanned on all n^3 triples to
+# name its first witness: 16.6 million triples at this carrier size.
 MAX_CARRIER = 255
 
 # Cayley tables on one carrier, as the closure and isomorphism kernels take them.
 Tables = Sequence[Sequence[Sequence[int]]]
 
 # Entries kept by the per-table caches below. No order within the lattice
-# budget has more than 52 groups; analyze-24 meets 258 distinct tables.
+# budget has more than 52 groups; analyze-24 meets 258 distinct tables and
+# validates 243 of them, census-24 validates 571.
 SUBGROUP_LATTICE_CACHE = 64
 NILPOTENCY_CLASS_CACHE = 1024
+VERIFY_GROUP_CACHE = 1024
+GENERATORS_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,7 @@ class GroupTable:
         return self.table[a][b]
 
     def order_of(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        return _order_of(self.table, a)
 
     def element_orders(self) -> tuple[int, ...]:
         return tuple(self.order_of(a) for a in range(self.n))
@@ -58,70 +57,136 @@ class GroupTable:
         """a b a^-1 b^-1."""
         return self.table[self.conjugate(a, b)][self.inv[b]]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+
+def _order_of(t: Tables, a: int) -> int:
+    """Length of the cycle of x -> x*a through 0. In a Latin table with
+    identity 0 that map is a permutation, so the cycle closes; in a group it
+    is the order of a."""
+    k, x = 1, a
+    while x != 0:
+        x = t[x][a]
+        k += 1
+    return k
 
 
 def verify_group(table: Sequence[Sequence[int]]) -> GroupTable:
     """Validate a Cayley table whose identity is index 0.
 
-    Raises NotLatin / NotAssociative with the first violating witness, and
-    NoIdentity when index 0 is not a two-sided identity.
+    Entry types and the shape are checked first, then the table is looked up
+    in a memo keyed on its content, so equal tables give one GroupTable
+    object. A table not in the memo must have entries in 0..n-1, be Latin,
+    have 0 as a two-sided identity, and pass Light's associativity test on
+    the generators of _generators. Raises NotLatin / NotAssociative with the
+    first violating witness, and NoIdentity when index 0 is not a two-sided
+    identity.
     """
     n = len(table)
     if n == 0:
         raise NoIdentity("empty table")
     if n > MAX_CARRIER:
         raise BudgetExceeded("carrier size for exhaustive validation", n, MAX_CARRIER)
-    t = np.asarray(table)
-    if t.dtype.kind not in "iu":
-        raise ValueError(f"table entries must be integers, got {t.dtype.type.__name__}")
-    if t.shape != (n, n):
-        raise ValueError(f"table must be square, got shape {t.shape}")
-    # numpy reads a bool among ints as an int; the rows still hold the bool.
-    if any(bool in set(map(type, row)) for row in table):
-        raise ValueError("table entries must be integers, got bool")
-    t = t.astype(np.int64, copy=False)
-    if t.min() < 0 or t.max() >= n:
+    try:
+        rows = tuple(map(tuple, table))
+    except TypeError:
+        raise ValueError("table must be a sequence of rows") from None
+    # Before the memo: True == 1 and hash(True) == hash(1), so a bool entry
+    # would otherwise find the memo entry of the int table.
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        bad = next(type(v) for row in rows for v in row if type(v) is not int)
+        raise ValueError(f"table entries must be integers, got {bad.__name__}")
+    if set(map(len, rows)) != {n}:
+        raise ValueError(f"table must be square, got {n} rows of lengths {sorted(set(map(len, rows)))}")
+    return _verified(rows)
+
+
+@lru_cache(maxsize=VERIFY_GROUP_CACHE)
+def _verified(t: tuple[tuple[int, ...], ...]) -> GroupTable:
+    """The checks of verify_group after the type and shape checks."""
+    n = len(t)
+    if min(map(min, t)) < 0 or max(map(max, t)) >= n:
         raise ValueError("table entries must lie in 0..n-1")
 
     _check_latin(t)
 
-    rng = np.arange(n)
-    if not (np.array_equal(t[0], rng) and np.array_equal(t[:, 0], rng)):
+    rng = tuple(range(n))
+    if t[0] != rng or tuple(row[0] for row in t) != rng:
         raise NoIdentity("index 0 is not a two-sided identity")
 
-    # (a*b)*c == a*(b*c) on all triples.
-    lhs = t[t, :]
-    rhs = t[:, t]
-    if not np.array_equal(lhs, rhs):
-        a, b, c = np.argwhere(lhs != rhs)[0]
-        raise NotAssociative(int(a), int(b), int(c))
+    # Light's test: (x*g)*y == x*(g*y) for all x, y and each generator g. The
+    # g that pass are closed under products (if g and h pass, x*(g*h) =
+    # (x*g)*h and then (x*(g*h))*y = x*((g*h)*y)), so every element passes.
+    # Over all x at once: row t[x*g] against row x composed with row g.
+    for g in _generators(t):
+        if list(map(t.__getitem__, map(itemgetter(g), t))) != list(map(itemgetter(*t[g]), t)):
+            _raise_first_nonassociative(t)
 
-    inv = np.empty(n, dtype=np.int64)
-    rows, cols = np.nonzero(t == 0)
-    inv[rows] = cols
-    return GroupTable(n, tuple(map(tuple, t.tolist())), tuple(inv.tolist()))
+    return GroupTable(n, t, tuple(row.index(0) for row in t))
 
 
-def _check_latin(t: np.ndarray) -> None:
+def _raise_first_nonassociative(t: tuple[tuple[int, ...], ...]) -> None:
+    """Raise NotAssociative at the first triple (a, b, c), in lexicographic
+    order, with (a*b)*c != a*(b*c)."""
+    for a, row in enumerate(t):
+        for b, ab in enumerate(row):
+            for c, (lhs, rhs) in enumerate(zip(t[ab], map(row.__getitem__, t[b]))):
+                if lhs != rhs:
+                    raise NotAssociative(a, b, c)
+    raise CrossCheckFailed("Light's test failed on a table associative on all triples")
+
+
+def _check_latin(t: tuple[tuple[int, ...], ...]) -> None:
     """Raise NotLatin at the first repeated entry, rows before columns.
 
     Entries lie in 0..n-1, so the table is Latin when every row and every
     column sorts to 0..n-1; only a failing table is walked for its witness.
     """
-    n = t.shape[0]
-    rng = np.arange(n)
-    if (np.sort(t, axis=1) == rng).all() and (np.sort(t, axis=0) == rng[:, None]).all():
+    n, rng = len(t), list(range(len(t)))
+    cols = tuple(zip(*t))
+    if list(map(sorted, t)).count(rng) == n and list(map(sorted, cols)).count(rng) == n:
         return
-    for axis, mats in (("row", t), ("column", t.T)):
-        for i in range(n):
+    for axis, lines in (("row", t), ("column", cols)):
+        for i, line in enumerate(lines):
             seen: dict[int, int] = {}
-            for j, v in enumerate(mats[i]):
-                v = int(v)
+            for j, v in enumerate(line):
                 if v in seen:
                     raise NotLatin(axis, i, seen[v], j, v)
                 seen[v] = j
+
+
+@lru_cache(maxsize=GENERATORS_CACHE)
+def _generators(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Elements whose products give the whole carrier.
+
+    t is a Latin table with identity 0, not yet known to be a group, so
+    closure_mask's Lagrange shortcut does not apply. Instead each element is
+    reached from 0 by right multiplication by generators, so it is a product
+    of generators; in a group that reaches exactly the subgroup they
+    generate. Elements are taken by descending _order_of, ties by index, each
+    one not yet reached by those before it: high orders first give two or
+    three generators on the groups of order 24.
+    """
+    n = len(t)
+    gens: list[int] = []
+    mask, reached = 1, [0]
+    for a in sorted(range(n), key=lambda a: (-_order_of(t, a), a)):
+        if len(reached) == n:
+            break
+        if mask >> a & 1:
+            continue
+        gens.append(a)
+        frontier = reached
+        while frontier:
+            new = []
+            for x in frontier:
+                row = t[x]
+                for g in gens:
+                    y = row[g]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
+                        new.append(y)
+            reached = reached + new
+            frontier = new
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 quotient and invariant_substructures are the definitional route to the socle
 and annihilator series, which the library pulls back without quotients.
+first_repeat, first_nonassociative, first_brace_law_violation,
+is_two_sided and star_identity_failures check the laws on every pair or
+triple, one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from bracelab.brace import SkewBrace, brace_from_tables, verify_skew_brace
 from bracelab.errors import BraceLabError, CrossCheckFailed
@@ -181,3 +184,76 @@ def relabeled(b: SkewBrace, relabel: Perm) -> SkewBrace:
     """Transport both tables along a carrier bijection fixing 0."""
     add, mul = (relabeled_group(g, relabel) for g in (b.add, b.mul))
     return verify_skew_brace(add, mul)
+
+
+Table = Sequence[Sequence[int]]
+
+
+def first_repeat(table: Table):
+    """The first repeated entry of a table, rows before columns, as
+    (axis, index, (first position, second position, value)), or None."""
+    for axis, lines in (("row", table), ("column", [list(col) for col in zip(*table)])):
+        for i, line in enumerate(lines):
+            seen = {}
+            for j, v in enumerate(line):
+                if v in seen:
+                    return axis, i, (seen[v], j, v)
+                seen[v] = j
+    return None
+
+
+def first_nonassociative(t: Table) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) in lexicographic order with (a*b)*c != a*(b*c)."""
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a, b, c
+    return None
+
+
+def first_brace_law_violation(add: Table, mul: Table) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) in lexicographic order with
+    a o (b+c) != a o b - a + a o c; add and mul are group tables."""
+    n = len(add)
+    neg = [row.index(0) for row in add]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[a][add[b][c]] != add[add[mul[a][b]][neg[a]]][mul[a][c]]:
+                    return a, b, c
+    return None
+
+
+def is_two_sided(add: Table, mul: Table) -> bool:
+    """(a+b) o c == a o c - c + b o c on all triples."""
+    n = len(add)
+    neg = [row.index(0) for row in add]
+    return all(
+        mul[add[a][b]][c] == add[add[mul[a][c]][neg[c]]][mul[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def star_identity_failures(b: SkewBrace) -> list[tuple[str, tuple[int, int, int]]]:
+    """The three star expansion identities, triple by triple, each in
+    (x, y, z) order, from the lam and star tables as b stores them."""
+    n, add, mul, st, neg = b.n, b.add.table, b.mul.table, b.star, b.add.inv
+    lam_inv = [invert(row) for row in b.lam]
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    out = []
+    for x, y, z in triples:
+        if st[x][add[y][z]] != add[add[add[st[x][y]][y]][st[x][z]]][neg[y]]:
+            out.append(("star_of_sum", (x, y, z)))
+    for x, y, z in triples:
+        s = st[lam_inv[x][y]][z]
+        if st[add[x][y]][z] != add[add[st[x][s]][s]][st[x][z]]:
+            out.append(("sum_star", (x, y, z)))
+    for x, y, z in triples:
+        s = st[y][z]
+        if st[mul[x][y]][z] != add[add[st[x][s]][s]][st[x][z]]:
+            out.append(("product_star", (x, y, z)))
+    return out

@@ -331,8 +331,8 @@ META_Z2 = {"meta": {"kind": "braces", "order": 2, "count": 1}}
 @pytest.mark.parametrize(
     "header, item, message",
     [
-        # 0.5 would be read as 0, which makes a valid table
-        (META_Z2, {**BRACE_Z2, "mul": [[0, 1], [1, 0.5]]}, "must be integers, got float64"),
+        # 0.5 must not be truncated to 0, which would make a valid table
+        (META_Z2, {**BRACE_Z2, "mul": [[0, 1], [1, 0.5]]}, "must be integers, got float"),
         (META_Z2, [BRACE_Z2["add"], BRACE_Z2["mul"]], "brace must be a JSON object, got list"),
         (META_Z2, {**BRACE_Z2, "add": 5}, "add must be a list of lists"),
         ([META_Z2], BRACE_Z2, "catalog header must be a JSON object, got list"),

@@ -8,8 +8,13 @@ import pytest
 from bracelab.enumeration import _groups_of_order
 from bracelab.errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
 from bracelab.groups import (
+    GENERATORS_CACHE,
     NILPOTENCY_CLASS_CACHE,
     SUBGROUP_LATTICE_CACHE,
+    VERIFY_GROUP_CACHE,
+    GroupTable,
+    _generators,
+    _verified,
     all_automorphisms,
     ascending_chain,
     automorphism_group,
@@ -26,8 +31,16 @@ from bracelab.groups import (
 )
 from bracelab.perms import compose, invert
 from bracelab.subsets import Subset
+from bracelab.substructures import _with_members
 from conftest import groups_up_to
-from oracles import dihedral, direct_product, quaternion8, relabeled_group, symmetric
+from oracles import (
+    dihedral,
+    direct_product,
+    first_repeat,
+    quaternion8,
+    relabeled_group,
+    symmetric,
+)
 
 # a Latin square with identity that is not a group (first bad triple (1,1,2))
 NONASSOC_LOOP = [
@@ -49,18 +62,6 @@ def test_repeated_entry_is_not_latin():
     with pytest.raises(NotLatin) as exc:
         verify_group([[0, 1], [1, 1]])
     assert exc.value.index == 1
-
-
-def _first_repeat(table):
-    """Oracle: the first repeated entry of a table, rows before columns."""
-    for axis, lines in (("row", table), ("column", [list(col) for col in zip(*table)])):
-        for i, line in enumerate(lines):
-            seen = {}
-            for j, v in enumerate(line):
-                if v in seen:
-                    return axis, i, (seen[v], j, v)
-                seen[v] = j
-    return None
 
 
 def _latin_witness(table):
@@ -103,7 +104,7 @@ def test_not_latin_witness_is_first_repeat(defects, axes):
         count = 1 if len(defects) == 1 else rng.randrange(2, 6)
         for defect in rng.choices(defects, k=count):
             defect(rng, table)
-        want = _first_repeat(table)
+        want = first_repeat(table)
         assert _latin_witness(table) == want
         seen.add(want[0] if want else None)
     assert axes <= seen
@@ -155,14 +156,24 @@ def test_element_orders_and_exponent():
 @pytest.mark.parametrize(
     "table, bad",
     [
-        ([[0, 1], [1, 0.5]], "float64"),  # numpy would truncate 0.5 to 0
-        ([[0, "1"], [1, 0]], "str_"),
-        ([[0, 1], [True, 0]], "bool"),  # numpy would read True as 1
+        ([[0, 1], [1, 0.5]], "float"),
+        ([[0, "1"], [1, 0]], "str"),
+        ([[0, 1], [True, 0]], "bool"),  # True == 1, but a bool is not a table entry
     ],
 )
 def test_non_integer_entries_rejected(table, bad):
-    with pytest.raises(ValueError, match=f"table entries must be integers, got {bad}"):
+    with pytest.raises(ValueError, match=f"table entries must be integers, got {bad}$"):
         verify_group(table)
+
+
+def test_entry_types_are_checked_before_the_memo():
+    # True == 1 and hash(True) == hash(1): the bool table must not find the
+    # memo entry of the int table
+    verify_group([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="got bool"):
+        verify_group([[0, 1], [True, 0]])
+    with pytest.raises(ValueError, match="got float"):
+        verify_group([[0, 1], [1.0, 0]])
 
 
 def test_carrier_budget():
@@ -354,10 +365,16 @@ def test_ascending_chain_stops_at_first_repeat_and_checks_containment():
 # Per-table caches
 
 
+def test_verify_group_returns_one_object_per_table():
+    g = dihedral(6)
+    assert verify_group([list(row) for row in g.table]) is g
+
+
 @pytest.mark.parametrize("fn", [subgroup_lattice, nilpotency_class])
 def test_equal_tables_share_one_cache_entry(fn):
     g = dihedral(6)
-    twin = verify_group([list(row) for row in g.table])
+    # verify_group would return g itself, so the twin is built directly
+    twin = GroupTable(g.n, tuple(tuple(row) for row in g.table), g.inv)
     assert twin == g and twin is not g
     first = fn(g)
     hits = fn.cache_info().hits
@@ -367,7 +384,10 @@ def test_equal_tables_share_one_cache_entry(fn):
 
 def test_caches_are_bounded():
     assert subgroup_lattice.cache_info().maxsize == SUBGROUP_LATTICE_CACHE > 0
+    assert _with_members.cache_info().maxsize == SUBGROUP_LATTICE_CACHE
     assert nilpotency_class.cache_info().maxsize == NILPOTENCY_CLASS_CACHE > 0
+    assert _verified.cache_info().maxsize == VERIFY_GROUP_CACHE > 0
+    assert _generators.cache_info().maxsize == GENERATORS_CACHE > 0
 
 
 # ---------------------------------------------------------------------------

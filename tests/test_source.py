@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bracelab
@@ -17,6 +19,15 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_import_loads_no_numpy():
+    # validation is pure Python; numpy would cost every process its import
+    src = str(Path(bracelab.__file__).parents[1])
+    code = "import sys, bracelab, bracelab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_library_names_no_frozenset():
