@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 from . import groups
 from .errors import BraceLabError, BraceLawViolated, CrossCheckFailed, NotABrace
-from .groups import GroupTable, _generators, cyclic, opposite, verify_group
+from .groups import GroupTable, cyclic, opposite, verify_group
 from .perms import Perm, cycle_type, invert
 
 
@@ -49,16 +49,23 @@ def verify_skew_brace(add: GroupTable, mul: GroupTable) -> SkewBrace:
     n = add.n
     add_t, mul_t, neg = add.table, mul.table, add.inv
     lam = tuple(tuple(map(add_t[neg[a]].__getitem__, mul_t[a])) for a in range(n))
-    add_gens = _generators(add_t)
-    for g in _generators(mul_t):
-        lam_g = lam[g]
-        for h in add_gens:
-            if tuple(map(lam_g.__getitem__, add_t[h])) != tuple(map(add_t[lam_g[h]].__getitem__, lam_g)):
-                _raise_first_brace_law_violation(add, mul)
+    for g in mul.generators:
+        if not _is_additive(lam[g], add):
+            _raise_first_brace_law_violation(add, mul)
 
     minus = _picker(neg)(tuple(zip(*add_t)))  # minus[b][v] = v - b
     star = tuple(tuple(map(getitem, minus, row)) for row in lam)
     return SkewBrace(n=n, add=add, mul=mul, lam=lam, star=star)
+
+
+def _is_additive(f: Sequence[int], add: GroupTable) -> bool:
+    """f(h + x) == f(h) + f(x) for each generator h of add and every x; by
+    the argument in verify_skew_brace's docstring, f is then additive."""
+    add_t = add.table
+    for h in add.generators:
+        if tuple(map(f.__getitem__, add_t[h])) != tuple(map(add_t[f[h]].__getitem__, f)):
+            return False
+    return True
 
 
 def _raise_first_brace_law_violation(add: GroupTable, mul: GroupTable) -> None:
@@ -118,8 +125,8 @@ class BraceFlags:
 
 
 def classify_flags(b: SkewBrace) -> BraceFlags:
-    add_class = groups.nilpotency_class(b.add)
-    mul_class = groups.nilpotency_class(b.mul)
+    add_class = b.add.nilpotency_class
+    mul_class = b.mul.nilpotency_class
     return BraceFlags(
         trivial=b.add.table == b.mul.table,
         two_sided=_is_two_sided(b),
@@ -133,17 +140,12 @@ def classify_flags(b: SkewBrace) -> BraceFlags:
 
 def _is_two_sided(b: SkewBrace) -> bool:
     """(a + b) o c == a o c - c + b o c on all triples, that is, each
-    rho_c(x) = x o c - c is additive. As in verify_skew_brace, additivity on
-    the generators h of (B,+) is enough: rho_c(h + x) = rho_c(h) + rho_c(x)."""
-    add_t, neg = b.add.table, b.add.inv
-    add_cols = tuple(zip(*add_t))
-    gens = _generators(add_t)
-    for c, mul_col in enumerate(zip(*b.mul.table)):
-        rho = tuple(map(add_cols[neg[c]].__getitem__, mul_col))
-        for h in gens:
-            if tuple(map(rho.__getitem__, add_t[h])) != tuple(map(add_t[rho[h]].__getitem__, rho)):
-                return False
-    return True
+    rho_c(x) = x o c - c is additive."""
+    add_cols, neg = tuple(zip(*b.add.table)), b.add.inv
+    return all(
+        _is_additive(tuple(map(add_cols[neg[c]].__getitem__, mul_col)), b.add)
+        for c, mul_col in enumerate(zip(*b.mul.table))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def _element_fingerprints(b: SkewBrace) -> list[tuple]:
     add_t, mul_t = b.add.table, b.mul.table
     add_cols, mul_cols = list(zip(*add_t)), list(zip(*mul_t))
     return [
-        (b.add.order_of(a), b.mul.order_of(a), orbit_sizes[a], cycle_type(b.lam[a]),
+        (b.add.element_orders[a], b.mul.element_orders[a], orbit_sizes[a], cycle_type(b.lam[a]),
          add_t[a] == add_cols[a], mul_t[a] == mul_cols[a])
         for a in range(b.n)
     ]

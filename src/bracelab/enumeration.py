@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -94,7 +95,7 @@ def _groups_of_order(n: int) -> list[GroupTable]:
         for base in _groups_of_order(n // p)
         for table in _cyclic_extensions(base, p)
     )
-    found = _isomorphism_classes(candidates, GroupTable.element_orders, isomorphic_groups)
+    found = _isomorphism_classes(candidates, attrgetter("element_orders"), isomorphic_groups)
     if n in EXPECTED_GROUP_COUNTS and len(found) != EXPECTED_GROUP_COUNTS[n]:
         raise CrossCheckFailed(
             f"group census at order {n}: got {len(found)}, "
@@ -139,7 +140,7 @@ def _primes_dividing(n: int) -> list[int]:
 
 def _cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:
     """Tables of order p*|N| built from t^i x with t^p = z and t x t^-1 = alpha(x)."""
-    m = base.n
+    m, base_t = base.n, base.table
     n = m * p
     conj = {
         z: tuple(base.conjugate(z, x) for x in range(m)) for z in range(m)
@@ -160,13 +161,13 @@ def _cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:
                 for x in range(m):
                     row = table[i * m + x]
                     for j in range(p):
-                        shifted = alpha_inv_pows[j]
+                        x_row = base_t[alpha_inv_pows[j][x]]
                         for y in range(m):
-                            w = base.op(shifted[x], y)
+                            w = x_row[y]
                             if i + j < p:
                                 row[j * m + y] = (i + j) * m + w
                             else:
-                                row[j * m + y] = (i + j - p) * m + base.op(z, w)
+                                row[j * m + y] = (i + j - p) * m + base_t[z][w]
             yield table
 
 
@@ -332,8 +333,7 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
 
 
 def brace_from_lambda_map(a_group: GroupTable, lam: LambdaMap) -> SkewBrace:
-    n = a_group.n
-    mul = [[a_group.op(a, lam[a][b]) for b in range(n)] for a in range(n)]
+    mul = [list(map(row.__getitem__, lam_a)) for row, lam_a in zip(a_group.table, lam)]
     return verify_skew_brace(a_group, verify_group(mul))
 
 
@@ -417,17 +417,20 @@ def _checkpoint_header(n: int, groups: Sequence[GroupTable]) -> dict:
 
 
 def _checkpoint_record(
-    rec, unit_counts: list[int], n: int
+    rec, auts: list[dict[Perm, Perm]], n: int
 ) -> tuple[tuple[int, int], list[LambdaMap]]:
+    """The unit and maps of one record, each map rebuilt from auts[gi], which
+    maps every automorphism of group gi to itself; others raise ValueError."""
     gi, unit = rec["group"], rec["unit"]
     if not (
-        isinstance(gi, int) and 0 <= gi < len(unit_counts)
-        and isinstance(unit, int) and 0 <= unit < unit_counts[gi]
+        isinstance(gi, int) and 0 <= gi < len(auts)
+        and isinstance(unit, int) and 0 <= unit < len(auts[gi])
     ):
         raise ValueError(f"no unit ({gi}, {unit}) at this order")
-    maps = [tuple(tuple(p) for p in lam) for lam in rec["maps"]]
-    if any(len(lam) != n or any(len(p) != n for p in lam) for lam in maps):
-        raise ValueError(f"a map of unit ({gi}, {unit}) is not of size {n}")
+    aut = auts[gi]
+    maps = [tuple(aut.get(tuple(p)) for p in lam) for lam in rec["maps"]]
+    if any(len(lam) != n or None in lam for lam in maps):
+        raise ValueError(f"a map of unit ({gi}, {unit}) is not {n} automorphisms of its group")
     return (gi, unit), maps
 
 
@@ -460,14 +463,14 @@ def _read_checkpoint(
     if found.get("groups") != header["groups"]:
         raise BadCheckpoint(f"{path}: written for other additive groups (table digests differ)")
 
-    unit_counts = [len(all_automorphisms(g)) for g in groups]
+    auts = [{p: p for p in all_automorphisms(g)} for g in groups]
     done: dict[tuple[int, int], list[LambdaMap]] = {}
     kept = len(lines)
     for i in range(1, len(lines)):
         try:
             if not lines[i].endswith("\n"):
                 raise ValueError("unterminated record")
-            key, maps = _checkpoint_record(json.loads(lines[i]), unit_counts, n)
+            key, maps = _checkpoint_record(json.loads(lines[i]), auts, n)
         except (ValueError, KeyError, TypeError) as exc:
             if i < len(lines) - 1:
                 raise BadCheckpoint(f"{path}: line {i + 1} is not a unit record ({exc})") from None

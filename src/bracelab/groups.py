@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -19,31 +19,35 @@ MAX_CARRIER = 255
 # Cayley tables on one carrier, as the closure and isomorphism kernels take them.
 Tables = Sequence[Sequence[Sequence[int]]]
 
-# Entries kept by the per-table caches below. No order within the lattice
-# budget has more than 52 groups; analyze-24 meets 258 distinct tables and
-# validates 243 of them, census-24 validates 571.
-SUBGROUP_LATTICE_CACHE = 64
-NILPOTENCY_CLASS_CACHE = 1024
+# Tables kept by verify_group's memo: analyze-24 meets 258 distinct tables
+# and validates 243 of them, census-24 validates 571.
 VERIFY_GROUP_CACHE = 1024
-GENERATORS_CACHE = 1024
 
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group: n x n Cayley table, identity at index 0."""
+    """A finite group: n x n Cayley table, identity at index 0. Only
+    verify_group builds one; it sets element_orders and generators, which ==
+    and hash do not read. nilpotency_class and subgroups are kept on first use."""
 
     n: int
     table: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
+    element_orders: tuple[int, ...] = field(compare=False, repr=False)
+    generators: tuple[int, ...] = field(compare=False, repr=False)
 
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    @cached_property
+    def nilpotency_class(self) -> Optional[int]:
+        """Class c with gamma_{c+1} = 1, or None if not nilpotent."""
+        chain = lower_central_series(self)
+        return len(chain) - 1 if chain[-1].is_zero_only() else None
 
-    def order_of(self, a: int) -> int:
-        return _order_of(self.table, a)
-
-    def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.order_of(a) for a in range(self.n))
+    @cached_property
+    def subgroups(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(mask, members) of every subgroup, in subgroup_lattice's order.
+        Exponential in the worst case; callers guard the carrier size."""
+        masks = subgroup_lattice(self)
+        return tuple((m, tuple(x for x in range(m.bit_length()) if m >> x & 1)) for m in masks)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -76,9 +80,9 @@ def verify_group(table: Sequence[Sequence[int]]) -> GroupTable:
     in a memo keyed on its content, so equal tables give one GroupTable
     object. A table not in the memo must have entries in 0..n-1, be Latin,
     have 0 as a two-sided identity, and pass Light's associativity test on
-    the generators of _generators. Raises NotLatin / NotAssociative with the
-    first violating witness, and NoIdentity when index 0 is not a two-sided
-    identity.
+    the generators of _generators, which the GroupTable keeps. Raises NotLatin
+    / NotAssociative with the first violating witness, and NoIdentity when
+    index 0 is not a two-sided identity.
     """
     n = len(table)
     if n == 0:
@@ -116,11 +120,13 @@ def _verified(t: tuple[tuple[int, ...], ...]) -> GroupTable:
     # g that pass are closed under products (if g and h pass, x*(g*h) =
     # (x*g)*h and then (x*(g*h))*y = x*((g*h)*y)), so every element passes.
     # Over all x at once: row t[x*g] against row x composed with row g.
-    for g in _generators(t):
+    orders = tuple(_order_of(t, a) for a in rng)
+    gens = _generators(t, orders)
+    for g in gens:
         if list(map(t.__getitem__, map(itemgetter(g), t))) != list(map(itemgetter(*t[g]), t)):
             _raise_first_nonassociative(t)
 
-    return GroupTable(n, t, tuple(row.index(0) for row in t))
+    return GroupTable(n, t, tuple(row.index(0) for row in t), orders, gens)
 
 
 def _raise_first_nonassociative(t: tuple[tuple[int, ...], ...]) -> None:
@@ -153,22 +159,21 @@ def _check_latin(t: tuple[tuple[int, ...], ...]) -> None:
                 seen[v] = j
 
 
-@lru_cache(maxsize=GENERATORS_CACHE)
-def _generators(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _generators(t: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> tuple[int, ...]:
     """Elements whose products give the whole carrier.
 
     t is a Latin table with identity 0, not yet known to be a group, so
     closure_mask's Lagrange shortcut does not apply. Instead each element is
     reached from 0 by right multiplication by generators, so it is a product
     of generators; in a group that reaches exactly the subgroup they
-    generate. Elements are taken by descending _order_of, ties by index, each
-    one not yet reached by those before it: high orders first give two or
-    three generators on the groups of order 24.
+    generate. Elements are taken by descending order (orders[a] is a's
+    _order_of), ties by index, each one not yet reached by those before it:
+    high orders first give two or three generators on the groups of order 24.
     """
     n = len(t)
     gens: list[int] = []
     mask, reached = 1, [0]
-    for a in sorted(range(n), key=lambda a: (-_order_of(t, a), a)):
+    for a in sorted(range(n), key=lambda a: (-orders[a], a)):
         if len(reached) == n:
             break
         if mask >> a & 1:
@@ -262,10 +267,9 @@ def _largest_proper_divisor(n: int) -> int:
     return n // next((p for p in range(2, n + 1) if n % p == 0), 1)
 
 
-@lru_cache(maxsize=SUBGROUP_LATTICE_CACHE)
 def subgroup_lattice(g: GroupTable) -> tuple[int, ...]:
-    """Masks of every subgroup of g, ordered by (size, mask); computed once
-    per distinct table.
+    """Masks of every subgroup of g, ordered by (size, mask); g.subgroups
+    keeps them.
 
     Atoms are the closures of singletons. Every subgroup H is reached from an
     atom in H by closing the join with one more atom in H at a time, so each
@@ -346,14 +350,6 @@ def lower_central_series(g: GroupTable) -> list[Subset]:
     """gamma_1 = G, gamma_{k+1} = [G, gamma_k]; cut at first repetition."""
     full = Subset.full(g.n)
     return descending_chain((g.table,), full, lambda last: commutator_products(g, full, last))
-
-
-@lru_cache(maxsize=NILPOTENCY_CLASS_CACHE)
-def nilpotency_class(g: GroupTable) -> Optional[int]:
-    """Class c with gamma_{c+1} = 1, or None if not nilpotent; computed once
-    per distinct table."""
-    chain = lower_central_series(g)
-    return len(chain) - 1 if chain[-1].is_zero_only() else None
 
 
 def ascending_chain(needs: Sequence[int]) -> list[Subset]:
@@ -479,7 +475,7 @@ def _isomorphisms(
 
 def isomorphic_groups(g1: GroupTable, g2: GroupTable) -> Optional[Perm]:
     """A bijection phi with phi(a*b) = phi(a)*phi(b), or None."""
-    maps = _isomorphisms((g1.table,), (g2.table,), g1.element_orders(), g2.element_orders())
+    maps = _isomorphisms((g1.table,), (g2.table,), g1.element_orders, g2.element_orders)
     return next(maps, None)
 
 
@@ -521,5 +517,5 @@ def generated_group(gens: Sequence[Perm], degree: int) -> Iterator[Perm]:
 @cache
 def all_automorphisms(g: GroupTable) -> list[Perm]:
     """Every automorphism of G, sorted; one list per group, computed once."""
-    orders = g.element_orders()
+    orders = g.element_orders
     return sorted(_isomorphisms((g.table,), (g.table,), orders, orders))

@@ -217,13 +217,13 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
     if ann.holds and not strong.holds:
         raise CrossCheckFailed("annihilator nilpotent but not strongly nilpotent")
 
-    nilpotent_type = groups.nilpotency_class(b.add) is not None
+    nilpotent_type = b.add.nilpotency_class is not None
     if nilpotent_type and ann.holds != strong.holds:
         raise CrossCheckFailed("nilpotent type: annihilator vs strong disagree")
 
     checks = []
     if nilpotent_type:
-        mul_nilpotent = groups.nilpotency_class(b.mul) is not None
+        mul_nilpotent = b.mul.nilpotency_class is not None
         # For finite braces of nilpotent type, left nilpotency is known to
         # match nilpotency of the multiplicative group; reported, and
         # asserted across whole catalogs by the campaign suites.

@@ -4,7 +4,6 @@ products, the sub-brace lattice, maximal ideals, radical, idealizer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .brace import SkewBrace
@@ -14,7 +13,7 @@ from .errors import (
     NotASubBrace,
     env_budget,
 )
-from .groups import SUBGROUP_LATTICE_CACHE, closure_mask, subgroup_lattice
+from .groups import closure_mask
 from .subsets import Subset
 
 DEFAULT_LATTICE_BUDGET = 48
@@ -127,23 +126,17 @@ def star_sets(b: SkewBrace, xs: Subset, ys: Subset) -> Subset:
 
 def subbrace_lattice(b: SkewBrace) -> list[Subset]:
     """All sub skew braces, ordered by (size, mask): the subgroups of (B,+)
-    closed under o, filtered from the lattice of the additive table."""
+    closed under o, filtered from b.add.subgroups."""
     budget = env_budget(DEFAULT_LATTICE_BUDGET)
     if b.n > budget:
         raise BudgetExceeded("sub-brace lattice carrier", b.n, budget)
     n, mul_t = b.n, b.mul.table
     out = []
-    for m, members in _with_members(subgroup_lattice(b.add)):
+    for m, members in b.add.subgroups:
         rows = [mul_t[a] for a in members]
         if all(m >> row[c] & 1 for row in rows for c in members):
             out.append(Subset(n, m))
     return out
-
-
-@lru_cache(maxsize=SUBGROUP_LATTICE_CACHE)
-def _with_members(masks: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Each mask with its member list; built once per distinct lattice."""
-    return tuple((m, tuple(x for x in range(m.bit_length()) if m >> x & 1)) for m in masks)
 
 
 def maximal_subbraces(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:

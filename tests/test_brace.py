@@ -61,8 +61,8 @@ def test_brace_law_violation_names_triple():
     with pytest.raises(BraceLawViolated) as exc:
         verify_skew_brace(add, mul)
     a, b, c = exc.value.witness
-    lhs = mul.op(a, add.op(b, c))
-    rhs = add.op(add.op(mul.op(a, b), add.inv[a]), mul.op(a, c))
+    lhs = mul.table[a][add.table[b][c]]
+    rhs = add.table[add.table[mul.table[a][b]][add.inv[a]]][mul.table[a][c]]
     assert lhs != rhs
 
 

@@ -324,6 +324,46 @@ def test_corrupt_inner_record_is_refused(tmp_path):
     assert "line 3 is not a unit record" in res.output
 
 
+# a permutation that moves the identity, and two that are no permutations
+NOT_AUTOMORPHISMS = [[1, 0, 2, 3], [0, 0, 0, 0], [0, 1, 2, 9]]
+
+
+def _with_a_map_of(line, perm):
+    """The unit record line with one more map, each of its four entries perm."""
+    rec = json.loads(line)
+    rec["maps"].append([perm] * 4)
+    return json.dumps(rec) + "\n"
+
+
+@pytest.mark.parametrize("perm", NOT_AUTOMORPHISMS)
+def test_inner_record_of_non_automorphisms_is_refused(tmp_path, perm):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    lines = ckpt.read_text().splitlines(keepends=True)
+    lines[1] = _with_a_map_of(lines[1], perm)
+    ckpt.write_text("".join(lines))
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert "line 2 is not a unit record" in res.output
+    assert "automorphisms" in res.output
+
+
+@pytest.mark.parametrize("perm", NOT_AUTOMORPHISMS)
+def test_final_record_of_non_automorphisms_is_redone(tmp_path, perm):
+    ckpt = tmp_path / "b.ckpt"
+    out = tmp_path / "b.jsonl"
+    assert enumerate_with_checkpoint(4, ckpt, out).exit_code == 0
+    complete = ckpt.read_text()
+    fresh = out.read_text().splitlines()[1:]
+    lines = complete.splitlines(keepends=True)
+    lines[-1] = _with_a_map_of(lines[-1], perm)
+    ckpt.write_text("".join(lines))
+    res = enumerate_with_checkpoint(4, ckpt, out)
+    assert res.exit_code == 0, res.output
+    assert out.read_text().splitlines()[1:] == fresh
+    assert ckpt.read_text() == complete
+
+
 BRACE_Z2 = {"n": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 1], [1, 0]]}
 META_Z2 = {"meta": {"kind": "braces", "order": 2, "count": 1}}
 

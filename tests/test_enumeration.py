@@ -413,7 +413,7 @@ def reference_regular_subgroups(a_group, first_choice=None):
     aut_index = {p: i for i, p in enumerate(auts)}
     aut_order = [perm_order(p) for p in auts]
     usable = [i for i in range(len(auts)) if n % aut_order[i] == 0]
-    op = a_group.op
+    add_t = a_group.table
 
     def comp(i, j):
         return aut_index[compose(auts[i], auts[j])]
@@ -429,7 +429,7 @@ def reference_regular_subgroups(a_group, first_choice=None):
                 fa = auts[fi]
                 for b, gi in list(h.items()):
                     gb = auts[gi]
-                    for c, ki in ((op(a, fa[b]), comp(fi, gi)), (op(b, gb[a]), comp(gi, fi))):
+                    for c, ki in ((add_t[a][fa[b]], comp(fi, gi)), (add_t[b][gb[a]], comp(gi, fi))):
                         cur = h.get(c)
                         if cur is None:
                             if n % aut_order[ki] != 0:

@@ -1,19 +1,16 @@
 import hashlib
 import json
+import pickle
 import random
 from itertools import permutations
 
 import pytest
 
+from bracelab import groups
 from bracelab.enumeration import _groups_of_order
 from bracelab.errors import BudgetExceeded, CrossCheckFailed, NoIdentity, NotAssociative, NotLatin
 from bracelab.groups import (
-    GENERATORS_CACHE,
-    NILPOTENCY_CLASS_CACHE,
-    SUBGROUP_LATTICE_CACHE,
     VERIFY_GROUP_CACHE,
-    GroupTable,
-    _generators,
     _verified,
     all_automorphisms,
     ascending_chain,
@@ -23,15 +20,12 @@ from bracelab.groups import (
     is_normal,
     isomorphic_groups,
     lower_central_series,
-    nilpotency_class,
     opposite,
-    subgroup_lattice,
     upper_central_series,
     verify_group,
 )
 from bracelab.perms import compose, invert
 from bracelab.subsets import Subset
-from bracelab.substructures import _with_members
 from conftest import groups_up_to
 from oracles import (
     dihedral,
@@ -144,13 +138,13 @@ def test_sym3_from_direct_composition():
 def test_inverses_are_two_sided():
     g = dihedral(5)
     for a in range(g.n):
-        assert g.op(a, g.inv[a]) == 0
-        assert g.op(g.inv[a], a) == 0
+        assert g.table[a][g.inv[a]] == 0
+        assert g.table[g.inv[a]][a] == 0
 
 
 def test_element_orders_and_exponent():
     z6 = cyclic(6)
-    assert z6.element_orders() == (1, 6, 3, 2, 3, 6)
+    assert z6.element_orders == (1, 6, 3, 2, 3, 6)
 
 
 @pytest.mark.parametrize(
@@ -183,13 +177,13 @@ def test_carrier_budget():
 
 def test_center_and_series():
     s3 = symmetric(3)
-    assert nilpotency_class(s3) is None
+    assert s3.nilpotency_class is None
     assert [sorted(t) for t in upper_central_series(s3)] == [[0]]
     d4 = dihedral(4)
-    assert nilpotency_class(d4) == 2
-    assert nilpotency_class(quaternion8()) == 2
-    assert nilpotency_class(cyclic(8)) == 1
-    assert nilpotency_class(cyclic(1)) == 0
+    assert d4.nilpotency_class == 2
+    assert quaternion8().nilpotency_class == 2
+    assert cyclic(8).nilpotency_class == 1
+    assert cyclic(1).nilpotency_class == 0
     chain = lower_central_series(d4)
     assert [len(t) for t in chain] == [8, 2, 1]
 
@@ -224,8 +218,8 @@ def test_isomorphism_found_and_symmetric():
         back = invert(phi)
         for a in range(g.n):
             for b in range(g.n):
-                assert phi[g.op(a, b)] == h.op(phi[a], phi[b])
-                assert back[h.op(a, b)] == g.op(back[a], back[b])
+                assert phi[g.table[a][b]] == h.table[phi[a]][phi[b]]
+                assert back[h.table[a][b]] == g.table[back[a]][back[b]]
 
 
 def test_opposite_of_abelian_is_itself():
@@ -256,7 +250,7 @@ def test_automorphisms_are_automorphisms():
     for phi in auts:
         for a in range(g.n):
             for b in range(g.n):
-                assert phi[g.op(a, b)] == g.op(phi[a], phi[b])
+                assert phi[g.table[a][b]] == g.table[phi[a]][phi[b]]
     # closure under composition
     aut_set = set(auts)
     for p in auts:
@@ -326,7 +320,7 @@ def test_central_series_match_their_definitions():
         ucs = _raw_upper_central(table, inv)
         assert [set(t) for t in lower_central_series(g)] == lcs
         assert [set(t) for t in upper_central_series(g)] == ucs
-        assert nilpotency_class(g) == (len(lcs) - 1 if lcs[-1] == {0} else None)
+        assert g.nilpotency_class == (len(lcs) - 1 if lcs[-1] == {0} else None)
         # ucs reaches G exactly when lcs reaches 1, in as many steps
         assert (ucs[-1] == set(range(g.n))) == (lcs[-1] == {0})
         if lcs[-1] == {0}:
@@ -362,7 +356,7 @@ def test_ascending_chain_stops_at_first_repeat_and_checks_containment():
 
 
 # ---------------------------------------------------------------------------
-# Per-table caches
+# The verify_group memo and the facts each GroupTable keeps
 
 
 def test_verify_group_returns_one_object_per_table():
@@ -370,24 +364,33 @@ def test_verify_group_returns_one_object_per_table():
     assert verify_group([list(row) for row in g.table]) is g
 
 
-@pytest.mark.parametrize("fn", [subgroup_lattice, nilpotency_class])
-def test_equal_tables_share_one_cache_entry(fn):
-    g = dihedral(6)
-    # verify_group would return g itself, so the twin is built directly
-    twin = GroupTable(g.n, tuple(tuple(row) for row in g.table), g.inv)
-    assert twin == g and twin is not g
-    first = fn(g)
-    hits = fn.cache_info().hits
-    assert fn(twin) is first
-    assert fn.cache_info().hits == hits + 1
-
-
 def test_caches_are_bounded():
-    assert subgroup_lattice.cache_info().maxsize == SUBGROUP_LATTICE_CACHE > 0
-    assert _with_members.cache_info().maxsize == SUBGROUP_LATTICE_CACHE
-    assert nilpotency_class.cache_info().maxsize == NILPOTENCY_CLASS_CACHE > 0
     assert _verified.cache_info().maxsize == VERIFY_GROUP_CACHE > 0
-    assert _generators.cache_info().maxsize == GENERATORS_CACHE > 0
+
+
+def test_group_facts_match_their_definitions():
+    for g in _all_groups_to_24():
+        powers = [[0] for _ in range(g.n)]  # powers[a]: 0, a, a^2, ... up to the identity
+        for a, seq in enumerate(powers):
+            while len(seq) == 1 or seq[-1] != 0:
+                seq.append(g.table[seq[-1]][a])
+        assert g.element_orders == tuple(len(seq) - 1 for seq in powers)
+        assert set(_raw_generated(g.table, g.generators)) == set(range(g.n))
+
+
+def test_pickled_group_keeps_its_facts(monkeypatch):
+    g = dihedral(6)
+    facts = (g.nilpotency_class, g.subgroups)
+    copy = pickle.loads(pickle.dumps(g))
+
+    def recomputed(_):
+        raise AssertionError("a kept fact was computed again")
+
+    monkeypatch.setattr(groups, "lower_central_series", recomputed)
+    monkeypatch.setattr(groups, "subgroup_lattice", recomputed)
+    assert copy == g and copy is not g
+    assert (copy.nilpotency_class, copy.subgroups) == facts
+    assert (copy.element_orders, copy.generators) == (g.element_orders, g.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,27 @@ def test_every_public_definition_has_a_library_caller():
     assert uncalled == []
 
 
+def test_group_tables_are_built_only_by_verify_group():
+    # every GroupTable is validated and carries the facts of its table
+    src = Path(bracelab.__file__).parent
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "GroupTable" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                yield scope
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            yield from calls(child, inner)
+
+    found = [
+        f"{path.stem}.{scope}"
+        for path in sorted(src.glob("*.py"))
+        for scope in calls(ast.parse(path.read_text()), "<module>")
+    ]
+    assert found == ["groups._verified"]
+
+
 def test_readme_example_runs():
     # the README's one python block, with the results its comments state
     readme = Path(__file__).resolve().parents[1] / "README.md"

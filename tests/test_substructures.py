@@ -2,20 +2,16 @@ import gzip
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bracelab.brace import from_group_trivial, lambda_orbits
+from bracelab import groups
+from bracelab.brace import brace_from_tables, classify_flags, from_group_trivial, lambda_orbits
 from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLabError, BudgetExceeded, NotASubBrace
-from bracelab.groups import (
-    closure_mask,
-    commutator_products,
-    cyclic,
-    nilpotency_class,
-    subgroup_lattice,
-)
+from bracelab.groups import closure_mask, commutator_products, cyclic
 from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
 from bracelab.substructures import (
@@ -42,7 +38,7 @@ def _order_two_subbrace(b):
     """The sub-brace {0, a} with a of order two under both operations."""
     (a,) = [
         x for x in range(1, b.n)
-        if b.add.order_of(x) == 2 and b.mul.order_of(x) == 2
+        if b.add.element_orders[x] == 2 and b.mul.element_orders[x] == 2
     ]
     return Subset.of(b.n, [0, a])
 
@@ -147,11 +143,35 @@ def test_lattice_budget_guard_holds_for_a_cached_table(monkeypatch):
     big = from_group_trivial(cyclic(49))
     monkeypatch.setenv("BRACELAB_BUDGET", "49")
     subbrace_lattice(big)
+    assert len(big.add.subgroups) == 3  # kept on the table from here on
     monkeypatch.delenv("BRACELAB_BUDGET")
-    hits = subgroup_lattice.cache_info().hits
     with pytest.raises(BudgetExceeded):
         subbrace_lattice(big)
-    assert subgroup_lattice.cache_info().hits == hits
+
+
+def test_group_facts_are_computed_once_per_table(braces_up_to_12, monkeypatch):
+    # an emptied memo makes verify_group build new tables with no fact computed
+    groups._verified.cache_clear()
+    braces = [brace_from_tables(b.add.table, b.mul.table) for b in braces_up_to_12]
+    calls = {"subgroup_lattice": Counter(), "lower_central_series": Counter()}
+    for name, counter in calls.items():
+        def counted(g, kernel=getattr(groups, name), counter=counter):
+            counter[id(g)] += 1
+            return kernel(g)
+        monkeypatch.setattr(groups, name, counted)
+
+    def one_pass():
+        for counter in calls.values():
+            counter.clear()
+        for b in braces:
+            classify_flags(b)
+            subbrace_lattice(b)
+        return {name: dict(counter) for name, counter in calls.items()}
+
+    adds = {id(b.add): 1 for b in braces}
+    both = {**adds, **{id(b.mul): 1 for b in braces}}
+    assert one_pass() == {"subgroup_lattice": adds, "lower_central_series": both}
+    assert one_pass() == {"subgroup_lattice": {}, "lower_central_series": {}}
 
 
 def test_relabeled_brace_gets_the_relabeled_lattice(braces_up_to_8):
@@ -159,14 +179,11 @@ def test_relabeled_brace_gets_the_relabeled_lattice(braces_up_to_8):
     for b in braces_up_to_8:
         relabel = tuple([0] + rng.sample(range(1, b.n), b.n - 1))
         moved = relabeled(b, relabel)
-        subgroup_lattice.cache_clear()
         expected = sorted(
             (Subset.of(b.n, (relabel[x] for x in s.indices())) for s in subbrace_lattice(b)),
             key=lambda s: (len(s), s.mask),
         )
         assert subbrace_lattice(moved) == expected
-        # a relabeling that moves the additive table misses the entry of b's
-        assert subgroup_lattice.cache_info().misses == (1 if moved.add == b.add else 2)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "4.5"])
@@ -245,7 +262,7 @@ LATTICES_24_DIGEST = "919509728cdee898623a049f14c3a03da2ccc421303dc5ed07afcdce62
 def _lattice_digest(braces):
     answers = [
         [[s.mask for s in subbrace_lattice(b)],
-         [nilpotency_class(b.add), nilpotency_class(b.mul)]]
+         [b.add.nilpotency_class, b.mul.nilpotency_class]]
         for b in braces
     ]
     return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
@@ -272,7 +289,7 @@ def test_idealizer(five_point_brace):
     assert is_subbrace(fp, sub)
     assert idealizer(fp, sub) == sub
     not_closed = next(
-        a for a in range(1, 6) if fp.add.order_of(a) == 6 and fp.mul.order_of(a) == 2
+        a for a in range(1, 6) if fp.add.element_orders[a] == 6 and fp.mul.element_orders[a] == 2
     )
     with pytest.raises(NotASubBrace):
         idealizer(fp, Subset.of(6, [0, not_closed]))
