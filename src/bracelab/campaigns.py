@@ -292,7 +292,7 @@ def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
                 gamma_nest.record(term <= gam_br[pos], witness=wit)
         for pos in range(1, len(gam_br)):
             gamma_nest.record(
-                gam_br[pos] <= gam_br[pos - 1] and is_ideal(b, gam_br[pos]).ok,
+                gam_br[pos] <= gam_br[pos - 1] and is_ideal(b, gam_br[pos]),
                 witness=wit,
             )
         soc = series(b, "socle")
@@ -414,9 +414,9 @@ def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
             rad_sub.record(rad <= m, witness={**wit, "ideal": m.indices()})
         if not nilpotency_report(b).annihilator.holds:
             continue
-        maxima = maximal_subbraces(b, lattice)
+        maxima = maximal_subbraces(lattice)
         for s in maxima:
-            max_ideal.record(is_ideal(b, s).ok, witness={**wit, "subbrace": s.indices()})
+            max_ideal.record(is_ideal(b, s), witness={**wit, "subbrace": s.indices()})
         inter = Subset.full(b.n)
         for s in maxima:
             inter = inter & s

@@ -32,11 +32,7 @@ from .enumeration import (
 )
 from .errors import BraceLabError, env_budget
 from .series import nilpotency_report
-from .serialize import (
-    read_catalog,
-    solution_from_json,
-    write_catalog,
-)
+from .serialize import catalog_lines, read_catalog, solution_from_json, write_catalog
 from .ybe import multipermutation_level, permutation_brace
 
 
@@ -92,11 +88,8 @@ def enumerate_catalog(kind: str, order: int, method: str, out_path: str | None, 
         write_catalog(cat, out_path)
         click.echo(f"{cat.meta['count']} {kind} of order {order} -> {out_path}")
     else:
-        from .serialize import item_to_json
-
-        click.echo(json.dumps({"meta": cat.meta}))
-        for item in cat.items:
-            click.echo(json.dumps(item_to_json(kind, item)))
+        for line in catalog_lines(cat):
+            click.echo(line, nl=False)
 
 
 @main.command()

@@ -44,7 +44,6 @@ GROUP_ORDER_BUDGET = 48
 @dataclass
 class Catalog:
     kind: str
-    order: int
     items: list
     meta: dict = field(default_factory=dict)
 
@@ -63,7 +62,7 @@ def _with_meta(kind: str, n: int, items: list, started: float, method: str, **ex
         "method": method,
         **extra,
     }
-    return Catalog(kind, n, items, meta)
+    return Catalog(kind, items, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +245,10 @@ def _classes(tables: _SearchTables, stab: Iterable[int], a0: int) -> list[tuple[
     return out
 
 
-def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -> list[LambdaMap]:
-    """Regular subgroups of Hol(A), each as the map a -> f_a: at least one
-    from every Aut(A)-conjugation orbit, and often only one.
+def regular_subgroups(a_group: GroupTable, unit: int) -> list[LambdaMap]:
+    """The regular subgroups of Hol(A) found in one work unit, each as the
+    map a -> f_a; over all the units, at least one from every
+    Aut(A)-conjugation orbit, and often only one. A has order at least 2.
 
     A regular subgroup has exactly one element (a, f_a) per first coordinate;
     the search extends a partial subgroup by the element at the least
@@ -264,18 +264,15 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
     (a0, representative), so the representative's branch reaches it.
 
     At the root a0 = 1 and stab is all of Aut(A), so the work units (for
-    checkpointing and parallelism) are the Stab(1)-class representatives in
-    _SearchTables.units. first_choice runs the unit with that automorphism
-    part at coordinate 1 alone, representative or not; None runs every
-    representative in index order.
+    checkpointing) are the Stab(1)-class representatives in
+    _SearchTables.units. unit is the index of the automorphism part at
+    coordinate 1; the search runs that unit alone, representative or not.
 
     Candidate automorphism parts are limited to those whose order divides n:
     the cyclic group generated by any member of a regular subgroup has order
     dividing n, and the automorphism part's order divides that.
     """
     n = a_group.n
-    if n == 1:
-        return [(tuple(range(n)),)]
     tables = _search_tables(a_group)
     auts, aut_index, aut_order = tables.auts, tables.aut_index, tables.aut_order
     comp = tables.compose
@@ -322,19 +319,22 @@ def regular_subgroups(a_group: GroupTable, first_choice: Optional[int] = None) -
             if closed is not None:
                 extend(closed, gens2, centralizer)
 
-    ident_idx = aut_index[tuple(range(n))]
-    fixing_1 = [p for p in range(len(auts)) if auts[p][1] == 1]
-    for fi in tables.units if first_choice is None else (first_choice,):
-        gens = ((1, fi),)
-        closed = close({0: ident_idx}, gens)
-        if closed is not None:
-            extend(closed, gens, [p for p in fixing_1 if tables.conj(p, fi) == fi])
+    gens = ((1, unit),)
+    closed = close({0: aut_index[tuple(range(n))]}, gens)
+    if closed is not None:
+        fixing_1 = [p for p in range(len(auts)) if auts[p][1] == 1]
+        extend(closed, gens, [p for p in fixing_1 if tables.conj(p, unit) == unit])
     return results
 
 
+def _product_table(a_group: GroupTable, lam: LambdaMap) -> list[list[int]]:
+    """The table of a o b = a + lambda_a(b): a group exactly when the map is
+    a regular subgroup of Hol(A)."""
+    return [list(map(row.__getitem__, lam_a)) for row, lam_a in zip(a_group.table, lam)]
+
+
 def brace_from_lambda_map(a_group: GroupTable, lam: LambdaMap) -> SkewBrace:
-    mul = [list(map(row.__getitem__, lam_a)) for row, lam_a in zip(a_group.table, lam)]
-    return verify_skew_brace(a_group, verify_group(mul))
+    return verify_skew_brace(a_group, verify_group(_product_table(a_group, lam)))
 
 
 def reduce_by_aut_conjugation(lams: Iterable[LambdaMap], a_group: GroupTable) -> list[LambdaMap]:
@@ -350,7 +350,7 @@ def reduce_by_aut_conjugation(lams: Iterable[LambdaMap], a_group: GroupTable) ->
     tables = _search_tables(a_group)
     auts, aut_index = tables.auts, tables.aut_index
     moves = []
-    for phi in automorphism_group(a_group)[0]:
+    for phi in automorphism_group(a_group):
         phi_inv = invert(phi)
         moves.append((phi, [aut_index[compose(compose(phi, f), phi_inv)] for f in auts]))
     seen: set[tuple[int, ...]] = set()
@@ -417,20 +417,30 @@ def _checkpoint_header(n: int, groups: Sequence[GroupTable]) -> dict:
 
 
 def _checkpoint_record(
-    rec, auts: list[dict[Perm, Perm]], n: int
+    rec, groups: Sequence[GroupTable], auts: list[dict[Perm, Perm]]
 ) -> tuple[tuple[int, int], list[LambdaMap]]:
     """The unit and maps of one record, each map rebuilt from auts[gi], which
-    maps every automorphism of group gi to itself; others raise ValueError."""
+    maps every automorphism of group gi to itself, and checked to be a
+    regular subgroup; others raise ValueError."""
     gi, unit = rec["group"], rec["unit"]
     if not (
         isinstance(gi, int) and 0 <= gi < len(auts)
         and isinstance(unit, int) and 0 <= unit < len(auts[gi])
     ):
         raise ValueError(f"no unit ({gi}, {unit}) at this order")
-    aut = auts[gi]
+    aut, a_group = auts[gi], groups[gi]
     maps = [tuple(aut.get(tuple(p)) for p in lam) for lam in rec["maps"]]
-    if any(len(lam) != n or None in lam for lam in maps):
-        raise ValueError(f"a map of unit ({gi}, {unit}) is not {n} automorphisms of its group")
+    for lam in maps:
+        if len(lam) != a_group.n or None in lam:
+            raise ValueError(
+                f"a map of unit ({gi}, {unit}) is not {a_group.n} automorphisms of its group"
+            )
+        try:
+            verify_group(_product_table(a_group, lam))
+        except BraceLabError as exc:
+            raise ValueError(
+                f"a map of unit ({gi}, {unit}) is not a regular subgroup: {exc}"
+            ) from None
     return (gi, unit), maps
 
 
@@ -470,7 +480,7 @@ def _read_checkpoint(
         try:
             if not lines[i].endswith("\n"):
                 raise ValueError("unterminated record")
-            key, maps = _checkpoint_record(json.loads(lines[i]), auts, n)
+            key, maps = _checkpoint_record(json.loads(lines[i]), groups, auts)
         except (ValueError, KeyError, TypeError) as exc:
             if i < len(lines) - 1:
                 raise BadCheckpoint(f"{path}: line {i + 1} is not a unit record ({exc})") from None
@@ -499,7 +509,7 @@ def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> lis
         for unit in _search_tables(a_group).units:
             key = (gi, unit)
             if key not in done:
-                found = regular_subgroups(a_group, first_choice=unit)
+                found = regular_subgroups(a_group, unit)
                 done[key] = found
                 if ckpt_path:
                     with ckpt_path.open("a") as fh:

@@ -479,10 +479,9 @@ def isomorphic_groups(g1: GroupTable, g2: GroupTable) -> Optional[Perm]:
     return next(maps, None)
 
 
-def automorphism_group(g: GroupTable) -> tuple[list[Perm], int]:
-    """Generating automorphisms of G and |Aut(G)|."""
+def automorphism_group(g: GroupTable) -> list[Perm]:
+    """Generating automorphisms of G, a greedy subset of all_automorphisms(g)."""
     auts = all_automorphisms(g)
-    # Greedy generating subset of the full automorphism list.
     gens: list[Perm] = []
     reached = {tuple(range(g.n))}
     for p in auts:
@@ -492,7 +491,7 @@ def automorphism_group(g: GroupTable) -> tuple[list[Perm], int]:
         reached = set(generated_group(gens, g.n))
         if len(reached) == len(auts):
             break
-    return gens, len(auts)
+    return gens
 
 
 def generated_group(gens: Sequence[Perm], degree: int) -> Iterator[Perm]:

@@ -8,9 +8,9 @@ from typing import Sequence
 Perm = tuple[int, ...]
 
 
-def is_perm(p: Sequence[int], n: int | None = None) -> bool:
-    """p lists each of 0..len(p)-1 once, as integers; a bool is not one."""
-    if n is not None and len(p) != n:
+def is_perm(p: Sequence[int], n: int) -> bool:
+    """p lists each of 0..n-1 once, as integers; a bool is not one."""
+    if len(p) != n:
         return False
     if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in p):
         return False

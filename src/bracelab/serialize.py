@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .brace import SkewBrace, brace_from_tables
 from .enumeration import Catalog
@@ -96,13 +96,17 @@ def item_from_json(kind: str, data: dict):
     raise ValueError(f"unknown catalog kind {kind!r}")
 
 
+def catalog_lines(catalog: Catalog) -> Iterator[str]:
+    """The catalog file format, JSON lines: the meta header first, then one
+    item per line, each line ending in a newline."""
+    yield json.dumps({"meta": catalog.meta}) + "\n"
+    for item in catalog.items:
+        yield json.dumps(item_to_json(catalog.kind, item)) + "\n"
+
+
 def write_catalog(catalog: Catalog, path: PathLike) -> None:
-    """JSON-lines: meta header first, then one item per line."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(json.dumps({"meta": catalog.meta}) + "\n")
-        for item in catalog.items:
-            fh.write(json.dumps(item_to_json(catalog.kind, item)) + "\n")
+    with Path(path).open("w") as fh:
+        fh.writelines(catalog_lines(catalog))
 
 
 def read_catalog(path: PathLike) -> Catalog:
@@ -116,4 +120,4 @@ def read_catalog(path: PathLike) -> Catalog:
     items = [item_from_json(kind, json.loads(line)) for line in lines[1:]]
     if meta.get("count") is not None and meta["count"] != len(items):
         raise ValueError(f"meta count {meta['count']} != {len(items)} items")
-    return Catalog(kind, meta.get("order", 0), items, meta)
+    return Catalog(kind, items, meta)

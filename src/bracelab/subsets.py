@@ -21,10 +21,6 @@ class Subset:
         return Subset(n, mask)
 
     @staticmethod
-    def empty(n: int) -> "Subset":
-        return Subset(n, 0)
-
-    @staticmethod
     def full(n: int) -> "Subset":
         return Subset(n, (1 << n) - 1)
 

@@ -3,7 +3,6 @@ products, the sub-brace lattice, maximal ideals, radical, idealizer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .brace import SkewBrace
@@ -43,54 +42,41 @@ def is_subbrace(b: SkewBrace, s: Subset) -> bool:
 # Ideals
 
 
-@dataclass(frozen=True)
-class IdealVerdict:
-    ok: bool
-    condition: Optional[str] = None
-    witness: Optional[tuple[int, int]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_ideal(b: SkewBrace, i: Subset, within: Optional[Subset] = None) -> IdealVerdict:
+def is_ideal(b: SkewBrace, i: Subset, within: Optional[Subset] = None) -> bool:
     """Additive subgroup, lambda-invariant, normal for + and for o.
 
     With within, whether i is an ideal of the sub skew brace on within: i
     must lie in within and the last three conditions range over a in within.
-    A failing verdict names the first violated condition and a witness pair.
     """
     m = i.mask
     if not m >> 0 & 1:
-        return IdealVerdict(False, "additive_subgroup", (0, 0))
-    members = i.indices()
+        return False
     if within is None:
         ambient = range(b.n)
     elif not i <= within:
-        x = next(x for x in members if x not in within)
-        return IdealVerdict(False, "within", (x, x))
+        return False
     else:
         ambient = within.indices()
+    members = i.indices()
     add_t, mul_t = b.add.table, b.mul.table
     for a in members:
         for c in members:
             if not m >> add_t[a][c] & 1:
-                return IdealVerdict(False, "additive_subgroup", (a, c))
-    lam = b.lam
+                return False
+    lam, neg, minv = b.lam, b.add.inv, b.mul.inv
     for a in ambient:
         for x in members:
             if not m >> lam[a][x] & 1:
-                return IdealVerdict(False, "lambda_invariant", (a, x))
-    neg, minv = b.add.inv, b.mul.inv
+                return False
     for a in ambient:
         for x in members:
             if not m >> add_t[add_t[a][x]][neg[a]] & 1:
-                return IdealVerdict(False, "add_normal", (a, x))
+                return False
     for a in ambient:
         for x in members:
             if not m >> mul_t[mul_t[a][x]][minv[a]] & 1:
-                return IdealVerdict(False, "mul_normal", (a, x))
-    return IdealVerdict(True)
+                return False
+    return True
 
 
 def is_left_ideal(b: SkewBrace, i: Subset) -> bool:
@@ -139,14 +125,13 @@ def subbrace_lattice(b: SkewBrace) -> list[Subset]:
     return out
 
 
-def maximal_subbraces(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:
-    """Maximal proper sub skew braces."""
-    lattice = subbrace_lattice(b) if lattice is None else lattice
+def maximal_subbraces(lattice: list[Subset]) -> list[Subset]:
+    """Maximal proper sub skew braces, from the sub-brace lattice."""
     proper = [s for s in lattice if not s.is_full()]
     return [s for s in proper if not any(s < t for t in proper)]
 
 
-def maximal_ideals(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list[Subset]:
+def maximal_ideals(b: SkewBrace, lattice: list[Subset]) -> list[Subset]:
     """Maximal proper ideals, in the (size, mask) order of subbrace_lattice.
 
     Walks the proper members from the top down and tests only those outside
@@ -154,7 +139,6 @@ def maximal_ideals(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list
     so it was found or lies in one found, and the member passing is_ideal
     is maximal.
     """
-    lattice = subbrace_lattice(b) if lattice is None else lattice
     found: list[Subset] = []
     for s in reversed(lattice):
         if s.is_full() or any(s <= m for m in found):
@@ -164,18 +148,15 @@ def maximal_ideals(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> list
     return found[::-1]
 
 
-def radical(b: SkewBrace, lattice: Optional[list[Subset]] = None) -> Subset:
+def radical(b: SkewBrace, lattice: list[Subset]) -> Subset:
     """Intersection of all maximal ideals; the whole brace when none exist."""
-    maxima = maximal_ideals(b, lattice)
-    if not maxima:
-        return Subset.full(b.n)
     out = Subset.full(b.n)
-    for m in maxima:
+    for m in maximal_ideals(b, lattice):
         out = out & m
     return out
 
 
-def idealizer(b: SkewBrace, h: Subset, lattice: Optional[list[Subset]] = None) -> Subset:
+def idealizer(b: SkewBrace, h: Subset, lattice: list[Subset]) -> Subset:
     """Largest sub skew brace in which h is an ideal.
 
     Computed by filtering the sub-brace lattice; elementwise conditions would
@@ -184,7 +165,6 @@ def idealizer(b: SkewBrace, h: Subset, lattice: Optional[list[Subset]] = None) -
     """
     if not is_subbrace(b, h):
         raise NotASubBrace(f"{h.indices()} is not a sub skew brace")
-    lattice = subbrace_lattice(b) if lattice is None else lattice
     candidates = [s for s in lattice if is_ideal(b, h, within=s)]
     maxima = [s for s in candidates if not any(s < t for t in candidates)]
     if len(maxima) != 1:
@@ -194,12 +174,9 @@ def idealizer(b: SkewBrace, h: Subset, lattice: Optional[list[Subset]] = None) -
     return maxima[0]
 
 
-def subideal_chain(
-    b: SkewBrace, a: Subset, lattice: Optional[list[Subset]] = None
-) -> Optional[list[Subset]]:
+def subideal_chain(b: SkewBrace, a: Subset, lattice: list[Subset]) -> Optional[list[Subset]]:
     """Chain A = H_1 <= ... <= H_k = B with H_i an ideal of H_{i+1}, built by
     iterated idealizers; None if the idealizer stops growing early."""
-    lattice = subbrace_lattice(b) if lattice is None else lattice
     chain = [a]
     while not chain[-1].is_full():
         nxt = idealizer(b, chain[-1], lattice)

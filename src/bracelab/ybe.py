@@ -35,9 +35,6 @@ class Solution:
     tau: tuple[Perm, ...]
     involutive: bool
 
-    def r(self, x: int, y: int) -> tuple[int, int]:
-        return self.sigma[x][y], self.tau[y][x]
-
 
 def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]) -> Solution:
     """Check bijectivity of r and the braid relation on all triples."""
@@ -150,9 +147,7 @@ def multipermutation_level(sol: Solution) -> Optional[int]:
 # The permutation skew brace
 
 
-def permutation_brace(
-    sol: Solution, budget: Optional[int] = None
-) -> tuple[SkewBrace, tuple[int, ...]]:
+def permutation_brace(sol: Solution) -> tuple[SkewBrace, tuple[int, ...]]:
     """The finite skew brace on the subgroup of Sym(X) x Sym(X) generated by
     (sigma_x, tau_x^{-1}).
 
@@ -166,7 +161,7 @@ def permutation_brace(
     g_x o g_y = g_{sigma_x(y)} o g_{tau_y(x)} is asserted, so no unproved
     identity is trusted.
     """
-    budget = env_budget(DEFAULT_CLOSURE_BUDGET) if budget is None else budget
+    budget = env_budget(DEFAULT_CLOSURE_BUDGET)
     n = sol.n
     # (sigma_x, tau_x^-1) as one permutation of 0..2n-1, the second component
     # moved to n..2n-1; these sort as the pairs do, identity first.
@@ -174,8 +169,7 @@ def permutation_brace(
     elements = []
     for g in generated_group(gens, 2 * n):
         elements.append(g)
-        # the identity alone never exceeds the budget
-        if len(elements) > max(budget, 1):
+        if len(elements) > budget:
             raise BudgetExceeded("multiplicative closure", len(elements), budget)
     elements.sort()
     index = {g: i for i, g in enumerate(elements)}

@@ -22,10 +22,7 @@ from bracelab.substructures import is_ideal
 
 
 class NotAnIdeal(BraceLabError):
-    def __init__(self, condition: str, witness):
-        self.condition = condition
-        self.witness = witness
-        super().__init__(f"not an ideal: {condition} fails at {witness}")
+    """quotient was given a subset that is not an ideal."""
 
 
 def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
@@ -34,9 +31,8 @@ def quotient(b: SkewBrace, ideal: Subset) -> tuple[SkewBrace, tuple[int, ...]]:
     Every quotient is checked in full: the ideal, coset well-definedness over
     all pairs and the quotient tables.
     """
-    verdict = is_ideal(b, ideal)
-    if not verdict.ok:
-        raise NotAnIdeal(verdict.condition, verdict.witness)
+    if not is_ideal(b, ideal):
+        raise NotAnIdeal(f"{ideal.indices()} is not an ideal")
 
     n = b.n
     add_t, mul_t = b.add.table, b.mul.table

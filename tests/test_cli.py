@@ -1,9 +1,11 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+from bracelab import enumeration
 from bracelab.cli import main
 from bracelab.enumeration import (
     GROUP_ORDER_BUDGET,
@@ -36,6 +38,18 @@ def test_enumerate_stdout_jsonl():
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert json.loads(lines[0])["meta"]["count"] == 2
+
+
+@pytest.mark.parametrize("kind,order", [("braces", 6), ("solutions", 3), ("groups", 8)])
+def test_enumerate_stdout_is_the_out_file(tmp_path, monkeypatch, kind, order):
+    # a still clock, so that both runs write the same wall_time_s
+    monkeypatch.setattr(enumeration, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    out = tmp_path / "catalog.jsonl"
+    args = ["enumerate", "--kind", kind, "--order", str(order)]
+    assert run(*args, "--out", str(out)).exit_code == 0
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == out.read_bytes()
 
 
 def test_enumerate_direct_method(tmp_path):
@@ -324,15 +338,50 @@ def test_corrupt_inner_record_is_refused(tmp_path):
     assert "line 3 is not a unit record" in res.output
 
 
+# Per additive group of order 4: automorphisms of that group whose map is no
+# regular subgroup, so a o b = a + lambda_a(b) repeats a column entry.
+NOT_REGULAR = {
+    0: [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3], [0, 1, 2, 3]],
+    1: [[0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 2, 3], [0, 1, 2, 3]],
+}
+
+
+def _with_map(line, lam):
+    """The unit record line with one more map."""
+    rec = json.loads(line)
+    rec["maps"].append(lam)
+    return json.dumps(rec) + "\n"
+
+
+def test_inner_record_of_a_non_regular_map_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    lines = ckpt.read_text().splitlines(keepends=True)
+    lines[1] = _with_map(lines[1], NOT_REGULAR[json.loads(lines[1])["group"]])
+    ckpt.write_text("".join(lines))
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert "line 2 is not a unit record" in res.output
+    assert "not a regular subgroup" in res.output
+
+
+def test_final_record_of_a_non_regular_map_is_redone(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    out = tmp_path / "b.jsonl"
+    assert enumerate_with_checkpoint(4, ckpt, out).exit_code == 0
+    complete = ckpt.read_text()
+    fresh = out.read_text().splitlines()[1:]
+    lines = complete.splitlines(keepends=True)
+    lines[-1] = _with_map(lines[-1], NOT_REGULAR[json.loads(lines[-1])["group"]])
+    ckpt.write_text("".join(lines))
+    res = enumerate_with_checkpoint(4, ckpt, out)
+    assert res.exit_code == 0, res.output
+    assert out.read_text().splitlines()[1:] == fresh
+    assert ckpt.read_text() == complete
+
+
 # a permutation that moves the identity, and two that are no permutations
 NOT_AUTOMORPHISMS = [[1, 0, 2, 3], [0, 0, 0, 0], [0, 1, 2, 9]]
-
-
-def _with_a_map_of(line, perm):
-    """The unit record line with one more map, each of its four entries perm."""
-    rec = json.loads(line)
-    rec["maps"].append([perm] * 4)
-    return json.dumps(rec) + "\n"
 
 
 @pytest.mark.parametrize("perm", NOT_AUTOMORPHISMS)
@@ -340,7 +389,7 @@ def test_inner_record_of_non_automorphisms_is_refused(tmp_path, perm):
     ckpt = tmp_path / "b.ckpt"
     assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
     lines = ckpt.read_text().splitlines(keepends=True)
-    lines[1] = _with_a_map_of(lines[1], perm)
+    lines[1] = _with_map(lines[1], [perm] * 4)
     ckpt.write_text("".join(lines))
     res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
     assert res.exit_code == 2
@@ -356,7 +405,7 @@ def test_final_record_of_non_automorphisms_is_redone(tmp_path, perm):
     complete = ckpt.read_text()
     fresh = out.read_text().splitlines()[1:]
     lines = complete.splitlines(keepends=True)
-    lines[-1] = _with_a_map_of(lines[-1], perm)
+    lines[-1] = _with_map(lines[-1], [perm] * 4)
     ckpt.write_text("".join(lines))
     res = enumerate_with_checkpoint(4, ckpt, out)
     assert res.exit_code == 0, res.output

@@ -69,6 +69,71 @@ def test_every_public_definition_has_a_library_caller():
     assert uncalled == []
 
 
+def _library_trees():
+    src = Path(bracelab.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def test_every_public_method_has_a_library_caller():
+    # each public method or property of a library class is named as an
+    # attribute somewhere in the library
+    trees = _library_trees()
+    mentioned = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    uncalled = [
+        f"{module}.{cls.name}.{fn.name}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and fn.name not in mentioned
+    ]
+    assert uncalled == []
+
+
+def test_every_default_is_passed_by_a_library_call():
+    # a defaulted parameter of a public function is a mode: some call in the
+    # library, cli.py included, passes it by keyword or by position
+    trees = _library_trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(name, param, position):
+        return any(
+            any(kw.arg in (param, None) for kw in call.keywords)  # None: **kwargs
+            or (position is not None and (
+                len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+            ))
+            for call in calls.get(name, [])
+        )
+
+    unpassed = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [
+                (arg.arg, positional.index(arg))
+                for arg in positional[len(positional) - len(fn.args.defaults):]
+            ] + [
+                (arg.arg, None)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            unpassed += [
+                f"{module}.{fn.name}({param})"
+                for param, position in defaulted if not passed(fn.name, param, position)
+            ]
+    assert unpassed == []
+
+
 def test_group_tables_are_built_only_by_verify_group():
     # every GroupTable is validated and carries the facts of its table
     src = Path(bracelab.__file__).parent

@@ -27,7 +27,7 @@ from oracles import from_cycles, symmetric
 def test_flip_solution():
     sol = verify_solution([tuple(range(3))] * 3, [tuple(range(3))] * 3)
     assert sol.involutive
-    assert sol.r(0, 2) == (2, 0)
+    assert (sol.sigma[0][2], sol.tau[2][0]) == (2, 0)  # r(0, 2)
 
 
 def test_braid_failure_named():
@@ -130,9 +130,10 @@ def test_permutation_brace_of_flip_is_one_point():
     assert gen_map == (0, 0, 0)
 
 
-def test_permutation_brace_budget(five_point_solution):
+def test_permutation_brace_budget(five_point_solution, monkeypatch):
+    monkeypatch.setenv("BRACELAB_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
-        permutation_brace(five_point_solution, budget=3)
+        permutation_brace(five_point_solution)
 
 
 def test_budget_env_override(five_point_solution, monkeypatch):
