@@ -78,7 +78,9 @@ def _raise_first_brace_law_violation(add: GroupTable, mul: GroupTable) -> None:
             rhs = map(add_t[add_t[ab][neg_a]].__getitem__, mul_row)
             for c, (x, y) in enumerate(zip(lhs, rhs)):
                 if x != y:
-                    raise BraceLawViolated(a, b, c)
+                    raise BraceLawViolated(
+                        f"a o (b+c) != a o b - a + a o c for (a,b,c)=({a},{b},{c})"
+                    )
     raise CrossCheckFailed("a generator check failed, but the brace law holds on all triples")
 
 

@@ -24,7 +24,7 @@ from .enumeration import (
     groups_of_order,
     sample_involutive_solutions,
 )
-from .errors import BadCatalog, BraceLabError, SuiteUnknown
+from .errors import BraceLabError, SuiteUnknown
 from .series import VERDICTS, gamma_distributivity_check, nilpotency_report, series
 from .subsets import Subset
 from .substructures import (
@@ -122,7 +122,7 @@ def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
         try:
             return read_catalog(path)
         except (BraceLabError, OSError, ValueError) as exc:
-            raise BadCatalog(f"cached catalog {path}: {exc}") from None
+            raise BraceLabError(f"cached catalog {path}: {exc}") from None
     cat = enumerate_catalog(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_catalog(cat, path)

@@ -21,7 +21,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .brace import SkewBrace, _element_fingerprints, isomorphic, verify_skew_brace
-from .errors import BadCheckpoint, BraceLabError, BudgetExceeded, CrossCheckFailed
+from .errors import BraceLabError, BudgetExceeded, CrossCheckFailed
 from .groups import (
     GroupTable,
     all_automorphisms,
@@ -450,7 +450,7 @@ def _read_checkpoint(
     """The finished units of a checkpoint; a missing or empty file is started
     with the header. A torn final record, left by an interrupted write, is cut
     off so that its unit is redone. A missing or foreign header, or a bad
-    record before the last, raises BadCheckpoint."""
+    record before the last, raises BraceLabError."""
     header = _checkpoint_header(n, groups)
     text = path.read_text() if path.exists() else ""
     if not text:
@@ -462,16 +462,16 @@ def _read_checkpoint(
     except ValueError:
         found = None
     if not isinstance(found, dict) or "bracelab_checkpoint" not in found:
-        raise BadCheckpoint(f"{path}: first line is not a bracelab checkpoint header")
+        raise BraceLabError(f"{path}: first line is not a bracelab checkpoint header")
     if found["bracelab_checkpoint"] != CHECKPOINT_VERSION:
-        raise BadCheckpoint(
+        raise BraceLabError(
             f"{path}: checkpoint format {found['bracelab_checkpoint']!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
     if found.get("order") != n:
-        raise BadCheckpoint(f"{path}: written for order {found.get('order')!r}, not {n}")
+        raise BraceLabError(f"{path}: written for order {found.get('order')!r}, not {n}")
     if found.get("groups") != header["groups"]:
-        raise BadCheckpoint(f"{path}: written for other additive groups (table digests differ)")
+        raise BraceLabError(f"{path}: written for other additive groups (table digests differ)")
 
     auts = [{p: p for p in all_automorphisms(g)} for g in groups]
     done: dict[tuple[int, int], list[LambdaMap]] = {}
@@ -483,7 +483,7 @@ def _read_checkpoint(
             key, maps = _checkpoint_record(json.loads(lines[i]), groups, auts)
         except (ValueError, KeyError, TypeError) as exc:
             if i < len(lines) - 1:
-                raise BadCheckpoint(f"{path}: line {i + 1} is not a unit record ({exc})") from None
+                raise BraceLabError(f"{path}: line {i + 1} is not a unit record ({exc})") from None
             kept = i
             break
         done[key] = maps

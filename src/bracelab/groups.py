@@ -136,7 +136,7 @@ def _raise_first_nonassociative(t: tuple[tuple[int, ...], ...]) -> None:
         for b, ab in enumerate(row):
             for c, (lhs, rhs) in enumerate(zip(t[ab], map(row.__getitem__, t[b]))):
                 if lhs != rhs:
-                    raise NotAssociative(a, b, c)
+                    raise NotAssociative(f"(a*b)*c != a*(b*c) for (a,b,c)=({a},{b},{c})")
     raise CrossCheckFailed("Light's test failed on a table associative on all triples")
 
 
@@ -155,7 +155,7 @@ def _check_latin(t: tuple[tuple[int, ...], ...]) -> None:
             seen: dict[int, int] = {}
             for j, v in enumerate(line):
                 if v in seen:
-                    raise NotLatin(axis, i, seen[v], j, v)
+                    raise NotLatin(f"{axis} {i} repeats value {v} at positions {seen[v]} and {j}")
                 seen[v] = j
 
 
@@ -205,10 +205,9 @@ def cyclic(n: int) -> GroupTable:
 
 def from_permutations(perms: list[Perm]) -> GroupTable:
     """Cayley table of a permutation list closed under composition, identity
-    first."""
+    first. A repeated permutation gives two equal rows, which verify_group
+    refuses as not Latin."""
     index = {p: i for i, p in enumerate(perms)}
-    if len(index) != len(perms):
-        raise ValueError("duplicate permutations")
     table = [[index[compose(p, q)] for q in perms] for p in perms]
     return verify_group(table)
 

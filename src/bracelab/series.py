@@ -80,8 +80,8 @@ def _strong_chain(b: SkewBrace) -> list[Subset]:
     return descending_chain((b.add.table,), Subset.full(b.n), step, history=True)
 
 
-def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
-    """Gamma_0(I) = I, Gamma_{n+1}(I) = <Gn*B, B*Gn, [B,Gn]_+>_+."""
+def _gamma_chain(b: SkewBrace) -> list[Subset]:
+    """Gamma_0 = B, Gamma_{n+1} = <Gn*B, B*Gn, [B,Gn]_+>_+."""
     full = Subset.full(b.n)
 
     def step(prev: Subset) -> int:
@@ -91,7 +91,7 @@ def gamma_series(b: SkewBrace, ideal: Subset) -> list[Subset]:
             | commutator_products(b.add, full, prev)
         )
 
-    return descending_chain((b.add.table,), ideal, step)
+    return descending_chain((b.add.table,), full, step)
 
 
 def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
@@ -140,7 +140,7 @@ _KINDS = {
     "left": _Kind(_left_chain, True, 1, is_left_ideal, "a left ideal"),
     "right": _Kind(_right_chain, True, 1, _ideal, "an ideal"),
     "strong": _Kind(_strong_chain, True, 1, _ideal, "an ideal"),
-    "gamma": _Kind(lambda b: gamma_series(b, Subset.full(b.n)), True, 0, _ideal, "an ideal"),
+    "gamma": _Kind(_gamma_chain, True, 0, _ideal, "an ideal"),
     "gamma_bracket": _Kind(_gamma_bracket_chain, True, 1, _ideal, "an ideal"),
     "socle": _Kind(lambda b: _pull_back_chain(b, False), False, 0, _ideal, "an ideal"),
     "annihilator": _Kind(lambda b: _pull_back_chain(b, True), False, 0, _ideal, "an ideal"),

@@ -6,12 +6,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .brace import SkewBrace
-from .errors import (
-    BudgetExceeded,
-    NoUniqueMaximum,
-    NotASubBrace,
-    env_budget,
-)
+from .errors import BudgetExceeded, CrossCheckFailed, NotASubBrace, env_budget
 from .groups import closure_mask
 from .subsets import Subset
 
@@ -160,7 +155,7 @@ def idealizer(b: SkewBrace, h: Subset, lattice: list[Subset]) -> Subset:
     """Largest sub skew brace in which h is an ideal.
 
     Computed by filtering the sub-brace lattice; elementwise conditions would
-    not give a closed candidate set. Raises NoUniqueMaximum if the candidates
+    not give a closed candidate set. Raises CrossCheckFailed if the candidates
     have incomparable maxima (a definitional edge case worth surfacing).
     """
     if not is_subbrace(b, h):
@@ -168,7 +163,7 @@ def idealizer(b: SkewBrace, h: Subset, lattice: list[Subset]) -> Subset:
     candidates = [s for s in lattice if is_ideal(b, h, within=s)]
     maxima = [s for s in candidates if not any(s < t for t in candidates)]
     if len(maxima) != 1:
-        raise NoUniqueMaximum(
+        raise CrossCheckFailed(
             f"idealizer candidates have {len(maxima)} incomparable maxima"
         )
     return maxima[0]

@@ -8,13 +8,10 @@ from typing import Optional, Sequence
 
 from .brace import SkewBrace, verify_skew_brace
 from .errors import (
-    AdditiveGenerationFailed,
     BraceLabError,
-    BraceValidationFailed,
     BraidFailed,
     BudgetExceeded,
-    EquivalenceViolated,
-    InducedMapsIllDefined,
+    CrossCheckFailed,
     NotBijective,
     env_budget,
 )
@@ -53,7 +50,7 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
         for y in range(n):
             img = (sig[x][y], ta[y][x])
             if img in seen:
-                raise NotBijective(seen[img], (x, y), img)
+                raise NotBijective(f"pairs {seen[img]} and {(x, y)} both map to {img}")
             seen[img] = (x, y)
 
     def r12(t):
@@ -69,7 +66,7 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
             for z in range(n):
                 t = (x, y, z)
                 if r12(r23(r12(t))) != r23(r12(r23(t))):
-                    raise BraidFailed(x, y, z)
+                    raise BraidFailed(f"braid relation fails on triple ({x},{y},{z})")
 
     involutive = all(
         (sig[sig[x][y]][ta[y][x]], ta[ta[y][x]][sig[x][y]]) == (x, y)
@@ -81,7 +78,9 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
 
 def involutive_from_sigma(sigma: Sequence[Sequence[int]]) -> Solution:
     """Build tau from the involutivity constraint tau_y(x) = sigma_{sigma_x(y)}^{-1}(x),
-    then validate. Not every sigma family yields a solution."""
+    then validate. Not every sigma family yields a solution; one that does is
+    involutive, since with u = sigma_x(y) and v = tau_y(x) = sigma_u^{-1}(x),
+    r(u, v) = (sigma_u(v), tau_v(u)) = (x, sigma_x^{-1}(u)) = (x, y)."""
     n = len(sigma)
     sig = tuple(tuple(p) for p in sigma)
     for x, p in enumerate(sig):
@@ -89,10 +88,7 @@ def involutive_from_sigma(sigma: Sequence[Sequence[int]]) -> Solution:
             raise ValueError(f"sigma[{x}] is not a permutation of 0..{n - 1}")
     sig_inv = [invert(p) for p in sig]
     tau = [[sig_inv[sig[x][y]][x] for x in range(n)] for y in range(n)]
-    sol = verify_solution(sig, tau)
-    if not sol.involutive:
-        raise ValueError("sigma family does not close involutively")
-    return sol
+    return verify_solution(sig, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +117,7 @@ def retract(sol: Solution) -> tuple[Solution, tuple[int, ...]]:
             sig_vals = {class_map[sol.sigma[x][y]] for x in members[c] for y in members[d]}
             tau_vals = {class_map[sol.tau[x][y]] for x in members[c] for y in members[d]}
             if len(sig_vals) != 1 or len(tau_vals) != 1:
-                raise InducedMapsIllDefined(
+                raise CrossCheckFailed(
                     f"classes ({c},{d}) induce sigma {sig_vals}, tau {tau_vals}"
                 )
             sigma_bar[c][d] = sig_vals.pop()
@@ -196,30 +192,30 @@ def permutation_brace(sol: Solution) -> tuple[SkewBrace, tuple[int, ...]]:
                     nxt.append(k)
         queue = nxt
     if len(cols) != m:
-        raise AdditiveGenerationFailed(f"addition moves reach {len(cols)} of {m} elements")
+        raise CrossCheckFailed(f"addition moves reach {len(cols)} of {m} elements")
     add_table = [[cols[k][i] for k in range(m)] for i in range(m)]
 
     try:
         brace = verify_skew_brace(verify_group(add_table), from_permutations(elements))
     except BraceLabError as exc:
-        raise BraceValidationFailed(f"reconstructed tables fail validation: {exc}") from exc
+        raise CrossCheckFailed(f"reconstructed tables fail validation: {exc}") from exc
 
     for x in range(n):
         for y in range(n):
             if brace.lam[gen_map[x]][gen_map[y]] != gen_map[sol.sigma[x][y]]:
-                raise BraceValidationFailed(
+                raise CrossCheckFailed(
                     f"lambda generator rule fails at ({x},{y})"
                 )
             lhs = brace.mul.table[gen_map[x]][gen_map[y]]
             rhs = brace.mul.table[gen_map[sol.sigma[x][y]]][gen_map[sol.tau[y][x]]]
             if lhs != rhs:
-                raise BraceValidationFailed(f"structure relation fails at ({x},{y})")
+                raise CrossCheckFailed(f"structure relation fails at ({x},{y})")
     return brace, gen_map
 
 
 def equivalence_check(sol: Solution) -> dict:
     """Both sides of: multipermutation iff the permutation brace is right
-    nilpotent of nilpotent type. Raises EquivalenceViolated on disagreement,
+    nilpotent of nilpotent type. Raises CrossCheckFailed on disagreement,
     which always indicates an implementation bug."""
     level = multipermutation_level(sol)
     brace, _ = permutation_brace(sol)
@@ -227,7 +223,7 @@ def equivalence_check(sol: Solution) -> dict:
     lhs = level is not None
     rhs = report.right.holds and report.nilpotent_type
     if lhs != rhs:
-        raise EquivalenceViolated(
+        raise CrossCheckFailed(
             f"multipermutation={lhs} but right-nilpotent-of-nilpotent-type={rhs}"
         )
     return {

@@ -4,7 +4,8 @@ quotient and invariant_substructures are the definitional route to the socle
 and annihilator series, which the library pulls back without quotients.
 first_repeat, first_nonassociative, first_brace_law_violation,
 is_two_sided and star_identity_failures check the laws on every pair or
-triple, one at a time.
+triple, one at a time; latin_message, associativity_message and
+brace_law_message give the message validation raises for such a witness.
 """
 
 from __future__ import annotations
@@ -220,6 +221,23 @@ def first_brace_law_violation(add: Table, mul: Table) -> Optional[tuple[int, int
                 if mul[a][add[b][c]] != add[add[mul[a][b]][neg[a]]][mul[a][c]]:
                     return a, b, c
     return None
+
+
+def latin_message(repeat) -> str:
+    """verify_group's NotLatin message for a first_repeat result."""
+    axis, index, (first, second, value) = repeat
+    return f"{axis} {index} repeats value {value} at positions {first} and {second}"
+
+
+def associativity_message(triple: tuple[int, int, int]) -> str:
+    """verify_group's NotAssociative message for a first_nonassociative result."""
+    return "(a*b)*c != a*(b*c) for (a,b,c)=({},{},{})".format(*triple)
+
+
+def brace_law_message(triple: tuple[int, int, int]) -> str:
+    """verify_skew_brace's BraceLawViolated message for a
+    first_brace_law_violation result."""
+    return "a o (b+c) != a o b - a + a o c for (a,b,c)=({},{},{})".format(*triple)
 
 
 def is_two_sided(add: Table, mul: Table) -> bool:

@@ -113,7 +113,7 @@ def test_criterion_4_equivalence_theorem():
     for n in range(1, 5):
         for sol in enumerate_involutive_solutions(n).items:
             checked += 1
-            equivalence_check(sol)  # raises EquivalenceViolated on failure
+            equivalence_check(sol)  # raises CrossCheckFailed on failure
     sampled = sample_involutive_solutions(5, 1000, seed=DEFAULT_SEED)
     assert len(sampled) == 1000
     for sol in sampled:

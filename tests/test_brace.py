@@ -22,8 +22,10 @@ from bracelab.subsets import Subset
 from bracelab.substructures import is_ideal, subbrace_lattice
 from oracles import (
     NotAnIdeal,
+    brace_law_message,
     dihedral,
     direct_product,
+    first_brace_law_violation,
     quotient,
     relabeled,
     relabeled_group,
@@ -60,7 +62,8 @@ def test_brace_law_violation_names_triple():
     mul = relabeled_group(cyclic(4), (0, 1, 3, 2))
     with pytest.raises(BraceLawViolated) as exc:
         verify_skew_brace(add, mul)
-    a, b, c = exc.value.witness
+    a, b, c = first_brace_law_violation(add.table, mul.table)
+    assert str(exc.value) == brace_law_message((a, b, c))
     lhs = mul.table[a][add.table[b][c]]
     rhs = add.table[add.table[mul.table[a][b]][add.inv[a]]][mul.table[a][c]]
     assert lhs != rhs

@@ -63,6 +63,9 @@ def test_enumerate_direct_method(tmp_path):
 def test_enumerate_over_budget_is_input_error():
     res = run("enumerate", "--kind", "solutions", "--order", "5")
     assert res.exit_code == 2
+    res = run("enumerate", "--kind", "braces", "--order", "7", "--method", "direct")
+    assert res.exit_code == 2
+    assert res.stderr == "error: direct brace search order: size 7 exceeds budget 6\n"
 
 
 def test_classify(tmp_path):
@@ -305,6 +308,30 @@ def test_checkpoint_for_other_groups_is_refused(tmp_path):
     assert "other additive groups" in res.output
 
 
+def test_checkpoint_of_another_format_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    header, rest = ckpt.read_text().split("\n", 1)
+    ckpt.write_text(json.dumps({**json.loads(header), "bracelab_checkpoint": 2}) + "\n" + rest)
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {ckpt}: checkpoint format 2, expected 1\n"
+
+
+def test_record_of_an_unknown_unit_is_refused(tmp_path):
+    ckpt = tmp_path / "b.ckpt"
+    assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
+    lines = ckpt.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    lines[1] = json.dumps({**rec, "unit": 99}) + "\n"
+    ckpt.write_text("".join(lines))
+    res = enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl")
+    assert res.exit_code == 2
+    assert res.stderr == (
+        f"error: {ckpt}: line 2 is not a unit record (no unit ({rec['group']}, 99) at this order)\n"
+    )
+
+
 def test_headerless_checkpoint_is_refused(tmp_path):
     ckpt = tmp_path / "b.ckpt"
     assert enumerate_with_checkpoint(4, ckpt, tmp_path / "b.jsonl").exit_code == 0
@@ -436,6 +463,32 @@ def test_classify_malformed_catalog_exits_2(tmp_path, header, item, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize(
+    "header, item, message",
+    [
+        (META_Z2, {"n": 2, "add": BRACE_Z2["add"]}, "brace needs the keys n, add, mul"),
+        (META_Z2, {**BRACE_Z2, "n": 3}, "carrier size mismatch: 2 != 3"),
+        (META_Z2, {**BRACE_Z2, "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+         "carrier sizes differ: 2 != 3"),
+        ({"meta": {"kind": "widgets", "count": 1}}, BRACE_Z2, "unknown catalog kind 'widgets'"),
+    ],
+)
+def test_classify_names_what_is_wrong_with_a_catalog(tmp_path, header, item, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(item) + "\n")
+    res = run("classify", "--in", str(path), "--report", str(tmp_path / "r.csv"))
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}: {message}\n"
+
+
+def test_classify_empty_catalog_exits_2(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    res = run("classify", "--in", str(path), "--report", str(tmp_path / "r.csv"))
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}: empty catalog file\n"
+
+
 def test_solution_analyze_malformed_sigma_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "sigma": 7}))
@@ -463,6 +516,22 @@ def test_solution_analyze_wrong_entry_type_exits_2(tmp_path, data, message):
     assert res.exit_code == 2
     assert "error:" in res.stderr
     assert message in res.stderr
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 2, "sigma": [[0, 1], [0, 1]], "tau": [[0, 1]]},
+         "sigma and tau must have the same length"),
+        ({"n": 3, "sigma": [[0, 1], [0, 1]]}, "size mismatch: 2 != 3"),
+    ],
+)
+def test_solution_analyze_names_what_is_wrong_with_a_solution(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    res = run("solution", "analyze", "--in", str(path))
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}: {message}\n"
 
 
 @pytest.fixture

@@ -113,6 +113,12 @@ def test_group_order_budget():
         groups_of_order(50)
 
 
+def test_unknown_enumeration_method_is_refused():
+    with pytest.raises(ValueError) as exc:
+        enumerate_skew_braces(2, method="brute")
+    assert str(exc.value) == "unknown enumeration method 'brute'"
+
+
 def test_brace_counts_small():
     assert len(enumerate_skew_braces(1)) == 1
     assert len(enumerate_skew_braces(2)) == 1
@@ -592,7 +598,9 @@ BENCH_CATALOG_24 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / 
 
 def test_order_24_catalog_matches_the_benchmark_catalog(tmp_path):
     out = tmp_path / "braces-24.jsonl"
-    write_catalog(enumerate_skew_braces(24), out)
+    catalog = enumerate_skew_braces(24)
+    assert len(catalog) == 855  # Guarnieri and Vendramin, Math. Comp. 86, 2017
+    write_catalog(catalog, out)
     with gzip.open(BENCH_CATALOG_24, "rt") as fh:
         expected = fh.read().splitlines()[1:]
     assert out.read_text().splitlines()[1:] == expected
@@ -620,11 +628,13 @@ def test_resume_from_full_unit_records(tmp_path):
 
 
 # Skew brace counts published by Guarnieri and Vendramin (Math. Comp. 86,
-# 2017) for the orders 9 to 23 but 16, which the opt-in stretch census
-# covers; EXPECTED_BRACE_COUNTS, which the census suite checks, stops at 8.
+# 2017) for the orders 9 to 30 but 16 and 27, which the opt-in stretch census
+# covers, and 24, asserted on the census that the benchmark catalog test
+# builds; EXPECTED_BRACE_COUNTS, which the census suite checks, stops at 8.
 PUBLISHED_BRACE_COUNTS = {
     9: 4, 10: 6, 11: 1, 12: 38, 13: 1, 14: 6, 15: 1,
     17: 1, 18: 49, 19: 1, 20: 43, 21: 8, 22: 6, 23: 1,
+    25: 4, 26: 6, 28: 29, 29: 1, 30: 36,
 }
 
 

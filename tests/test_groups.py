@@ -28,9 +28,12 @@ from bracelab.perms import compose, invert
 from bracelab.subsets import Subset
 from conftest import groups_up_to
 from oracles import (
+    associativity_message,
     dihedral,
     direct_product,
+    first_nonassociative,
     first_repeat,
+    latin_message,
     quaternion8,
     relabeled_group,
     symmetric,
@@ -53,16 +56,18 @@ def test_z2_table_validates():
 
 
 def test_repeated_entry_is_not_latin():
+    table = [[0, 1], [1, 1]]
     with pytest.raises(NotLatin) as exc:
-        verify_group([[0, 1], [1, 1]])
-    assert exc.value.index == 1
+        verify_group(table)
+    assert first_repeat(table) == ("row", 1, (0, 1, 1))
+    assert str(exc.value) == latin_message(first_repeat(table))
 
 
 def _latin_witness(table):
     try:
         verify_group(table)
     except NotLatin as exc:
-        return exc.axis, exc.index, exc.witness
+        return str(exc)
     except (NoIdentity, NotAssociative):
         pass
     return None
@@ -99,7 +104,7 @@ def test_not_latin_witness_is_first_repeat(defects, axes):
         for defect in rng.choices(defects, k=count):
             defect(rng, table)
         want = first_repeat(table)
-        assert _latin_witness(table) == want
+        assert _latin_witness(table) == (latin_message(want) if want else None)
         seen.add(want[0] if want else None)
     assert axes <= seen
 
@@ -107,13 +112,35 @@ def test_not_latin_witness_is_first_repeat(defects, axes):
 def test_nonassociative_loop_rejected_with_first_triple():
     with pytest.raises(NotAssociative) as exc:
         verify_group(NONASSOC_LOOP)
-    assert exc.value.witness == (1, 1, 2)
+    assert first_nonassociative(NONASSOC_LOOP) == (1, 1, 2)
+    assert str(exc.value) == associativity_message((1, 1, 2))
 
 
 def test_no_identity():
     # Latin square in which no row equals 0..n-1
     with pytest.raises(NoIdentity):
         verify_group([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        ([], NoIdentity, "empty table"),
+        ([1, 2], ValueError, "table must be a sequence of rows"),
+        ([[0, 1], [1]], ValueError, "table must be square, got 2 rows of lengths [1, 2]"),
+        ([[0, 1], [1, 2]], ValueError, "table entries must lie in 0..n-1"),
+    ],
+)
+def test_malformed_table_is_refused(table, error, message):
+    with pytest.raises(error) as exc:
+        verify_group(table)
+    assert str(exc.value) == message
+
+
+def test_repeated_permutation_is_not_latin():
+    with pytest.raises(NotLatin) as exc:
+        groups.from_permutations([(0, 1), (0, 1)])
+    assert str(exc.value) == "row 0 repeats value 1 at positions 0 and 1"
 
 
 def test_identity_off_zero_raises_no_identity():

@@ -6,6 +6,7 @@ from bracelab.enumeration import enumerate_skew_braces
 from bracelab.serialize import (
     brace_from_json,
     brace_to_json,
+    item_to_json,
     read_catalog,
     solution_from_json,
     solution_to_json,
@@ -48,6 +49,18 @@ def test_solution_tau_omitted_uses_involutive_closure():
 
 def test_subset_serializes_sorted():
     assert Subset.of(6, [4, 0, 2]).indices() == [0, 2, 4]
+
+
+def test_subset_refuses_a_member_outside_the_carrier():
+    with pytest.raises(ValueError) as exc:
+        Subset.of(3, [0, 3])
+    assert str(exc.value) == "member 3 outside carrier 0..2"
+
+
+def test_unknown_catalog_kind_has_no_encoder():
+    with pytest.raises(ValueError) as exc:
+        item_to_json("widgets", None)
+    assert str(exc.value) == "unknown catalog kind 'widgets'"
 
 
 def test_catalog_file_round_trip(tmp_path):

@@ -18,7 +18,6 @@ from bracelab.series import (
     ASCENDING_KINDS,
     DESCENDING_KINDS,
     gamma_distributivity_check,
-    gamma_series,
     nilpotency_report,
     series,
 )
@@ -80,6 +79,12 @@ def test_socle_series_descends_to_s_series(five_point_brace, z4_quadratic):
             assert term <= soc.chain[m - i]
 
 
+def test_unknown_series_kind_is_refused(trivial_z2):
+    with pytest.raises(ValueError) as exc:
+        series(trivial_z2, "upper")
+    assert str(exc.value) == "unknown series kind 'upper'"
+
+
 def test_group_series_kinds(five_point_brace):
     b = five_point_brace
     assert series(b, "lcs_add").holds  # Z/6 abelian
@@ -120,11 +125,6 @@ def test_nilpotency_report_five_point(five_point_brace):
     assert not rep.annihilator.holds
     assert rep.nilpotent_type
     assert rep.left.holds == classify_flags(five_point_brace).mul_nilpotent
-
-
-def test_gamma_series_general_ideal_argument(z4_quadratic):
-    chain = gamma_series(z4_quadratic, Subset.of(4, [0, 2]))
-    assert [s.indices() for s in chain] == [[0, 2], [0]]
 
 
 def test_gamma_distributivity(z4_quadratic, trivial_z2, five_point_brace):

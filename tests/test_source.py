@@ -1,6 +1,7 @@
 """Checks on the library source itself and on the README example."""
 
 import ast
+import builtins
 import re
 import subprocess
 import sys
@@ -132,6 +133,63 @@ def test_every_default_is_passed_by_a_library_call():
                 for param, position in defaulted if not passed(fn.name, param, position)
             ]
     assert unpassed == []
+
+
+def _module_names(tree):
+    """Names bound at the top level of a module: imports, definitions and
+    assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_no_parameter_is_computed_from_the_others_by_every_call():
+    # a positional parameter of a top-level function that every library call
+    # fills with one expression of that call's other arguments (and of
+    # module names) is something the function can compute itself; a bare
+    # name or a constant is the caller's own choice and is not flagged
+    trees = _library_trees()
+    calls = {}
+    for tree in trees.values():
+        known = _module_names(tree) | set(dir(builtins))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append((known, node))
+
+    def derived(known, call, position, param):
+        """ast.dump of the argument for param when it is built from the
+        call's other arguments, else None."""
+        if position < len(call.args) and not any(
+            isinstance(a, ast.Starred) for a in call.args[:position + 1]
+        ):
+            expr = call.args[position]
+        else:
+            expr = next((kw.value for kw in call.keywords if kw.arg == param), None)
+        if expr is None or isinstance(expr, ast.Name):
+            return None
+        others = {a.id for a in call.args if isinstance(a, ast.Name)}
+        others |= {kw.value.id for kw in call.keywords if isinstance(kw.value, ast.Name)}
+        names = {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+        return ast.dump(expr) if names & others and names <= known | others else None
+
+    computed = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in calls:
+                continue
+            for position, arg in enumerate(fn.args.posonlyargs + fn.args.args):
+                exprs = {derived(known, call, position, arg.arg) for known, call in calls[fn.name]}
+                if len(exprs) == 1 and None not in exprs:
+                    computed.append(f"{module}.{fn.name}({arg.arg})")
+    assert computed == []
 
 
 def test_group_tables_are_built_only_by_verify_group():
