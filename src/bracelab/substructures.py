@@ -155,8 +155,10 @@ def idealizer(b: SkewBrace, h: Subset, lattice: list[Subset]) -> Subset:
     """Largest sub skew brace in which h is an ideal.
 
     Computed by filtering the sub-brace lattice; elementwise conditions would
-    not give a closed candidate set. Raises CrossCheckFailed if the candidates
-    have incomparable maxima (a definitional edge case worth surfacing).
+    not give a closed candidate set. The maximum is believed unique (every
+    call over the braces of orders 1-12 and the order-24 catalog found one)
+    but not proved; CrossCheckFailed is raised if the candidates have
+    incomparable maxima.
     """
     if not is_subbrace(b, h):
         raise NotASubBrace(f"{h.indices()} is not a sub skew brace")

@@ -4,11 +4,13 @@ Parses every ast.Raise in src/bracelab, runs the tier-1 tests in this
 process, and lists each site that never raised. Only the code objects that
 hold a raise are traced, and only for their `exception` events: line events
 are switched off, so the run costs a fraction of a full line trace. A site
-counts as reached when an exception starts at its line in its own frame.
-Only the main thread is traced: worker processes (--jobs), subprocesses
-and other threads are not.
+counts as reached when an exception starts in its own frame at the site's
+RAISE_VARARGS instruction, so an error thrown while the message is built
+does not count. Only the main thread is traced: worker processes (--jobs),
+subprocesses and other threads are not. The verdict is for the whole tier-1
+run, so the script takes no arguments.
 
-    PYTHONPATH=src python tools/raise_sites.py [pytest args...]
+    PYTHONPATH=src python tools/raise_sites.py
 
 Exit status: 0 when every site executed and the tests passed, 1 otherwise.
 """
@@ -16,6 +18,7 @@ Exit status: 0 when every site executed and the tests passed, 1 otherwise.
 from __future__ import annotations
 
 import ast
+import dis
 import os
 import sys
 import time
@@ -36,31 +39,37 @@ def raise_sites() -> dict[str, set[int]]:
     }
 
 
-def main(args: list[str]) -> int:
+def raise_offsets(code, lines) -> dict[int, int]:
+    """{offset: site line} of the RAISE_VARARGS instructions of one code object."""
+    return {ins.offset: ins.positions.lineno for ins in dis.get_instructions(code)
+            if ins.opname == "RAISE_VARARGS" and ins.positions.lineno in lines}
+
+
+def main() -> int:
     sites = raise_sites()
     reached: dict[tuple[str, int], str] = {}  # site -> the first test to reach it
 
-    # code object -> its file when one of its lines is a site, else ""
+    # code object -> (its file, {offset: site line}); the dict is empty when
+    # the code object holds no site
     holds_raise: dict = {}
 
     def local(frame, event, arg):
         # tb_next is None only in the frame where the exception started
         if event == "exception" and arg[2].tb_next is None:
-            site = (holds_raise[frame.f_code], frame.f_lineno)
-            if site not in reached:
-                reached[site] = os.environ.get("PYTEST_CURRENT_TEST", "?").rsplit(" ", 1)[0]
+            file, offsets = holds_raise[frame.f_code]
+            line = offsets.get(frame.f_lasti)
+            if line is not None and (file, line) not in reached:
+                reached[file, line] = os.environ.get("PYTEST_CURRENT_TEST", "?").rsplit(" ", 1)[0]
         return local
 
     def on_call(frame, event, arg):
         code = frame.f_code
-        file = holds_raise.get(code)
-        if file is None:
+        entry = holds_raise.get(code)
+        if entry is None:
             file = os.path.realpath(code.co_filename)
             lines = sites.get(file, ())
-            if not any(line in lines for _, _, line in code.co_lines()):
-                file = ""
-            holds_raise[code] = file
-        if not file:
+            entry = holds_raise[code] = (file, raise_offsets(code, lines) if lines else {})
+        if not entry[1]:
             return None
         frame.f_trace_lines = False
         return local
@@ -68,7 +77,7 @@ def main(args: list[str]) -> int:
     started = time.monotonic()
     sys.settrace(on_call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+        status = pytest.main(["-q", "-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
     elapsed = time.monotonic() - started
@@ -86,4 +95,4 @@ def main(args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
