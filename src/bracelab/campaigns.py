@@ -323,8 +323,7 @@ def _hirsch_brace(item: tuple[dict, SkewBrace]) -> list[tuple[dict, str, bool]]:
     witness, b = item
     out: list[tuple[dict, str, bool]] = []
     rep = nilpotency_report(b)
-    full = Subset.full(b.n)
-    b2 = star_sets(b, full, full)
+    b2 = star_sets(b)
     lattice = subbrace_lattice(b)
     add_t = b.add.table
     for s in lattice:

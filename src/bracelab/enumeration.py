@@ -32,10 +32,12 @@ from .groups import (
 from .perms import Perm, all_perms, compose, invert, perm_order
 from .ybe import Solution, involutive_from_sigma, multipermutation_level, permutation_brace
 
-# Classical group counts; groups_of_order() must reproduce these.
+# Classical group counts (OEIS A000001); groups_of_order() must reproduce these.
 EXPECTED_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
     9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14,
+    17: 1, 18: 5, 19: 1, 20: 5, 21: 2, 22: 2, 23: 1, 24: 15,
+    25: 2, 26: 2, 27: 5, 28: 4, 29: 1, 30: 4,
 }
 
 GROUP_ORDER_BUDGET = 48
@@ -81,8 +83,15 @@ def _groups_of_order(n: int) -> list[GroupTable]:
     Every group of order < 60 is solvable, hence has a normal subgroup of
     prime index; so each candidate arises as a cyclic extension of a group
     of order n/p by data (alpha, z) with alpha in Aut(N), alpha(z) = z and
-    alpha^p equal to conjugation by z. Candidates are validated and then
+    alpha^p equal to conjugation by z. _cyclic_extensions builds one
+    candidate per Aut(N)-orbit of that data. Candidates are validated and then
     reduced to their isomorphism classes, with element orders as marks.
+
+    The orbit rule changes no answer. _isomorphism_classes keeps the first
+    candidate of each class in input order. Without the rule, that candidate
+    is the first of its own data orbit, since the rest of the orbit gives
+    isomorphic tables. So the rule builds it, and it builds no candidate of
+    the class before it: the kept tables are the same, in the same order.
     """
     if n > GROUP_ORDER_BUDGET:
         raise BudgetExceeded("group order", n, GROUP_ORDER_BUDGET)
@@ -138,23 +147,40 @@ def _primes_dividing(n: int) -> list[int]:
 
 
 def _cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:
-    """Tables of order p*|N| built from t^i x with t^p = z and t x t^-1 = alpha(x)."""
+    """Tables of order p*|N| built from t^i x with t^p = z and t x t^-1 = alpha(x),
+    one per Aut(N)-orbit of the data (alpha, z), alpha in sorted order and then
+    z ascending.
+
+    For beta in Aut(N), x -> beta(x), t -> t maps the extension by (alpha, z)
+    isomorphically onto the extension by (beta alpha beta^-1, beta(z)): it
+    carries t x t^-1 = alpha(x) to t beta(x) t^-1 = beta(alpha(x)) and
+    t^p = z to t^p = beta(z). So the pairs of one orbit give one isomorphism
+    class, and the first pair of the orbit stands for the rest. When a pair
+    is met first, its whole orbit is marked; a marked pair is skipped before
+    its table is built.
+    """
     m, base_t = base.n, base.table
     n = m * p
     conj = {
         z: tuple(base.conjugate(z, x) for x in range(m)) for z in range(m)
     }
-    for alpha in all_automorphisms(base):
+    auts = all_automorphisms(base)
+    inverses = [invert(beta) for beta in auts]
+    seen: set[tuple[Perm, int]] = set()
+    for alpha, ainv in zip(auts, inverses):
         alpha_inv_pows = [tuple(range(m))]
-        ainv = invert(alpha)
         for _ in range(p - 1):
             alpha_inv_pows.append(compose(ainv, alpha_inv_pows[-1]))
         alpha_p = tuple(range(m))
         for _ in range(p):
             alpha_p = compose(alpha, alpha_p)
         for z in range(m):
-            if alpha[z] != z or alpha_p != conj[z]:
+            if alpha[z] != z or alpha_p != conj[z] or (alpha, z) in seen:
                 continue
+            seen.update(
+                (compose(compose(beta, alpha), beta_inv), beta[z])
+                for beta, beta_inv in zip(auts, inverses)
+            )
             table = [[0] * n for _ in range(n)]
             for i in range(p):
                 for x in range(m):

@@ -20,7 +20,7 @@ MAX_CARRIER = 255
 Tables = Sequence[Sequence[Sequence[int]]]
 
 # Tables kept by verify_group's memo: analyze-24 meets 258 distinct tables
-# and validates 243 of them, census-24 validates 571.
+# and validates 243 of them, census-24 validates 333.
 VERIFY_GROUP_CACHE = 1024
 
 

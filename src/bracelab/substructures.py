@@ -96,9 +96,10 @@ def star_products(b: SkewBrace, xs: Subset, ys: Subset) -> int:
     return Subset.of(b.n, {star[x][y] for x in xs.indices() for y in ys_idx}).mask
 
 
-def star_sets(b: SkewBrace, xs: Subset, ys: Subset) -> Subset:
-    """Additive subgroup generated by {x*y : x in X, y in Y}."""
-    return Subset(b.n, closure_mask((b.add.table,), star_products(b, xs, ys)))
+def star_sets(b: SkewBrace) -> Subset:
+    """B*B: the additive subgroup generated by {x*y : x, y in B}."""
+    full = Subset.full(b.n)
+    return Subset(b.n, closure_mask((b.add.table,), star_products(b, full, full)))
 
 
 # ---------------------------------------------------------------------------

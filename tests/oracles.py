@@ -6,6 +6,8 @@ first_repeat, first_nonassociative, first_brace_law_violation,
 is_two_sided and star_identity_failures check the laws on every pair or
 triple, one at a time; latin_message, associativity_message and
 brace_law_message give the message validation raises for such a witness.
+unpruned_cyclic_extensions is the group census's candidate loop without
+its orbit rule.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Iterable, Optional, Sequence
 
 from bracelab.brace import SkewBrace, brace_from_tables, verify_skew_brace
 from bracelab.errors import BraceLabError, CrossCheckFailed
-from bracelab.groups import GroupTable, from_permutations, verify_group
-from bracelab.perms import Perm, invert
+from bracelab.groups import GroupTable, all_automorphisms, from_permutations, verify_group
+from bracelab.perms import Perm, compose, invert
 from bracelab.subsets import Subset
 from bracelab.substructures import is_ideal
 
@@ -117,6 +119,42 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
                 for b2 in range(h.n):
                     table[a1 * h.n + a2][b1 * h.n + b2] = g.table[a1][b1] * h.n + h.table[a2][b2]
     return verify_group(table)
+
+
+def unpruned_cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:
+    """Every table of order p*|N| built from t^i x with t^p = z and
+    t x t^-1 = alpha(x), over all alpha in Aut(N) and z in N with
+    alpha(z) = z and alpha^p equal to conjugation by z: one per pair, alpha
+    in sorted order and then z ascending."""
+    m, base_t = base.n, base.table
+    n = m * p
+    conj = {
+        z: tuple(base.conjugate(z, x) for x in range(m)) for z in range(m)
+    }
+    for alpha in all_automorphisms(base):
+        alpha_inv_pows = [tuple(range(m))]
+        ainv = invert(alpha)
+        for _ in range(p - 1):
+            alpha_inv_pows.append(compose(ainv, alpha_inv_pows[-1]))
+        alpha_p = tuple(range(m))
+        for _ in range(p):
+            alpha_p = compose(alpha, alpha_p)
+        for z in range(m):
+            if alpha[z] != z or alpha_p != conj[z]:
+                continue
+            table = [[0] * n for _ in range(n)]
+            for i in range(p):
+                for x in range(m):
+                    row = table[i * m + x]
+                    for j in range(p):
+                        x_row = base_t[alpha_inv_pows[j][x]]
+                        for y in range(m):
+                            w = x_row[y]
+                            if i + j < p:
+                                row[j * m + y] = (i + j) * m + w
+                            else:
+                                row[j * m + y] = (i + j - p) * m + base_t[z][w]
+            yield table
 
 
 def symmetric(k: int) -> GroupTable:

@@ -158,8 +158,7 @@ def test_criterion_6_hirsch_analogues(census8, reports8):
     pairs = 0
     for n, cat in census8.items():
         for b, rep in zip(cat.items, reports8[n]):
-            full = Subset.full(b.n)
-            b2 = star_sets(b, full, full)
+            b2 = star_sets(b)
             add_t = b.add.table
             for a in subbrace_lattice(b):
                 span = {add_t[x][y] for x in a.indices() for y in b2.indices()}

@@ -2,6 +2,7 @@ import functools
 import gzip
 import hashlib
 import json
+import operator
 import random
 from itertools import permutations, product
 from pathlib import Path
@@ -13,7 +14,11 @@ from bracelab.brace import isomorphic
 from bracelab.enumeration import (
     EXPECTED_GROUP_COUNTS,
     _checkpoint_header,
+    _cyclic_extensions,
+    _groups_of_order,
     _involutive_families,
+    _isomorphism_classes,
+    _primes_dividing,
     _search_tables,
     brace_from_lambda_map,
     dedup_braces,
@@ -35,7 +40,7 @@ from bracelab.groups import (
 from bracelab.perms import all_perms, compose, invert, perm_order
 from bracelab.serialize import write_catalog
 from bracelab.ybe import involutive_from_sigma, multipermutation_level, verify_solution
-from oracles import dihedral, direct_product, quaternion8
+from oracles import dihedral, direct_product, quaternion8, unpruned_cyclic_extensions
 
 
 def brute_force_group_tables(n):
@@ -102,10 +107,61 @@ GROUP_CENSUS_UP_TO_24_DIGEST = "f1985a336defbef4ab3dcab00aa3736122baed703c8c5cc1
 
 
 def test_group_census_tables_are_pinned():
-    from bracelab.enumeration import _groups_of_order
-
     tables = [[g.table for g in _groups_of_order(n)] for n in range(1, 25)]
     assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == GROUP_CENSUS_UP_TO_24_DIGEST
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_group_census_orbit_rule_loses_no_class(n):
+    # the candidates of every (alpha, z), orbit rule or not, reduce to the
+    # census's own groups in its own order, and each is one of them
+    candidates = [
+        verify_group(table)
+        for p in _primes_dividing(n)
+        for base in _groups_of_order(n // p)
+        for table in unpruned_cyclic_extensions(base, p)
+    ]
+    census = _groups_of_order(n)
+    classes = _isomorphism_classes(
+        candidates, operator.attrgetter("element_orders"), isomorphic_groups
+    )
+    assert [g.table for g in classes] == [g.table for g in census]
+    for g in candidates:
+        assert any(isomorphic_groups(g, h) is not None for h in census)
+
+
+# Candidates the group census builds at three orders, and the
+# isomorphic_groups calls of _groups_of_order(24) from a cold cache, which
+# rebuilds every order it recurses through. Without the orbit rule of
+# _cyclic_extensions these were 184, 304 and 48 candidates and 323 calls.
+GROUP_CENSUS_CANDIDATES = {16: 48, 24: 77, 27: 11}
+COLD_GROUP_CENSUS_24_ISOMORPHISM_CALLS = 79
+
+
+def test_group_census_work_counts(monkeypatch):
+    built = {
+        n: sum(
+            1
+            for p in _primes_dividing(n)
+            for base in _groups_of_order(n // p)
+            for _ in _cyclic_extensions(base, p)
+        )
+        for n in GROUP_CENSUS_CANDIDATES
+    }
+    assert built == GROUP_CENSUS_CANDIDATES
+    calls = []
+
+    def counted(g, h):
+        calls.append((g, h))
+        return isomorphic_groups(g, h)
+
+    monkeypatch.setattr(enumeration, "isomorphic_groups", counted)
+    # a fresh cache for the recursion, which looks the name up in the module
+    monkeypatch.setattr(
+        enumeration, "_groups_of_order", functools.cache(enumeration._groups_of_order.__wrapped__)
+    )
+    enumeration._groups_of_order(24)
+    assert len(calls) == COLD_GROUP_CENSUS_24_ISOMORPHISM_CALLS
 
 
 def test_group_order_budget():
@@ -149,8 +205,6 @@ def searched_maps(g):
 def test_reduction_order_independence(n):
     # deduplicating all regular subgroups directly must give the same count
     # as reducing by automorphism conjugation first
-    from bracelab.enumeration import _groups_of_order
-
     total = []
     for a_group in _groups_of_order(n):
         for lam in searched_maps(a_group):
@@ -182,8 +236,6 @@ def test_catalog_items_pairwise_non_isomorphic():
 
 
 def test_merge_is_order_independent():
-    from bracelab.enumeration import _groups_of_order
-
     candidates = []
     for a_group in _groups_of_order(6):
         for lam in searched_maps(a_group):
