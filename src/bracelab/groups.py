@@ -28,7 +28,8 @@ VERIFY_GROUP_CACHE = 1024
 class GroupTable:
     """A finite group: n x n Cayley table, identity at index 0. Only
     verify_group builds one; it sets element_orders and generators, which ==
-    and hash do not read. nilpotency_class and subgroups are kept on first use."""
+    and hash do not read. nilpotency_class, subgroups and commutator_masks are
+    kept on first use."""
 
     n: int
     table: tuple[tuple[int, ...], ...]
@@ -48,6 +49,20 @@ class GroupTable:
         Exponential in the worst case; callers guard the carrier size."""
         masks = subgroup_lattice(self)
         return tuple((m, tuple(x for x in range(m.bit_length()) if m >> x & 1)) for m in masks)
+
+    @cached_property
+    def commutator_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rows, cols): rows[x] is the mask of {[x, a] : a}, cols[y] that of
+        {[a, y] : a}. [G, Y] is then the OR of cols[y] over y in Y. Since
+        [a, y] = [y, a]^-1, cols[y] is the image of rows[y] under inversion."""
+        t, inv = self.table, self.inv
+        rows, cols = [], []
+        for x, row in enumerate(t):
+            x_inv = inv[x]
+            values = {t[t[row[a]][x_inv]][inv[a]] for a in range(self.n)}
+            rows.append(sum(1 << v for v in values))
+            cols.append(sum(1 << inv[v] for v in values))
+        return tuple(rows), tuple(cols)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -299,9 +314,16 @@ def subgroup_lattice(g: GroupTable) -> tuple[int, ...]:
 
 
 def is_normal(g: GroupTable, s: Subset) -> bool:
+    """a s a^-1 lies in s for every a in g, tested only for a in g.generators.
+
+    That is enough: {a : a s a^-1 within s} holds the identity and is closed
+    under products, since (ac) s (ac)^-1 = a (c s c^-1) a^-1 lies in
+    a s a^-1. A subset of a finite group closed under products is a
+    subgroup, so one holding the generators is the whole group.
+    """
     m, members = s.mask, s.indices()
     t, inv = g.table, g.inv
-    return all(m >> t[t[a][x]][inv[a]] & 1 for a in range(g.n) for x in members)
+    return all(m >> t[t[a][x]][inv[a]] & 1 for a in g.generators for x in members)
 
 
 def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
@@ -376,8 +398,7 @@ def ascending_chain(needs: Sequence[int]) -> list[Subset]:
 
 def upper_central_series(g: GroupTable) -> list[Subset]:
     """Z_0 = 1, Z_{k+1} = {x : [x,a] in Z_k for all a}; cut at repetition."""
-    full = Subset.full(g.n)
-    return ascending_chain([commutator_products(g, Subset(g.n, 1 << x), full) for x in range(g.n)])
+    return ascending_chain(g.commutator_masks[0])
 
 
 # ---------------------------------------------------------------------------

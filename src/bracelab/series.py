@@ -14,15 +14,26 @@ first repetition need not be: the strong and bracketed gamma steps read
 every earlier term (see groups.descending_chain). Every chain ends with the
 first occurrence of its limit.
 
+A product with the whole carrier is an OR of per-element masks (_Products):
+X*B of the rows {x*a : a}, B*Y of the columns {a*y : a}, and [B,Y]_+ of the
+additive commutator columns. The left, right, gamma and annihilator kinds
+and the carrier pairs of the strong step read those masks. The bracketed
+gamma kind reads only pairwise products from the tables, so one of the three
+routes to the annihilator verdict stays independent of the masks: a wrong
+mask makes the routes disagree instead of going unseen.
+
 Each kind is one _Kind record: its builder, its direction, the index of its
 first term, and the member test every term must pass (ideal, left ideal or
-normal subgroup).
+normal subgroup). Within one nilpotency_report call the masks are built once
+and each (member test, term) pair is tested once (_Report).
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from . import groups
 from .brace import SkewBrace
@@ -45,10 +56,14 @@ def series(b: SkewBrace, kind: str) -> SeriesReport:
     if spec is None:
         raise ValueError(f"unknown series kind {kind!r}")
     chain = spec.build(b)
+    passed = _report(b).passed
     for term in chain:
         # {0} and the carrier are ideals, left ideals and normal subgroups
-        if not (term.is_full() or term.is_zero_only() or spec.member(b, term)):
+        if term.is_full() or term.is_zero_only() or (spec.member, term.mask) in passed:
+            continue
+        if not spec.member(b, term):
             raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {spec.term}")
+        passed.add((spec.member, term.mask))
     holds = chain[-1].is_zero_only() if spec.descends else chain[-1].is_full()
     return SeriesReport(
         kind=kind,
@@ -58,22 +73,86 @@ def series(b: SkewBrace, kind: str) -> SeriesReport:
     )
 
 
+class _Products:
+    """Products of one brace with its whole carrier, as ORs of per-element
+    masks: star rows {x*a : a} and star columns {a*y : a}, each built on
+    first use, and the additive commutator rows and columns that b.add
+    keeps."""
+
+    def __init__(self, b: SkewBrace) -> None:
+        self._star = b.star
+        self._bits = [1 << v for v in range(b.n)]
+        self.comm_rows, self.comm_cols = b.add.commutator_masks
+
+    @cached_property
+    def star_rows(self) -> list[int]:
+        return [sum(map(self._bits.__getitem__, set(row))) for row in self._star]
+
+    @cached_property
+    def star_cols(self) -> list[int]:
+        return [sum(map(self._bits.__getitem__, set(col))) for col in zip(*self._star)]
+
+    def right(self, xs: Subset) -> int:
+        """Mask of X*B."""
+        return _join(self.star_rows, xs)
+
+    def left(self, ys: Subset) -> int:
+        """Mask of B*Y."""
+        return _join(self.star_cols, ys)
+
+    def commutators(self, ys: Subset) -> int:
+        """Mask of [B, Y]_+."""
+        return _join(self.comm_cols, ys)
+
+
+def _join(masks: Sequence[int], s: Subset) -> int:
+    """OR of masks[x] over x in s."""
+    out = 0
+    for x in s.indices():
+        out |= masks[x]
+    return out
+
+
+class _Report:
+    """What the series of one nilpotency_report call share: the product masks
+    of its brace and the (member test, mask) pairs already passed. It lives
+    for that call only; a series call outside a report gets its own."""
+
+    def __init__(self, b: SkewBrace) -> None:
+        self.brace = b
+        self.products = _Products(b)
+        self.passed: set[tuple[Callable, int]] = set()
+
+
+# The report running in this context. series keeps its (b, kind) signature,
+# so it and the builders it calls find the shared state here;
+# nilpotency_report sets it and resets it on the way out.
+_ACTIVE: ContextVar[Optional[_Report]] = ContextVar("_ACTIVE", default=None)
+
+
+def _report(b: SkewBrace) -> _Report:
+    """The running nilpotency_report's state when it is for b, else a new one."""
+    report = _ACTIVE.get()
+    return report if report is not None and report.brace is b else _Report(b)
+
+
 def _left_chain(b: SkewBrace) -> list[Subset]:
-    full = Subset.full(b.n)
-    return descending_chain((b.add.table,), full, lambda last: star_products(b, full, last))
+    return descending_chain((b.add.table,), Subset.full(b.n), _report(b).products.left)
 
 
 def _right_chain(b: SkewBrace) -> list[Subset]:
-    full = Subset.full(b.n)
-    return descending_chain((b.add.table,), full, lambda last: star_products(b, last, full))
+    return descending_chain((b.add.table,), Subset.full(b.n), _report(b).products.right)
 
 
 def _strong_chain(b: SkewBrace) -> list[Subset]:
-    """B[1] = B, B[m+1] = <union of B[i] * B[m+1-i] for i = 1..m>_+."""
+    """B[1] = B, B[m+1] = <union of B[i] * B[m+1-i] for i = 1..m>_+. The
+    pairs with B[1] = B read the masks, the others the star table."""
+    products = _report(b).products
 
     def step(chain: list[Subset]) -> int:
-        gen = 0
-        for xs, ys in zip(chain, reversed(chain)):
+        gen = products.left(chain[-1]) | products.right(chain[-1])
+        inner = chain[1:-1]
+        for xs, ys in zip(inner, reversed(inner)):
             gen |= star_products(b, xs, ys)
         return gen
 
@@ -82,20 +161,17 @@ def _strong_chain(b: SkewBrace) -> list[Subset]:
 
 def _gamma_chain(b: SkewBrace) -> list[Subset]:
     """Gamma_0 = B, Gamma_{n+1} = <Gn*B, B*Gn, [B,Gn]_+>_+."""
-    full = Subset.full(b.n)
+    products = _report(b).products
 
     def step(prev: Subset) -> int:
-        return (
-            star_products(b, prev, full)
-            | star_products(b, full, prev)
-            | commutator_products(b.add, full, prev)
-        )
+        return products.right(prev) | products.left(prev) | products.commutators(prev)
 
-    return descending_chain((b.add.table,), full, step)
+    return descending_chain((b.add.table,), Subset.full(b.n), step)
 
 
 def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
-    """G[1] = B, G[n] = <G[i]*G[n-i], [G[i],G[n-i]]_+ : 1 <= i <= n-1>_+."""
+    """G[1] = B, G[n] = <G[i]*G[n-i], [G[i],G[n-i]]_+ : 1 <= i <= n-1>_+,
+    from pairwise products only: the route that reads no mask."""
 
     def step(chain: list[Subset]) -> int:
         gen = 0
@@ -109,15 +185,10 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
 def _pull_back_chain(b: SkewBrace, both_sides: bool) -> list[Subset]:
     """A_0 = {0}, A_{k+1} = {x : x*a, [x,a]_+ and, with both_sides, a*x in A_k
     for all a}: the socle series, or the annihilator series with both_sides."""
-    n, st = b.n, b.star
-    full = Subset.full(n)
-    needs = []
-    for x in range(n):
-        images = set(st[x])  # x*a
-        if both_sides:
-            images.update(row[x] for row in st)  # a*x
-        comm = commutator_products(b.add, Subset(n, 1 << x), full)
-        needs.append(comm | Subset.of(n, images).mask)
+    p = _report(b).products
+    needs = [row | comm for row, comm in zip(p.star_rows, p.comm_rows)]
+    if both_sides:
+        needs = [need | col for need, col in zip(needs, p.star_cols)]
     return ascending_chain(needs)
 
 
@@ -195,12 +266,16 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
     gamma series down, bracketed gamma series down); disagreement raises
     CrossCheckFailed and always indicates an implementation bug.
     """
-    left = series(b, "left")
-    right = series(b, "right")
-    strong = series(b, "strong")
-    ann = series(b, "annihilator")
-    gam = series(b, "gamma")
-    gam_br = series(b, "gamma_bracket")
+    token = _ACTIVE.set(_Report(b))
+    try:
+        left = series(b, "left")
+        right = series(b, "right")
+        strong = series(b, "strong")
+        ann = series(b, "annihilator")
+        gam = series(b, "gamma")
+        gam_br = series(b, "gamma_bracket")
+    finally:
+        _ACTIVE.reset(token)
 
     if not (ann.holds == gam.holds == gam_br.holds):
         raise CrossCheckFailed(

@@ -40,18 +40,29 @@ def is_subbrace(b: SkewBrace, s: Subset) -> bool:
 def is_ideal(b: SkewBrace, i: Subset, within: Optional[Subset] = None) -> bool:
     """Additive subgroup, lambda-invariant, normal for + and for o.
 
+    Without within, the last three conditions are tested only for a among
+    the generators: lambda-invariance and o-normality for a in
+    b.mul.generators, +-normality for a in b.add.generators. That is enough.
+    The a with lambda_a(i) within i are closed under o, as lambda_(a o c) =
+    lambda_a lambda_c; the a with a o i o a^-1 within i are closed under o;
+    the a with a + i - a within i are closed under +. Each set holds 0, and
+    a subset of a finite group closed under its operation is a subgroup, so
+    one holding the generators is the whole group (the argument of
+    verify_skew_brace, after Guarnieri and Vendramin).
+
     With within, whether i is an ideal of the sub skew brace on within: i
-    must lie in within and the last three conditions range over a in within.
+    must lie in within and the last three conditions range over every a in
+    within, as no generating set of it is at hand.
     """
     m = i.mask
     if not m >> 0 & 1:
         return False
     if within is None:
-        ambient = range(b.n)
+        mul_gens, add_gens = b.mul.generators, b.add.generators
     elif not i <= within:
         return False
     else:
-        ambient = within.indices()
+        mul_gens = add_gens = within.indices()
     members = i.indices()
     add_t, mul_t = b.add.table, b.mul.table
     for a in members:
@@ -59,15 +70,15 @@ def is_ideal(b: SkewBrace, i: Subset, within: Optional[Subset] = None) -> bool:
             if not m >> add_t[a][c] & 1:
                 return False
     lam, neg, minv = b.lam, b.add.inv, b.mul.inv
-    for a in ambient:
+    for a in mul_gens:
         for x in members:
             if not m >> lam[a][x] & 1:
                 return False
-    for a in ambient:
+    for a in add_gens:
         for x in members:
             if not m >> add_t[add_t[a][x]][neg[a]] & 1:
                 return False
-    for a in ambient:
+    for a in mul_gens:
         for x in members:
             if not m >> mul_t[mul_t[a][x]][minv[a]] & 1:
                 return False
@@ -75,7 +86,10 @@ def is_ideal(b: SkewBrace, i: Subset, within: Optional[Subset] = None) -> bool:
 
 
 def is_left_ideal(b: SkewBrace, i: Subset) -> bool:
-    """Additive subgroup closed under every lambda_a."""
+    """Additive subgroup closed under every lambda_a, tested for a in
+    b.mul.generators: the a with lambda_a(i) within i are closed under o, so
+    by the argument of is_ideal they are every a once they hold the
+    generators."""
     m = i.mask
     if not m >> 0 & 1:
         return False
@@ -83,7 +97,7 @@ def is_left_ideal(b: SkewBrace, i: Subset) -> bool:
     add_t, lam = b.add.table, b.lam
     if not all(m >> add_t[a][c] & 1 for a in members for c in members):
         return False
-    return all(m >> lam[a][x] & 1 for a in range(b.n) for x in members)
+    return all(m >> lam[a][x] & 1 for a in b.mul.generators for x in members)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import gzip
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from bracelab.brace import from_group_trivial, from_zn_quadratic
 from bracelab.enumeration import _groups_of_order, enumerate_skew_braces
 from bracelab.groups import cyclic
+from bracelab.serialize import read_catalog
 from bracelab.series import ASCENDING_KINDS, DESCENDING_KINDS, nilpotency_report, series
 from bracelab.ybe import involutive_from_sigma, permutation_brace
 from oracles import from_cycles, symmetric
@@ -77,3 +80,12 @@ def braces_up_to_8():
 def braces_up_to_12(braces_up_to_8):
     """One skew brace per isomorphism class of every order 1..12."""
     return braces_up_to_8 + [b for n in range(9, 13) for b in enumerate_skew_braces(n).items]
+
+
+@pytest.fixture(scope="session")
+def braces_24(tmp_path_factory):
+    """The 855 braces of the order-24 benchmark catalog."""
+    gz = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "braces-24.jsonl.gz"
+    catalog = tmp_path_factory.mktemp("catalog") / "braces-24.jsonl"
+    catalog.write_bytes(gzip.decompress(gz.read_bytes()))
+    return read_catalog(catalog).items

@@ -355,19 +355,29 @@ def test_central_series_match_their_definitions():
 
 
 def test_is_normal_matches_conjugation():
+    # is_normal conjugates by the generators only, the definition by every
+    # element: every subgroup of every group of order at most 24
     normal_seen = not_normal_seen = 0
     for g in _all_groups_to_24():
         table = [list(row) for row in g.table]
         inv = [row.index(0) for row in table]
-        terms = lower_central_series(g) + upper_central_series(g)
-        cyclic_subgroups = [_subgroup_closure(g, [x]) for x in range(g.n)]
-        for s in terms + cyclic_subgroups:
-            want = _raw_is_normal(table, inv, set(s))
-            assert is_normal(g, s) == want
+        for m, members in g.subgroups:
+            want = _raw_is_normal(table, inv, set(members))
+            assert is_normal(g, Subset(g.n, m)) == want
             normal_seen += want
             not_normal_seen += not want
+        terms = lower_central_series(g) + upper_central_series(g)
         assert all(is_normal(g, t) for t in terms)
     assert normal_seen and not_normal_seen
+
+
+def test_commutator_masks_match_their_definition():
+    for g in _all_groups_to_24():
+        t, inv = g.table, g.inv
+        comm = [[t[t[t[x][a]][inv[x]]][inv[a]] for a in range(g.n)] for x in range(g.n)]
+        rows = tuple(Subset.of(g.n, comm[x]).mask for x in range(g.n))
+        cols = tuple(Subset.of(g.n, (comm[a][y] for a in range(g.n))).mask for y in range(g.n))
+        assert g.commutator_masks == (rows, cols)
 
 
 def test_ascending_chain_stops_at_first_repeat_and_checks_containment():

@@ -1,9 +1,12 @@
 import gzip
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bracelab import series as series_module
+from bracelab import substructures
 from bracelab.brace import (
     brace_from_tables,
     classify_flags,
@@ -12,8 +15,8 @@ from bracelab.brace import (
     from_zn_quadratic,
     lambda_orbits,
 )
-from bracelab.errors import HypothesisUnmet
-from bracelab.groups import cyclic
+from bracelab.errors import CrossCheckFailed, HypothesisUnmet
+from bracelab.groups import commutator_products, cyclic
 from bracelab.series import (
     ASCENDING_KINDS,
     DESCENDING_KINDS,
@@ -23,7 +26,7 @@ from bracelab.series import (
 )
 from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
-from bracelab.substructures import radical, subbrace_lattice
+from bracelab.substructures import radical, star_products, subbrace_lattice
 from conftest import series_digest
 from oracles import dihedral, invariant_substructures, quaternion8, quotient, relabeled, symmetric
 
@@ -346,6 +349,73 @@ def _quotient_chain(b, kind):
 def test_ascending_chains_match_quotient_route(braces_up_to_12, kind):
     for b in braces_up_to_12:
         assert list(series(b, kind).chain) == _quotient_chain(b, kind)
+
+
+def test_product_masks_match_pairwise_products(braces_up_to_12, braces_24):
+    # each mask path against star_products and commutator_products, the
+    # pairwise products the bracketed gamma chain reads: X*B, B*Y and
+    # [B,Y]_+ for every additive subgroup, and the per-element masks that
+    # the socle and annihilator needs are ORed from
+    for b in braces_up_to_12 + braces_24:
+        products = series_module._Products(b)
+        full = Subset.full(b.n)
+        for m, _ in b.add.subgroups:
+            s = Subset(b.n, m)
+            assert products.right(s) == star_products(b, s, full)
+            assert products.left(s) == star_products(b, full, s)
+            assert products.commutators(s) == commutator_products(b.add, full, s)
+        for x in range(b.n):
+            one = Subset(b.n, 1 << x)
+            assert products.star_rows[x] == star_products(b, one, full)
+            assert products.star_cols[x] == star_products(b, full, one)
+            assert products.comm_rows[x] == commutator_products(b.add, one, full)
+
+
+def test_a_wrong_mask_makes_the_annihilator_routes_disagree(monkeypatch, trivial_z2):
+    # every star product of the trivial brace on Z/2 is 0; a star column of
+    # 1 that also holds 1 stops the annihilator and gamma series, and the
+    # bracketed gamma series, which reads no mask, still reaches {0}
+    build = series_module._Products
+
+    def wrong(b):
+        products = build(b)
+        products.star_cols[1] |= 0b10
+        return products
+
+    monkeypatch.setattr(series_module, "_Products", wrong)
+    with pytest.raises(CrossCheckFailed) as exc:
+        nilpotency_report(trivial_z2)
+    assert str(exc.value) == "annihilator routes disagree: ann=False gamma=False gamma_bracket=True"
+
+
+def test_series_work_counts(monkeypatch, braces_up_to_12, braces_24):
+    # exact counts, taken by wrappers at the names the library calls
+    calls = Counter()
+
+    def count(module, name, key):
+        kernel = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(series_module, "is_ideal", "report")
+    count(substructures, "is_ideal", "radical")
+    for b in braces_24:
+        nilpotency_report(b)
+        radical(b, subbrace_lattice(b))
+    # 7,182 and 3,814 when each series tested every term of its own
+    assert (calls["report"], calls["radical"]) == (2821, 3814)
+
+    calls.clear()
+    count(series_module, "star_products", "star")
+    count(series_module, "commutator_products", "commutator")
+    for b in braces_up_to_12:
+        nilpotency_report(b)
+    # 1,673 and 1,649 when products with the carrier were pairwise too
+    assert (calls["star"], calls["commutator"]) == (458, 415)
 
 
 BENCH_CATALOG_24 = Path(__file__).resolve().parents[1] / "perfbench/data/braces-24.jsonl.gz"

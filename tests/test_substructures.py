@@ -340,6 +340,32 @@ def test_is_ideal_within_matches_definition_on_lattice_pairs(braces_up_to_8):
                 assert is_ideal(b, h, within=s) == expected
 
 
+def _is_left_ideal_of(b, h):
+    """h is a left ideal of b, straight from the definition."""
+    add, mul, neg = b.add.table, b.mul.table, b.add.inv
+    return (
+        0 in h
+        and all(add[x][y] in h for x in h for y in h)
+        and all(add[neg[a]][mul[a][x]] in h for a in range(b.n) for x in h)
+    )
+
+
+def test_ideal_tests_on_generators_match_definition(braces_up_to_8, braces_24):
+    # without within, is_ideal and is_left_ideal test only generators; the
+    # definition tests every a: every additive subgroup of the small braces,
+    # every sub-brace of the order-24 catalog
+    cases = [(b, Subset(b.n, m)) for b in braces_up_to_8 for m, _ in b.add.subgroups]
+    cases += [(b, s) for b in braces_24 for s in subbrace_lattice(b)]
+    seen = Counter()
+    for b, s in cases:
+        members = set(s.indices())
+        ideal = _is_ideal_of(b, members, set(range(b.n)))
+        left = _is_left_ideal_of(b, members)
+        assert (is_ideal(b, s), is_left_ideal(b, s)) == (ideal, left)
+        seen[ideal, left] += 1
+    assert set(seen) == {(True, True), (False, True), (False, False)}
+
+
 def test_maximal_ideals_match_definition(braces_up_to_12):
     for b in braces_up_to_12:
         lattice = subbrace_lattice(b)
