@@ -11,7 +11,9 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product as iproduct
+from math import prod
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -107,8 +109,10 @@ class CampaignReport:
 
 def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
     """The order-n catalog of kind, read from catalog_dir when cached there.
-    The enumerator is looked up at call time, so a rebound module name
-    (a tracer's wrapper, say) is the one called."""
+    A cached file is trusted by its header, not its name: a kind or order
+    other than the one asked for is refused. The enumerator is looked up at
+    call time, so a rebound module name (a tracer's wrapper, say) is the one
+    called."""
     enumerate_catalog = {
         "braces": enumerate_skew_braces,
         "solutions": enumerate_involutive_solutions,
@@ -120,9 +124,16 @@ def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
     path = Path(catalog_dir) / f"{kind}-{n}.jsonl"
     if path.exists():
         try:
-            return read_catalog(path)
+            cat = read_catalog(path)
         except (BraceLabError, OSError, ValueError) as exc:
             raise BraceLabError(f"cached catalog {path}: {exc}") from None
+        held = (cat.meta["kind"], cat.meta.get("order"))
+        if held != (kind, n):
+            raise BraceLabError(
+                f"cached catalog {path}: header has kind {held[0]!r} and order "
+                f"{held[1]!r}, expected kind {kind!r} and order {n}"
+            )
+        return cat
     cat = enumerate_catalog(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_catalog(cat, path)
@@ -131,12 +142,12 @@ def _catalog(kind: str, n: int, catalog_dir: Optional[Path]) -> Catalog:
 
 def _catalog_braces(
     max_order: int, catalog_dir: Optional[Path]
-) -> Iterator[tuple[dict, SkewBrace]]:
-    """Every brace of the order 1..max_order catalogs, in catalog order, with
-    its witness {"order": n, "index": i}."""
+) -> Iterator[list[tuple[dict, SkewBrace]]]:
+    """The braces of each order 1..max_order catalog in turn, in catalog
+    order, each with its witness {"order": n, "index": i}."""
     for n in range(1, max_order + 1):
-        for i, b in enumerate(_catalog("braces", n, catalog_dir).items):
-            yield {"order": n, "index": i}, b
+        cat = _catalog("braces", n, catalog_dir)
+        yield [({"order": n, "index": i}, b) for i, b in enumerate(cat.items)]
 
 
 def _pmap(fn: Callable, items: list, jobs: int) -> list:
@@ -164,272 +175,244 @@ def run_suite(
         raise SuiteUnknown(f"unknown suite {name!r}; choose from {SUITES}")
     started = time.monotonic()
     catalog_dir = Path(catalog_dir) if catalog_dir else None
-    runner = globals()[f"_suite_{name}"]
-    report: CampaignReport = runner(
-        max_order=max_order,
-        max_size=max_size,
-        samples=samples,
-        seed=seed,
-        jobs=jobs,
-        catalog_dir=catalog_dir,
-    )
+    if name == "equivalence":
+        report = _suite_equivalence(max_size, samples, seed, jobs, catalog_dir)
+    elif name == "census":
+        report = _suite_census(max_order, catalog_dir)
+    else:
+        report = _brace_suite(name, max_order, catalog_dir, jobs)
     report.wall_time_s = round(time.monotonic() - started, 3)
     return report
 
 
-def _suite_axioms(max_order, catalog_dir, **_) -> CampaignReport:
+# Each brace suite's claims, (claim_id, statement) in report order.
+_CLAIMS = {
+    "axioms": (
+        ("brace_axioms_revalidate",
+         "every catalog brace revalidates from its serialized form with "
+         "identical tables"),
+    ),
+    "identities": (
+        ("star_expansion_identities",
+         "x*(y+z), (x+y)*z and (x o y)*z expand through star and lambda on "
+         "all triples of every catalog brace"),
+        ("bracket_chain_distributivity",
+         "for annihilator nilpotent braces, star and additive commutators "
+         "distribute over + and o on all admissible bracketed-chain triples"),
+    ),
+    "series": (
+        ("annihilator_routes_agree",
+         "the ascending annihilator series, the gamma series and the "
+         "bracketed gamma series render the same annihilator-nilpotency "
+         "verdict on every brace"),
+        ("implication_diagram",
+         "annihilator nilpotent implies strongly nilpotent; strongly "
+         "nilpotent holds exactly when left and right nilpotent both hold"),
+        ("nilpotent_type_three_way",
+         "for braces of nilpotent type: annihilator nilpotent, left-and-right "
+         "nilpotent, and strongly nilpotent are equivalent"),
+        ("left_iff_multiplicative_nilpotent",
+         "for finite braces of nilpotent type, left nilpotency holds exactly "
+         "when the multiplicative group is nilpotent"),
+        ("left_right_give_multiplicative_nilpotent",
+         "a left and right nilpotent brace of nilpotent type has a nilpotent "
+         "multiplicative group"),
+        ("gamma_chain_nesting",
+         "each gamma term lies in the bracketed gamma term of the same chain "
+         "position, and consecutive bracketed terms nest as ideals"),
+        ("right_series_within_socle_series",
+         "when the socle series reaches the whole brace, the right series "
+         "term of index i+1 lies in the socle term of complementary index"),
+        ("strict_implication_witnesses",
+         "within the census there are braces that are strongly nilpotent but "
+         "not annihilator nilpotent, right but not strongly nilpotent, and "
+         "left but not strongly nilpotent"),
+    ),
+    "hirsch": (
+        ("right_nilpotent_generation",
+         "in a right nilpotent brace, a sub-brace that spans B modulo B*B "
+         "and absorbs star products from the right is the whole brace"),
+        ("annihilator_nilpotent_generation",
+         "in an annihilator nilpotent brace, a sub-brace that spans B modulo "
+         "B*B is the whole brace; equivalently, surjectivity onto B/B*B "
+         "lifts to surjectivity onto B"),
+        ("lambda_orbit_transversal_generates",
+         "in an annihilator nilpotent brace, any set containing one element "
+         "from each lambda orbit generates the brace"),
+    ),
+    "radical": (
+        ("maximal_subbraces_are_ideals",
+         "in an annihilator nilpotent brace every maximal sub skew brace is "
+         "an ideal"),
+        ("radical_is_intersection_of_maximal_subbraces",
+         "in an annihilator nilpotent brace the intersection of maximal "
+         "ideals equals the intersection of maximal sub skew braces"),
+        ("radical_within_every_maximal_ideal",
+         "the radical lies in every maximal ideal"),
+        ("subideal_chains_exist",
+         "in an annihilator nilpotent brace every sub skew brace starts a "
+         "chain of successive ideals reaching the whole brace, built by "
+         "iterated idealizers"),
+    ),
+}
+
+# The three cases strict_implication_witnesses asks the census to witness.
+_STRICT_CASES = ("strong_not_annihilator", "right_not_strong", "left_not_strong")
+
+
+def _brace_suite(
+    name: str, max_order: int, catalog_dir: Optional[Path], jobs: int
+) -> CampaignReport:
+    """Map the suite's check over one order's catalog at a time and record
+    each (claim_id, ok, witness, count) it yields in that claim's CheckResult.
+
+    strict_implication_witnesses is an existence claim, not a tally: the
+    series check yields each of _STRICT_CASES its brace witnesses, and the
+    first brace of each case is kept."""
+    checks = {claim_id: CheckResult(claim_id, statement) for claim_id, statement in _CLAIMS[name]}
+    first: dict[str, dict] = {}
+    tally = partial(_tally, _CHECKS[name])
+    for braces in _catalog_braces(max_order, catalog_dir):
+        for results in _pmap(tally, braces, jobs):
+            for claim_id, ok, witness, count in results:
+                if claim_id in _STRICT_CASES:
+                    first.setdefault(claim_id, witness)
+                else:
+                    checks[claim_id].record(ok, witness, count)
+    if name == "series":
+        strict = checks["strict_implication_witnesses"]
+        for case in _STRICT_CASES:
+            strict.record(case in first, witness={"missing": case})
+            if case in first:
+                strict.note_witness({case: first[case]})
+    return CampaignReport(name, {"max_order": max_order}, list(checks.values()))
+
+
+def _tally(check: Callable, item: tuple[dict, SkewBrace]) -> list[tuple]:
+    """The instances check yields on one (witness, brace) item, as a list a
+    --jobs worker can send back."""
+    return list(check(*item))
+
+
+def _check_axioms(witness: dict, b: SkewBrace) -> Iterator[tuple]:
     from .serialize import brace_from_json, brace_to_json
 
-    check = CheckResult(
-        "brace_axioms_revalidate",
-        "every catalog brace revalidates from its serialized form with "
-        "identical tables",
-    )
-    for wit, b in _catalog_braces(max_order, catalog_dir):
-        try:
-            again = brace_from_json(brace_to_json(b))
-            ok = again.add.table == b.add.table and again.mul.table == b.mul.table
-        except BraceLabError:
-            ok = False
-        check.record(ok, witness=wit)
-    return CampaignReport("axioms", {"max_order": max_order}, [check])
+    try:
+        again = brace_from_json(brace_to_json(b))
+        ok = again.add.table == b.add.table and again.mul.table == b.mul.table
+    except BraceLabError:
+        ok = False
+    yield "brace_axioms_revalidate", ok, witness, 1
 
 
-def _suite_identities(max_order, catalog_dir, **_) -> CampaignReport:
-    expansion = CheckResult(
-        "star_expansion_identities",
-        "x*(y+z), (x+y)*z and (x o y)*z expand through star and lambda on "
-        "all triples of every catalog brace",
-    )
-    distrib = CheckResult(
-        "bracket_chain_distributivity",
-        "for annihilator nilpotent braces, star and additive commutators "
-        "distribute over + and o on all admissible bracketed-chain triples",
-    )
-    for wit, b in _catalog_braces(max_order, catalog_dir):
-        violations = star_identity_violations(b)
-        expansion.record(
-            not violations,
-            witness={**wit, "violations": violations[:3]},
-            count=b.n**3,
-        )
-        report = nilpotency_report(b)
-        if report.annihilator.holds:
-            rep = gamma_distributivity_check(b, report.gamma_bracket)
-            distrib.record(
-                not rep["counterexamples"],
-                witness={**wit, "examples": rep["counterexamples"][:3]},
-                count=max(rep["checked"], 1),
-            )
-    return CampaignReport("identities", {"max_order": max_order}, [expansion, distrib])
+def _check_identities(witness: dict, b: SkewBrace) -> Iterator[tuple]:
+    violations = star_identity_violations(b)
+    yield ("star_expansion_identities", not violations,
+           {**witness, "violations": violations[:3]}, b.n**3)
+    report = nilpotency_report(b)
+    if report.annihilator.holds:
+        rep = gamma_distributivity_check(b, report.gamma_bracket)
+        yield ("bracket_chain_distributivity", not rep["counterexamples"],
+               {**witness, "examples": rep["counterexamples"][:3]}, max(rep["checked"], 1))
 
 
-def _suite_series(max_order, catalog_dir, **_) -> CampaignReport:
-    routes = CheckResult(
-        "annihilator_routes_agree",
-        "the ascending annihilator series, the gamma series and the "
-        "bracketed gamma series render the same annihilator-nilpotency "
-        "verdict on every brace",
-    )
-    diagram = CheckResult(
-        "implication_diagram",
-        "annihilator nilpotent implies strongly nilpotent; strongly "
-        "nilpotent holds exactly when left and right nilpotent both hold",
-    )
-    three_way = CheckResult(
-        "nilpotent_type_three_way",
-        "for braces of nilpotent type: annihilator nilpotent, left-and-right "
-        "nilpotent, and strongly nilpotent are equivalent",
-    )
-    left_mul = CheckResult(
-        "left_iff_multiplicative_nilpotent",
-        "for finite braces of nilpotent type, left nilpotency holds exactly "
-        "when the multiplicative group is nilpotent",
-    )
-    lr_mul = CheckResult(
-        "left_right_give_multiplicative_nilpotent",
-        "a left and right nilpotent brace of nilpotent type has a nilpotent "
-        "multiplicative group",
-    )
-    gamma_nest = CheckResult(
-        "gamma_chain_nesting",
-        "each gamma term lies in the bracketed gamma term of the same chain "
-        "position, and consecutive bracketed terms nest as ideals",
-    )
-    socle_bound = CheckResult(
-        "right_series_within_socle_series",
-        "when the socle series reaches the whole brace, the right series "
-        "term of index i+1 lies in the socle term of complementary index",
-    )
-    witnesses = CheckResult(
-        "strict_implication_witnesses",
-        "within the census there are braces that are strongly nilpotent but "
-        "not annihilator nilpotent, right but not strongly nilpotent, and "
-        "left but not strongly nilpotent",
-    )
-    found = {"strong_not_annihilator": None, "right_not_strong": None, "left_not_strong": None}
-    for wit, b in _catalog_braces(max_order, catalog_dir):
-        try:
-            rep = nilpotency_report(b)
-        except BraceLabError as exc:
-            routes.record(False, witness={**wit, "error": str(exc)})
-            continue
-        routes.record(True)
-        flags = classify_flags(b)
-        left, right = rep.left.holds, rep.right.holds
-        strong, ann = rep.strong.holds, rep.annihilator.holds
-        diagram.record(
-            (not ann or strong) and strong == (left and right), witness=wit
-        )
-        if rep.nilpotent_type:
-            three_way.record(ann == strong == (left and right), witness=wit)
-            left_mul.record(left == flags.mul_nilpotent, witness=wit)
-            if left and right:
-                lr_mul.record(flags.mul_nilpotent, witness=wit)
-        gam, gam_br = rep.gamma.chain, rep.gamma_bracket.chain
-        for pos, term in enumerate(gam):
-            if pos < len(gam_br):
-                gamma_nest.record(term <= gam_br[pos], witness=wit)
-        for pos in range(1, len(gam_br)):
-            gamma_nest.record(
-                gam_br[pos] <= gam_br[pos - 1] and is_ideal(b, gam_br[pos]),
-                witness=wit,
-            )
-        soc = series(b, "socle")
-        if soc.holds:
-            right_chain = rep.right.chain
-            m = len(soc.chain) - 1
-            for idx in range(m + 1):
-                term = right_chain[idx] if idx < len(right_chain) else right_chain[-1]
-                socle_bound.record(term <= soc.chain[m - idx], witness=wit)
-        if strong and not ann and found["strong_not_annihilator"] is None:
-            found["strong_not_annihilator"] = wit
-        if right and not strong and found["right_not_strong"] is None:
-            found["right_not_strong"] = wit
-        if left and not strong and found["left_not_strong"] is None:
-            found["left_not_strong"] = wit
-    for name, wit in found.items():
-        witnesses.record(wit is not None, witness={"missing": name})
-        if wit is not None:
-            witnesses.note_witness({name: wit})
-    return CampaignReport(
-        "series",
-        {"max_order": max_order},
-        [routes, diagram, three_way, left_mul, lr_mul, gamma_nest, socle_bound, witnesses],
-    )
+def _check_series(witness: dict, b: SkewBrace) -> Iterator[tuple]:
+    """A brace whose nilpotency_report raises is a routes failure and is
+    skipped by every later claim."""
+    try:
+        rep = nilpotency_report(b)
+    except BraceLabError as exc:
+        yield "annihilator_routes_agree", False, {**witness, "error": str(exc)}, 1
+        return
+    yield "annihilator_routes_agree", True, witness, 1
+    flags = classify_flags(b)
+    left, right = rep.left.holds, rep.right.holds
+    strong, ann = rep.strong.holds, rep.annihilator.holds
+    yield ("implication_diagram", (not ann or strong) and strong == (left and right),
+           witness, 1)
+    if rep.nilpotent_type:
+        yield "nilpotent_type_three_way", ann == strong == (left and right), witness, 1
+        yield "left_iff_multiplicative_nilpotent", left == flags.mul_nilpotent, witness, 1
+        if left and right:
+            yield "left_right_give_multiplicative_nilpotent", flags.mul_nilpotent, witness, 1
+    gam, gam_br = rep.gamma.chain, rep.gamma_bracket.chain
+    for pos, term in enumerate(gam):
+        if pos < len(gam_br):
+            yield "gamma_chain_nesting", term <= gam_br[pos], witness, 1
+    for pos in range(1, len(gam_br)):
+        ok = gam_br[pos] <= gam_br[pos - 1] and is_ideal(b, gam_br[pos])
+        yield "gamma_chain_nesting", ok, witness, 1
+    soc = series(b, "socle")
+    if soc.holds:
+        right_chain = rep.right.chain
+        m = len(soc.chain) - 1
+        for idx in range(m + 1):
+            term = right_chain[idx] if idx < len(right_chain) else right_chain[-1]
+            yield "right_series_within_socle_series", term <= soc.chain[m - idx], witness, 1
+    witnessed = (strong and not ann, right and not strong, left and not strong)
+    for case, holds in zip(_STRICT_CASES, witnessed):
+        if holds:
+            yield case, True, witness, 0
 
 
-def _hirsch_brace(item: tuple[dict, SkewBrace]) -> list[tuple[dict, str, bool]]:
-    witness, b = item
-    out: list[tuple[dict, str, bool]] = []
+def _check_hirsch(witness: dict, b: SkewBrace) -> Iterator[tuple]:
     rep = nilpotency_report(b)
     b2 = star_sets(b)
     lattice = subbrace_lattice(b)
     add_t = b.add.table
     for s in lattice:
-        span = set()
-        for a in s.indices():
-            for c in b2.indices():
-                span.add(add_t[a][c])
-        spans = len(span) == b.n
+        spans = len({add_t[a][c] for a in s.indices() for c in b2.indices()}) == b.n
         wit = {**witness, "subbrace": s.indices()}
         if rep.right.holds and spans:
             star_into = all(
                 b.star[a][x] in s for a in s.indices() for x in range(b.n)
             )
             if star_into:
-                out.append((wit, "right", s.is_full()))
+                yield "right_nilpotent_generation", s.is_full(), wit, 1
         if rep.annihilator.holds and spans:
-            out.append((wit, "annihilator", s.is_full()))
+            yield "annihilator_nilpotent_generation", s.is_full(), wit, 1
     if rep.annihilator.holds:
         orbits = lambda_orbits(b)
-        total = 1
-        for orbit in orbits:
-            total *= len(orbit)
-        if total <= TRANSVERSAL_BUDGET:
+        if prod(len(orbit) for orbit in orbits) <= TRANSVERSAL_BUDGET:
             transversals = iproduct(*orbits)
         else:
             transversals = ([orbit[0] for orbit in orbits],)
         for t in transversals:
             ok = generates(b, Subset.of(b.n, t))
-            out.append(({**witness, "transversal": list(t)}, "transversal", ok))
-    return out
+            yield "lambda_orbit_transversal_generates", ok, {**witness, "transversal": list(t)}, 1
 
 
-def _suite_hirsch(max_order, catalog_dir, jobs, **_) -> CampaignReport:
-    right_gen = CheckResult(
-        "right_nilpotent_generation",
-        "in a right nilpotent brace, a sub-brace that spans B modulo B*B "
-        "and absorbs star products from the right is the whole brace",
-    )
-    ann_gen = CheckResult(
-        "annihilator_nilpotent_generation",
-        "in an annihilator nilpotent brace, a sub-brace that spans B modulo "
-        "B*B is the whole brace; equivalently, surjectivity onto B/B*B "
-        "lifts to surjectivity onto B",
-    )
-    transversal = CheckResult(
-        "lambda_orbit_transversal_generates",
-        "in an annihilator nilpotent brace, any set containing one element "
-        "from each lambda orbit generates the brace",
-    )
-    items = list(_catalog_braces(max_order, catalog_dir))
-    for results in _pmap(_hirsch_brace, items, jobs):
-        for wit, key, ok in results:
-            if key == "right":
-                right_gen.record(ok, witness=wit)
-            elif key == "annihilator":
-                ann_gen.record(ok, witness=wit)
-            else:
-                transversal.record(ok, witness=wit)
-    return CampaignReport("hirsch", {"max_order": max_order}, [right_gen, ann_gen, transversal])
+def _check_radical(witness: dict, b: SkewBrace) -> Iterator[tuple]:
+    lattice = subbrace_lattice(b)
+    rad = radical(b, lattice)
+    for m in maximal_ideals(b, lattice):
+        yield "radical_within_every_maximal_ideal", rad <= m, {**witness, "ideal": m.indices()}, 1
+    if not nilpotency_report(b).annihilator.holds:
+        return
+    maxima = maximal_subbraces(lattice)
+    for s in maxima:
+        yield ("maximal_subbraces_are_ideals", is_ideal(b, s),
+               {**witness, "subbrace": s.indices()}, 1)
+    inter = Subset.full(b.n)
+    for s in maxima:
+        inter = inter & s
+    yield "radical_is_intersection_of_maximal_subbraces", inter == rad, witness, 1
+    for s in lattice:
+        chain = subideal_chain(b, s, lattice)
+        ok = chain is not None and all(
+            is_ideal(b, chain[k], within=chain[k + 1])
+            for k in range(len(chain) - 1)
+        )
+        yield "subideal_chains_exist", ok, {**witness, "subbrace": s.indices()}, 1
 
 
-def _suite_radical(max_order, catalog_dir, **_) -> CampaignReport:
-    max_ideal = CheckResult(
-        "maximal_subbraces_are_ideals",
-        "in an annihilator nilpotent brace every maximal sub skew brace is "
-        "an ideal",
-    )
-    rad_eq = CheckResult(
-        "radical_is_intersection_of_maximal_subbraces",
-        "in an annihilator nilpotent brace the intersection of maximal "
-        "ideals equals the intersection of maximal sub skew braces",
-    )
-    rad_sub = CheckResult(
-        "radical_within_every_maximal_ideal",
-        "the radical lies in every maximal ideal",
-    )
-    chains = CheckResult(
-        "subideal_chains_exist",
-        "in an annihilator nilpotent brace every sub skew brace starts a "
-        "chain of successive ideals reaching the whole brace, built by "
-        "iterated idealizers",
-    )
-    for wit, b in _catalog_braces(max_order, catalog_dir):
-        lattice = subbrace_lattice(b)
-        rad = radical(b, lattice)
-        for m in maximal_ideals(b, lattice):
-            rad_sub.record(rad <= m, witness={**wit, "ideal": m.indices()})
-        if not nilpotency_report(b).annihilator.holds:
-            continue
-        maxima = maximal_subbraces(lattice)
-        for s in maxima:
-            max_ideal.record(is_ideal(b, s), witness={**wit, "subbrace": s.indices()})
-        inter = Subset.full(b.n)
-        for s in maxima:
-            inter = inter & s
-        rad_eq.record(inter == rad, witness=wit)
-        for s in lattice:
-            chain = subideal_chain(b, s, lattice)
-            ok = chain is not None and all(
-                is_ideal(b, chain[k], within=chain[k + 1])
-                for k in range(len(chain) - 1)
-            )
-            chains.record(ok, witness={**wit, "subbrace": s.indices()})
-    return CampaignReport(
-        "radical", {"max_order": max_order}, [max_ideal, rad_eq, rad_sub, chains]
-    )
+_CHECKS = {
+    "axioms": _check_axioms,
+    "identities": _check_identities,
+    "series": _check_series,
+    "hirsch": _check_hirsch,
+    "radical": _check_radical,
+}
 
 
 def _equivalence_worker(sol: Solution) -> tuple[bool, Optional[str], Optional[dict]]:
@@ -439,7 +422,7 @@ def _equivalence_worker(sol: Solution) -> tuple[bool, Optional[str], Optional[di
         return False, str(exc), None
 
 
-def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir, **_) -> CampaignReport:
+def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir) -> CampaignReport:
     equivalence = CheckResult(
         "multipermutation_iff_right_nilpotent_of_nilpotent_type",
         "a solution is multipermutation exactly when its permutation brace "
@@ -556,7 +539,7 @@ CENSUS_CSV_COLUMNS = (
 )
 
 
-def _suite_census(max_order, catalog_dir, **_) -> CampaignReport:
+def _suite_census(max_order, catalog_dir) -> CampaignReport:
     brace_counts = CheckResult(
         "brace_counts",
         "the number of brace isomorphism classes at each order matches the "

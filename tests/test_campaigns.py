@@ -1,8 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from bracelab import campaigns, series
 from bracelab.campaigns import run_suite, write_report_csv
 from bracelab.errors import SuiteUnknown
 
@@ -41,6 +43,31 @@ def test_series_suite_records_witnesses():
     for entry in wit.witnesses:
         named.update(entry.keys())
     assert {"strong_not_annihilator", "right_not_strong", "left_not_strong"} <= named
+
+
+def test_series_suite_failure_path(monkeypatch):
+    # a strong chain one term short wherever it has more than one term: the
+    # braces whose nilpotency_report then raises count as routes failures and
+    # are skipped by every later claim, and the run goes on to the end
+    spec = series._KINDS["strong"]
+
+    def cut(b, build=spec.build):
+        chain = build(b)
+        return chain[:-1] if len(chain) > 1 else chain
+
+    monkeypatch.setitem(series._KINDS, "strong", replace(spec, build=cut))
+    c = claims(run_suite("series", max_order=8))
+    assert {claim_id: (r.instances, r.failures) for claim_id, r in c.items()} == {
+        "annihilator_routes_agree": (62, 55),
+        "implication_diagram": (7, 0),
+        "nilpotent_type_three_way": (4, 0),
+        "left_iff_multiplicative_nilpotent": (4, 0),
+        "left_right_give_multiplicative_nilpotent": (1, 0),
+        "gamma_chain_nesting": (19, 0),
+        "right_series_within_socle_series": (4, 0),
+        "strict_implication_witnesses": (3, 1),
+    }
+    assert all("error" in w for w in c["annihilator_routes_agree"].witnesses)
 
 
 def test_hirsch_suite():
@@ -82,8 +109,12 @@ def test_equivalence_suite_deterministic():
     [
         ("equivalence", {"max_size": 2, "samples": 8, "seed": 3}),
         ("hirsch", {"max_order": 8}),
+        ("axioms", {"max_order": 8}),
+        ("identities", {"max_order": 8}),
+        ("series", {"max_order": 8}),
+        ("radical", {"max_order": 8}),
     ],
-    ids=["equivalence", "hirsch"],
+    ids=["equivalence", "hirsch", "axioms", "identities", "series", "radical"],
 )
 def test_equivalence_jobs_match_serial(suite, scope):
     a = run_suite(suite, jobs=1, **scope)
@@ -151,12 +182,99 @@ REPORT_DIGESTS = {
 }
 
 
+def _digest(report):
+    data = report.to_json()
+    data.pop("wall_time_s")
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("suite", sorted(REPORT_DIGESTS))
 def test_report_is_pinned(suite):
     if suite == "equivalence":
         report = run_suite(suite, max_size=3, samples=20, seed=42)
     else:
         report = run_suite(suite, max_order=8)
-    data = report.to_json()
-    data.pop("wall_time_s")
-    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == REPORT_DIGESTS[suite]
+    assert _digest(report) == REPORT_DIGESTS[suite]
+
+
+# The scope and report digest of each `verify` step in
+# .github/workflows/tests.yml, hirsch under --jobs 2 as there
+CI_SCOPE_DIGESTS = {
+    "axioms": ({"max_order": 12},
+               "fea693c28271965370a899401626299e38038db6eb8d83448ab34756d589b4ef"),
+    "identities": ({"max_order": 15},
+                   "10888ddf1819cc53cea7f6415fdca19ccb4c8feceb45ba94c1f799102e7f5b1a"),
+    "series": ({"max_order": 12},
+               "7f5f9937014e3355ae82c3c3d53e309199e5036b70deae846248b1633da140e6"),
+    "hirsch": ({"max_order": 12, "jobs": 2},
+               "8fb3e8a89ee38766ec9a43a30654fa0df105ba6fd135201055bfe87c4c066f1f"),
+    "radical": ({"max_order": 12},
+                "3c340cf5c74555ee2a5270887813a042c4759d171c18abb00912b36329cf5f6e"),
+    "census": ({"max_order": 12},
+               "9fdee07de6d9f1a9335399a501f6691b0cba51105dc32a9dfc9c39a5d6e6804a"),
+    "equivalence": ({"max_size": 4, "samples": 200, "seed": 987653},
+                    "c352e968ef4197be7bcd63df9c565db71ed2b6cc5ae22af76939bd8b9916d08e"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CI_SCOPE_DIGESTS))
+def test_ci_scope_report_is_pinned(suite):
+    scope, digest = CI_SCOPE_DIGESTS[suite]
+    assert _digest(run_suite(suite, **scope)) == digest
+
+
+def _negated(real, *names):
+    """real, a function returning a report, with each named bool field of
+    the report negated; a named verdict has its holds negated."""
+    def negated(*args):
+        rep = real(*args)
+        for name in names:
+            value = getattr(rep, name)
+            if isinstance(value, bool):
+                rep = replace(rep, **{name: not value})
+            else:
+                rep = replace(rep, **{name: replace(value, holds=not value.holds)})
+        return rep
+    return negated
+
+
+def test_guarded_claims_fail_outside_their_hypothesis(monkeypatch):
+    # The control arm: each suite runs over orders <= 12 with the
+    # hypotheses its checks read negated, so every guarded claim is checked
+    # exactly where its hypothesis fails, and must fail there somewhere.
+    # bracket_chain_distributivity has no arm: gamma_distributivity_check
+    # raises HypothesisUnmet on a brace that is not annihilator nilpotent.
+    want = {
+        "series": {
+            "nilpotent_type_three_way": (36, 7),
+            "left_iff_multiplicative_nilpotent": (36, 14),
+            "left_right_give_multiplicative_nilpotent": (7, 7),
+            "right_series_within_socle_series": (54, 52),
+        },
+        "hirsch": {
+            "right_nilpotent_generation": (32, 11),
+            "annihilator_nilpotent_generation": (108, 62),
+            # holds outside its hypothesis too: all 854 transversals of
+            # the braces of order <= 12 that are not annihilator nilpotent
+            # generate their brace, so this claim has no failing arm
+            "lambda_orbit_transversal_generates": (854, 0),
+        },
+        "radical": {
+            "maximal_subbraces_are_ideals": (140, 82),
+            "radical_is_intersection_of_maximal_subbraces": (46, 43),
+            "subideal_chains_exist": (337, 115),
+        },
+    }
+    hypotheses = {
+        "series": ["nilpotent_type"],
+        "hirsch": ["right", "annihilator"],
+        "radical": ["annihilator"],
+    }
+    report = campaigns.nilpotency_report
+    # the socle series' holds guards right_series_within_socle_series
+    monkeypatch.setattr(campaigns, "series", _negated(campaigns.series, "holds"))
+    for suite, claim_counts in want.items():
+        monkeypatch.setattr(campaigns, "nilpotency_report", _negated(report, *hypotheses[suite]))
+        c = claims(run_suite(suite, max_order=12))
+        assert {claim_id: (c[claim_id].instances, c[claim_id].failures)
+                for claim_id in claim_counts} == claim_counts

@@ -211,6 +211,31 @@ def test_damaged_cached_catalog_exits_2(tmp_path):
     assert f"error: cached catalog {path}: meta count 4 != 3 items" in res.stderr
 
 
+def test_cached_catalog_of_another_order_exits_2(tmp_path):
+    # the order-6 catalog under the order-5 name would pass as 19 braces
+    write_catalog(enumerate_skew_braces(6), tmp_path / "braces-5.jsonl")
+    res = run("verify", "--suite", "axioms", "--max-order", "6", "--catalog-dir", str(tmp_path))
+    assert res.exit_code == 2
+    path = tmp_path / "braces-5.jsonl"
+    assert res.stderr == (
+        f"error: cached catalog {path}: header has kind 'braces' and order 6, "
+        "expected kind 'braces' and order 5\n"
+    )
+
+
+def test_cached_catalog_of_another_kind_exits_2(tmp_path):
+    # a brace catalog under a solution catalog's name
+    write_catalog(enumerate_skew_braces(3), tmp_path / "solutions-3.jsonl")
+    res = run("verify", "--suite", "equivalence", "--max-size", "3", "--samples", "0",
+              "--catalog-dir", str(tmp_path))
+    assert res.exit_code == 2
+    path = tmp_path / "solutions-3.jsonl"
+    assert res.stderr == (
+        f"error: cached catalog {path}: header has kind 'braces' and order 3, "
+        "expected kind 'solutions' and order 3\n"
+    )
+
+
 def test_verify_unknown_suite_usage_error():
     res = run("verify", "--suite", "nope")
     assert res.exit_code == 2
