@@ -311,7 +311,7 @@ def _check_identities(witness: dict, b: SkewBrace) -> Iterator[tuple]:
            {**witness, "violations": violations[:3]}, b.n**3)
     report = nilpotency_report(b)
     if report.annihilator.holds:
-        rep = gamma_distributivity_check(b, report.gamma_bracket)
+        rep = gamma_distributivity_check(b, report)
         yield ("bracket_chain_distributivity", not rep["counterexamples"],
                {**witness, "examples": rep["counterexamples"][:3]}, max(rep["checked"], 1))
 
@@ -356,6 +356,14 @@ def _check_series(witness: dict, b: SkewBrace) -> Iterator[tuple]:
 
 
 def _check_hirsch(witness: dict, b: SkewBrace) -> Iterator[tuple]:
+    """lambda_orbit_transversal_generates holds in every finite skew brace,
+    annihilator nilpotent or not, so only a wrong generates can fail it: a
+    proper sub-brace H cannot meet every lambda-orbit. If it did, B would be
+    the union of the sets lambda_b(H). For h in H, lambda_h(H) = H, so
+    lambda_b(H) depends only on the coset b o H, and there are at most
+    |B|/|H| such sets. Each has |H| elements and holds 0, so together they
+    hold at most |B| - |B|/|H| + 1 < |B| elements, a contradiction. The
+    sub-brace a transversal generates meets every orbit, so it is B."""
     rep = nilpotency_report(b)
     b2 = star_sets(b)
     lattice = subbrace_lattice(b)

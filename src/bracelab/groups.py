@@ -313,19 +313,6 @@ def subgroup_lattice(g: GroupTable) -> tuple[int, ...]:
     return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
-def is_normal(g: GroupTable, s: Subset) -> bool:
-    """a s a^-1 lies in s for every a in g, tested only for a in g.generators.
-
-    That is enough: {a : a s a^-1 within s} holds the identity and is closed
-    under products, since (ac) s (ac)^-1 = a (c s c^-1) a^-1 lies in
-    a s a^-1. A subset of a finite group closed under products is a
-    subgroup, so one holding the generators is the whole group.
-    """
-    m, members = s.mask, s.indices()
-    t, inv = g.table, g.inv
-    return all(m >> t[t[a][x]][inv[a]] & 1 for a in g.generators for x in members)
-
-
 def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
     """Mask of {[x, y] : x in X, y in Y} in g, not closed."""
     t, inv, ys_idx = g.table, g.inv, ys.indices()
@@ -337,11 +324,11 @@ def commutator_products(g: GroupTable, xs: Subset, ys: Subset) -> int:
     return out
 
 
-def descending_chain(tables: Tables, start: Subset, step, history: bool = False) -> list[Subset]:
-    """start, then the closure under tables of an unclosed generator mask,
-    until the chain reaches its limit; each term must lie in the one before,
-    and the chain is returned cut after the first occurrence of the limit.
-    The mask is step(chain) when history is set, else step(last term).
+def descending_chain(g: GroupTable, step, history: bool = False) -> list[Subset]:
+    """The carrier of g, then the subgroup of g generated by an unclosed
+    mask, until the chain reaches its limit; each term must lie in the one
+    before, and the chain is returned cut after the first occurrence of the
+    limit. The mask is step(chain) when history is set, else step(last term).
 
     A {0} term is the limit. A step of the last term alone reaches its limit
     at the first repeat. A step of the history reads pairs of earlier terms:
@@ -350,11 +337,11 @@ def descending_chain(tables: Tables, start: Subset, step, history: bool = False)
     has 2m - 1 terms every later step generates the same set as the step
     that gave the last X: X is the limit.
     """
-    chain = [start]
+    chain = [Subset.full(g.n)]
     first = 0  # index of the first occurrence of chain[-1]
     while not chain[-1].is_zero_only():
         gen = step(chain) if history else step(chain[-1])
-        nxt = Subset(start.n, closure_mask(tables, gen))
+        nxt = Subset(g.n, closure_mask((g.table,), gen))
         if not nxt <= chain[-1]:
             raise CrossCheckFailed(
                 f"descending series term {nxt.indices()} escapes {chain[-1].indices()}"
@@ -370,7 +357,7 @@ def descending_chain(tables: Tables, start: Subset, step, history: bool = False)
 def lower_central_series(g: GroupTable) -> list[Subset]:
     """gamma_1 = G, gamma_{k+1} = [G, gamma_k]; cut at first repetition."""
     full = Subset.full(g.n)
-    return descending_chain((g.table,), full, lambda last: commutator_products(g, full, last))
+    return descending_chain(g, lambda last: commutator_products(g, full, last))
 
 
 def ascending_chain(needs: Sequence[int]) -> list[Subset]:
@@ -394,11 +381,6 @@ def ascending_chain(needs: Sequence[int]) -> list[Subset]:
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
-
-
-def upper_central_series(g: GroupTable) -> list[Subset]:
-    """Z_0 = 1, Z_{k+1} = {x : [x,a] in Z_k for all a}; cut at repetition."""
-    return ascending_chain(g.commutator_masks[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,41 +1,40 @@
 """Nilpotency series of skew braces and the verdicts they support.
 
-Every descending kind, the group lower central series included, goes through
-groups.descending_chain with star products and commutators as its steps;
-the brace kinds close under the additive table. Every ascending kind, the
-group upper central series included, goes through groups.ascending_chain
-with one requirement mask per element: x joins A_{k+1} when its mask lies in
-A_k. For an ideal I, x + I lies in Soc(B/I) exactly when x*a and [x,a]_+ lie
-in I for every a, and in Ann(B/I) when a*x does too, so the socle and
-annihilator terms are pulled back without building a quotient brace. An
-ascending chain is cut at its first repetition, and each of its terms must
-contain the one before. A descending chain is cut at its limit, which the
-first repetition need not be: the strong and bracketed gamma steps read
-every earlier term (see groups.descending_chain). Every chain ends with the
-first occurrence of its limit.
+Every descending kind goes through groups.descending_chain with star
+products and commutators as its steps, closing under the additive table.
+Every ascending kind goes through groups.ascending_chain with one
+requirement mask per element: x joins A_{k+1} when its mask lies in A_k.
+For an ideal I, x + I lies in Soc(B/I) exactly when x*a and [x,a]_+ lie in I
+for every a, and in Ann(B/I) when a*x does too, so the socle and annihilator
+terms are pulled back without building a quotient brace. An ascending chain
+is cut at its first repetition, and each of its terms must contain the one
+before. A descending chain is cut at its limit, which the first repetition
+need not be: the strong and bracketed gamma steps read every earlier term
+(see groups.descending_chain). Every chain ends with the first occurrence of
+its limit.
 
-A product with the whole carrier is an OR of per-element masks (_Products):
-X*B of the rows {x*a : a}, B*Y of the columns {a*y : a}, and [B,Y]_+ of the
-additive commutator columns. The left, right, gamma and annihilator kinds
-and the carrier pairs of the strong step read those masks. The bracketed
-gamma kind reads only pairwise products from the tables, so one of the three
-routes to the annihilator verdict stays independent of the masks: a wrong
-mask makes the routes disagree instead of going unseen.
+A product with the whole carrier is an OR of per-element masks: X*B of the
+rows {x*a : a}, B*Y of the columns {a*y : a}, and [B,Y]_+ of the additive
+commutator columns. The left, right, gamma and annihilator kinds and the
+carrier pairs of the strong step read those masks. The bracketed gamma kind
+reads only pairwise products from the tables, so one of the three routes to
+the annihilator verdict stays independent of the masks: a wrong mask makes
+the routes disagree instead of going unseen.
 
 Each kind is one _Kind record: its builder, its direction, the index of its
-first term, and the member test every term must pass (ideal, left ideal or
-normal subgroup). Within one nilpotency_report call the masks are built once
-and each (member test, term) pair is tested once (_Report).
+first term, and whether every term must be an ideal or only a left ideal.
+What the series of one brace share is one _Shared object: the product masks
+and the (member test, term) pairs already passed. nilpotency_report builds
+it once and passes it to each of its six series calls; a series call
+without one builds its own.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from . import groups
 from .brace import SkewBrace
 from .errors import CrossCheckFailed, HypothesisUnmet
 from .groups import ascending_chain, commutator_products, descending_chain
@@ -51,19 +50,26 @@ class SeriesReport:
     cls: Optional[int]
 
 
-def series(b: SkewBrace, kind: str) -> SeriesReport:
+def series(b: SkewBrace, kind: str, shared: Optional[_Shared] = None) -> SeriesReport:
+    """The series of b of this kind. shared, built from b, carries the
+    product masks and passed member tests from one call to the next."""
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValueError(f"unknown series kind {kind!r}")
-    chain = spec.build(b)
-    passed = _report(b).passed
+    if shared is None:
+        shared = _Shared(b)
+    chain = spec.build(b, shared)
+    # looked up at call time, so a rebound module name (a tracer's wrapper,
+    # say) sees every member test
+    member, term_name = (is_ideal, "an ideal") if spec.ideals else (is_left_ideal, "a left ideal")
     for term in chain:
-        # {0} and the carrier are ideals, left ideals and normal subgroups
-        if term.is_full() or term.is_zero_only() or (spec.member, term.mask) in passed:
+        # {0} and the carrier are ideals and left ideals
+        key = (spec.ideals, term.mask)
+        if term.is_full() or term.is_zero_only() or key in shared.passed:
             continue
-        if not spec.member(b, term):
-            raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {spec.term}")
-        passed.add((spec.member, term.mask))
+        if not member(b, term):
+            raise CrossCheckFailed(f"{kind} series term {term.indices()} is not {term_name}")
+        shared.passed.add(key)
     holds = chain[-1].is_zero_only() if spec.descends else chain[-1].is_full()
     return SeriesReport(
         kind=kind,
@@ -73,16 +79,18 @@ def series(b: SkewBrace, kind: str) -> SeriesReport:
     )
 
 
-class _Products:
-    """Products of one brace with its whole carrier, as ORs of per-element
-    masks: star rows {x*a : a} and star columns {a*y : a}, each built on
-    first use, and the additive commutator rows and columns that b.add
-    keeps."""
+class _Shared:
+    """What the series of one brace share. The products with the whole
+    carrier, as ORs of per-element masks: star rows {x*a : a} and star
+    columns {a*y : a}, each built on first use, and the additive commutator
+    rows and columns that b.add keeps. And passed, the (ideals, mask) pairs
+    whose member test a term has passed. Neither is kept on the brace."""
 
     def __init__(self, b: SkewBrace) -> None:
         self._star = b.star
         self._bits = [1 << v for v in range(b.n)]
         self.comm_rows, self.comm_cols = b.add.commutator_masks
+        self.passed: set[tuple[bool, int]] = set()
 
     @cached_property
     def star_rows(self) -> list[int]:
@@ -113,63 +121,38 @@ def _join(masks: Sequence[int], s: Subset) -> int:
     return out
 
 
-class _Report:
-    """What the series of one nilpotency_report call share: the product masks
-    of its brace and the (member test, mask) pairs already passed. It lives
-    for that call only; a series call outside a report gets its own."""
-
-    def __init__(self, b: SkewBrace) -> None:
-        self.brace = b
-        self.products = _Products(b)
-        self.passed: set[tuple[Callable, int]] = set()
+def _left_chain(b: SkewBrace, shared: _Shared) -> list[Subset]:
+    return descending_chain(b.add, shared.left)
 
 
-# The report running in this context. series keeps its (b, kind) signature,
-# so it and the builders it calls find the shared state here;
-# nilpotency_report sets it and resets it on the way out.
-_ACTIVE: ContextVar[Optional[_Report]] = ContextVar("_ACTIVE", default=None)
+def _right_chain(b: SkewBrace, shared: _Shared) -> list[Subset]:
+    return descending_chain(b.add, shared.right)
 
 
-def _report(b: SkewBrace) -> _Report:
-    """The running nilpotency_report's state when it is for b, else a new one."""
-    report = _ACTIVE.get()
-    return report if report is not None and report.brace is b else _Report(b)
-
-
-def _left_chain(b: SkewBrace) -> list[Subset]:
-    return descending_chain((b.add.table,), Subset.full(b.n), _report(b).products.left)
-
-
-def _right_chain(b: SkewBrace) -> list[Subset]:
-    return descending_chain((b.add.table,), Subset.full(b.n), _report(b).products.right)
-
-
-def _strong_chain(b: SkewBrace) -> list[Subset]:
+def _strong_chain(b: SkewBrace, shared: _Shared) -> list[Subset]:
     """B[1] = B, B[m+1] = <union of B[i] * B[m+1-i] for i = 1..m>_+. The
     pairs with B[1] = B read the masks, the others the star table."""
-    products = _report(b).products
 
     def step(chain: list[Subset]) -> int:
-        gen = products.left(chain[-1]) | products.right(chain[-1])
+        gen = shared.left(chain[-1]) | shared.right(chain[-1])
         inner = chain[1:-1]
         for xs, ys in zip(inner, reversed(inner)):
             gen |= star_products(b, xs, ys)
         return gen
 
-    return descending_chain((b.add.table,), Subset.full(b.n), step, history=True)
+    return descending_chain(b.add, step, history=True)
 
 
-def _gamma_chain(b: SkewBrace) -> list[Subset]:
+def _gamma_chain(b: SkewBrace, shared: _Shared) -> list[Subset]:
     """Gamma_0 = B, Gamma_{n+1} = <Gn*B, B*Gn, [B,Gn]_+>_+."""
-    products = _report(b).products
 
     def step(prev: Subset) -> int:
-        return products.right(prev) | products.left(prev) | products.commutators(prev)
+        return shared.right(prev) | shared.left(prev) | shared.commutators(prev)
 
-    return descending_chain((b.add.table,), Subset.full(b.n), step)
+    return descending_chain(b.add, step)
 
 
-def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
+def _gamma_bracket_chain(b: SkewBrace, shared: _Shared) -> list[Subset]:
     """G[1] = B, G[n] = <G[i]*G[n-i], [G[i],G[n-i]]_+ : 1 <= i <= n-1>_+,
     from pairwise products only: the route that reads no mask."""
 
@@ -179,54 +162,35 @@ def _gamma_bracket_chain(b: SkewBrace) -> list[Subset]:
             gen |= star_products(b, xs, ys) | commutator_products(b.add, xs, ys)
         return gen
 
-    return descending_chain((b.add.table,), Subset.full(b.n), step, history=True)
+    return descending_chain(b.add, step, history=True)
 
 
-def _pull_back_chain(b: SkewBrace, both_sides: bool) -> list[Subset]:
+def _pull_back_chain(shared: _Shared, both_sides: bool) -> list[Subset]:
     """A_0 = {0}, A_{k+1} = {x : x*a, [x,a]_+ and, with both_sides, a*x in A_k
     for all a}: the socle series, or the annihilator series with both_sides."""
-    p = _report(b).products
-    needs = [row | comm for row, comm in zip(p.star_rows, p.comm_rows)]
+    needs = [row | comm for row, comm in zip(shared.star_rows, shared.comm_rows)]
     if both_sides:
-        needs = [need | col for need, col in zip(needs, p.star_cols)]
+        needs = [need | col for need, col in zip(needs, shared.star_cols)]
     return ascending_chain(needs)
 
 
 @dataclass(frozen=True)
 class _Kind:
-    build: Callable[[SkewBrace], list[Subset]]
+    build: Callable[[SkewBrace, _Shared], list[Subset]]
     descends: bool  # toward {0}; an ascending chain climbs toward the carrier
     first: int  # index of the first term; the class is the index of the last
-    member: Callable[[SkewBrace, Subset], bool]  # what every term must pass
-    term: str  # what that makes a term
-
-
-def _ideal(b: SkewBrace, s: Subset) -> bool:
-    # is_ideal is looked up at call time, so a rebound module name (a
-    # tracer's wrapper, say) sees every member check
-    return is_ideal(b, s)
+    ideals: bool  # every term must be an ideal; else a left ideal
 
 
 _KINDS = {
-    "left": _Kind(_left_chain, True, 1, is_left_ideal, "a left ideal"),
-    "right": _Kind(_right_chain, True, 1, _ideal, "an ideal"),
-    "strong": _Kind(_strong_chain, True, 1, _ideal, "an ideal"),
-    "gamma": _Kind(_gamma_chain, True, 0, _ideal, "an ideal"),
-    "gamma_bracket": _Kind(_gamma_bracket_chain, True, 1, _ideal, "an ideal"),
-    "socle": _Kind(lambda b: _pull_back_chain(b, False), False, 0, _ideal, "an ideal"),
-    "annihilator": _Kind(lambda b: _pull_back_chain(b, True), False, 0, _ideal, "an ideal"),
-    "lcs_add": _Kind(lambda b: groups.lower_central_series(b.add), True, 0,
-                     lambda b, s: groups.is_normal(b.add, s), "a normal subgroup"),
-    "lcs_mul": _Kind(lambda b: groups.lower_central_series(b.mul), True, 0,
-                     lambda b, s: groups.is_normal(b.mul, s), "a normal subgroup"),
-    "ucs_add": _Kind(lambda b: groups.upper_central_series(b.add), False, 0,
-                     lambda b, s: groups.is_normal(b.add, s), "a normal subgroup"),
-    "ucs_mul": _Kind(lambda b: groups.upper_central_series(b.mul), False, 0,
-                     lambda b, s: groups.is_normal(b.mul, s), "a normal subgroup"),
+    "left": _Kind(_left_chain, True, 1, False),
+    "right": _Kind(_right_chain, True, 1, True),
+    "strong": _Kind(_strong_chain, True, 1, True),
+    "gamma": _Kind(_gamma_chain, True, 0, True),
+    "gamma_bracket": _Kind(_gamma_bracket_chain, True, 1, True),
+    "socle": _Kind(lambda b, shared: _pull_back_chain(shared, False), False, 0, True),
+    "annihilator": _Kind(lambda b, shared: _pull_back_chain(shared, True), False, 0, True),
 }
-
-DESCENDING_KINDS = {kind for kind, spec in _KINDS.items() if spec.descends}
-ASCENDING_KINDS = set(_KINDS) - DESCENDING_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +228,17 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
 
     The annihilator verdict is computed three ways (annihilator series up,
     gamma series down, bracketed gamma series down); disagreement raises
-    CrossCheckFailed and always indicates an implementation bug.
+    CrossCheckFailed and always indicates an implementation bug. The six
+    series share one _Shared: the masks are built once and each (member
+    test, term) pair is tested once.
     """
-    token = _ACTIVE.set(_Report(b))
-    try:
-        left = series(b, "left")
-        right = series(b, "right")
-        strong = series(b, "strong")
-        ann = series(b, "annihilator")
-        gam = series(b, "gamma")
-        gam_br = series(b, "gamma_bracket")
-    finally:
-        _ACTIVE.reset(token)
+    shared = _Shared(b)
+    left = series(b, "left", shared)
+    right = series(b, "right", shared)
+    strong = series(b, "strong", shared)
+    ann = series(b, "annihilator", shared)
+    gam = series(b, "gamma", shared)
+    gam_br = series(b, "gamma_bracket", shared)
 
     if not (ann.holds == gam.holds == gam_br.holds):
         raise CrossCheckFailed(
@@ -311,13 +274,12 @@ def nilpotency_report(b: SkewBrace) -> NilpotencyReport:
 # Distributivity inside the bracketed gamma chain
 
 
-def gamma_distributivity_check(b: SkewBrace, gam_br: SeriesReport) -> dict:
+def gamma_distributivity_check(b: SkewBrace, report: NilpotencyReport) -> dict:
     """For a in G[c-k] and q, w in G[k-1], star and additive commutators
     distribute over + and o in the second argument; all six identities are
-    checked on every admissible triple. gam_br is the bracketed gamma series
-    of b, as nilpotency_report(b).gamma_bracket holds it."""
-    if gam_br.kind != "gamma_bracket":
-        raise ValueError(f"expected the gamma_bracket series, got {gam_br.kind!r}")
+    checked on every admissible triple. G is the bracketed gamma series that
+    report, the nilpotency_report of b, keeps."""
+    gam_br = report.gamma_bracket
     c = gam_br.cls  # set exactly when the chain reaches {0}
     if c is None:
         raise HypothesisUnmet("brace is not annihilator nilpotent")

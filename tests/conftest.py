@@ -7,11 +7,11 @@ import pytest
 
 from bracelab.brace import from_group_trivial, from_zn_quadratic
 from bracelab.enumeration import _groups_of_order, enumerate_skew_braces
-from bracelab.groups import cyclic
+from bracelab.groups import cyclic, lower_central_series
 from bracelab.serialize import read_catalog
-from bracelab.series import ASCENDING_KINDS, DESCENDING_KINDS, nilpotency_report, series
+from bracelab.series import _KINDS, nilpotency_report, series
 from bracelab.ybe import involutive_from_sigma, permutation_brace
-from oracles import from_cycles, symmetric
+from oracles import from_cycles, symmetric, upper_central_series
 
 
 @pytest.fixture(scope="session")
@@ -41,16 +41,31 @@ FIVE_POINT_SIGMA = (
 )
 
 
+def _group_row(chain, holds):
+    """A group series as a series_digest row; its class is the index of its
+    last term, counting the carrier or {0} as term 0."""
+    return [[t.mask for t in chain], holds, len(chain) - 1 if holds else None]
+
+
 def series_digest(braces):
     """sha256 of each brace's series of every kind (term masks, whether the
-    chain terminates, its class) and its nilpotency report."""
+    chain terminates, its class) and its nilpotency report.
+
+    The lower and upper central series of (B,+) and (B,o) join the brace
+    kinds under the names they had as series kinds (lcs_add, lcs_mul,
+    ucs_add, ucs_mul), in the same sorted order, so a digest pinned while
+    the library had those kinds covers the same answers."""
     answers = []
     for b in braces:
-        reports = [series(b, kind) for kind in sorted(DESCENDING_KINDS | ASCENDING_KINDS)]
-        answers.append(
-            [[[t.mask for t in r.chain], r.holds, r.cls] for r in reports]
-            + [nilpotency_report(b).to_json()]
-        )
+        rows = {}
+        for kind in _KINDS:
+            r = series(b, kind)
+            rows[kind] = [[t.mask for t in r.chain], r.holds, r.cls]
+        for name, g in (("add", b.add), ("mul", b.mul)):
+            lcs, ucs = lower_central_series(g), upper_central_series(g)
+            rows[f"lcs_{name}"] = _group_row(lcs, lcs[-1].is_zero_only())
+            rows[f"ucs_{name}"] = _group_row(ucs, ucs[-1].is_full())
+        answers.append([rows[kind] for kind in sorted(rows)] + [nilpotency_report(b).to_json()])
     return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
 
 

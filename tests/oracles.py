@@ -7,7 +7,8 @@ is_two_sided and star_identity_failures check the laws on every pair or
 triple, one at a time; latin_message, associativity_message and
 brace_law_message give the message validation raises for such a witness.
 unpruned_cyclic_extensions is the group census's candidate loop without
-its orbit rule.
+its orbit rule. is_normal and upper_central_series are group facts from
+their definitions, for the tests that still need them.
 """
 
 from __future__ import annotations
@@ -119,6 +120,27 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
                 for b2 in range(h.n):
                     table[a1 * h.n + a2][b1 * h.n + b2] = g.table[a1][b1] * h.n + h.table[a2][b2]
     return verify_group(table)
+
+
+def is_normal(g: GroupTable, s: Subset) -> bool:
+    """a x a^-1 lies in s for every a in g and every x in s."""
+    t, inv = g.table, g.inv
+    return all(t[t[a][x]][inv[a]] in s for a in range(g.n) for x in s)
+
+
+def upper_central_series(g: GroupTable) -> list[Subset]:
+    """Z_0 = 1, Z_{k+1} = {x : [x, a] in Z_k for all a}, [x, a] = x a x^-1 a^-1,
+    up to the first repeat, which is left out."""
+    t, inv, n = g.table, g.inv, g.n
+    chain = [Subset.zero(n)]
+    while True:
+        nxt = Subset.of(n, (
+            x for x in range(n)
+            if all(t[t[t[x][a]][inv[x]]][inv[a]] in chain[-1] for a in range(n))
+        ))
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
 
 
 def unpruned_cyclic_extensions(base: GroupTable, p: int) -> Iterable[list[list[int]]]:

@@ -222,7 +222,7 @@ def test_criterion_8_identity_suites(census8, reports8):
             star_failures += len(violations)
             triples += b.n**3
             if rep.annihilator.holds:
-                out = gamma_distributivity_check(b, rep.gamma_bracket)
+                out = gamma_distributivity_check(b, rep)
                 distrib_failures += len(out["counterexamples"])
                 triples += out["checked"]
     ok = star_failures == 0 and distrib_failures == 0

@@ -16,7 +16,7 @@ from bracelab.brace import (
 )
 from bracelab.enumeration import enumerate_skew_braces
 from bracelab.errors import BraceLawViolated, NoIdentity, NotABrace
-from bracelab.groups import cyclic, is_normal, isomorphic_groups
+from bracelab.groups import cyclic, isomorphic_groups
 from bracelab.perms import invert
 from bracelab.subsets import Subset
 from bracelab.substructures import is_ideal, subbrace_lattice
@@ -26,6 +26,7 @@ from oracles import (
     dihedral,
     direct_product,
     first_brace_law_violation,
+    is_normal,
     quotient,
     relabeled,
     relabeled_group,

@@ -51,8 +51,8 @@ def test_series_suite_failure_path(monkeypatch):
     # are skipped by every later claim, and the run goes on to the end
     spec = series._KINDS["strong"]
 
-    def cut(b, build=spec.build):
-        chain = build(b)
+    def cut(b, shared, build=spec.build):
+        chain = build(b, shared)
         return chain[:-1] if len(chain) > 1 else chain
 
     monkeypatch.setitem(series._KINDS, "strong", replace(spec, build=cut))

@@ -23,7 +23,7 @@ def _cut_short(monkeypatch, *kinds):
     """Each series kind in kinds drops the last term of its chain."""
     for kind in kinds:
         spec = series._KINDS[kind]
-        cut = replace(spec, build=lambda b, build=spec.build: build(b)[:-1])
+        cut = replace(spec, build=lambda b, shared, build=spec.build: build(b, shared)[:-1])
         monkeypatch.setitem(series._KINDS, kind, cut)
 
 
@@ -48,7 +48,7 @@ def test_nilpotency_report_nests_the_gamma_chains(monkeypatch, z4_quadratic):
     # a bracketed gamma chain that drops straight to {0}
     spec = series._KINDS["gamma_bracket"]
     monkeypatch.setitem(series._KINDS, "gamma_bracket",
-                        replace(spec, build=lambda b: [Subset.full(b.n), Subset.zero(b.n)]))
+                        replace(spec, build=lambda b, shared: [Subset.full(b.n), Subset.zero(b.n)]))
     with pytest.raises(CrossCheckFailed) as exc:
         nilpotency_report(z4_quadratic)
     assert str(exc.value) == "gamma term escapes bracketed gamma term"
@@ -58,7 +58,7 @@ def test_series_terms_must_be_ideals(monkeypatch, trivial_s3):
     # {0, 1} is a subgroup of Sym(3) that is not normal, so not an ideal
     spec = series._KINDS["right"]
     monkeypatch.setitem(series._KINDS, "right",
-                        replace(spec, build=lambda b: [Subset.full(b.n), Subset.of(b.n, [0, 1])]))
+                        replace(spec, build=lambda b, shared: [Subset.full(b.n), Subset.of(b.n, [0, 1])]))
     with pytest.raises(CrossCheckFailed) as exc:
         series.series(trivial_s3, "right")
     assert str(exc.value) == "right series term [0, 1] is not an ideal"

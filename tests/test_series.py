@@ -17,13 +17,7 @@ from bracelab.brace import (
 )
 from bracelab.errors import CrossCheckFailed, HypothesisUnmet
 from bracelab.groups import commutator_products, cyclic
-from bracelab.series import (
-    ASCENDING_KINDS,
-    DESCENDING_KINDS,
-    gamma_distributivity_check,
-    nilpotency_report,
-    series,
-)
+from bracelab.series import gamma_distributivity_check, nilpotency_report, series
 from bracelab.serialize import read_catalog
 from bracelab.subsets import Subset
 from bracelab.substructures import radical, star_products, subbrace_lattice
@@ -88,14 +82,6 @@ def test_unknown_series_kind_is_refused(trivial_z2):
     assert str(exc.value) == "unknown series kind 'upper'"
 
 
-def test_group_series_kinds(five_point_brace):
-    b = five_point_brace
-    assert series(b, "lcs_add").holds  # Z/6 abelian
-    assert series(b, "lcs_add").cls == 1
-    assert not series(b, "lcs_mul").holds  # Sym(3)
-    assert series(b, "ucs_mul").chain[-1].indices() == [0]
-
-
 def test_nilpotency_report_trivial_braces():
     rep = nilpotency_report(from_group_trivial(quaternion8()))
     assert rep.annihilator.holds
@@ -131,26 +117,19 @@ def test_nilpotency_report_five_point(five_point_brace):
 
 
 def test_gamma_distributivity(z4_quadratic, trivial_z2, five_point_brace):
-    rep = gamma_distributivity_check(z4_quadratic, series(z4_quadratic, "gamma_bracket"))
+    rep = gamma_distributivity_check(z4_quadratic, nilpotency_report(z4_quadratic))
     assert rep["class"] == 3
     assert rep["checked"] == 64  # one admissible k, all of B^3
     assert rep["counterexamples"] == []
-    rep = gamma_distributivity_check(trivial_z2, series(trivial_z2, "gamma_bracket"))
+    rep = gamma_distributivity_check(trivial_z2, nilpotency_report(trivial_z2))
     assert rep["counterexamples"] == []
     with pytest.raises(HypothesisUnmet):
-        gamma_distributivity_check(five_point_brace, series(five_point_brace, "gamma_bracket"))
-
-
-def test_gamma_distributivity_takes_the_bracketed_gamma_series(z4_quadratic):
-    # the gamma series reaches {0} here too, so unchecked its chain would be
-    # read as the bracketed one
-    with pytest.raises(ValueError):
-        gamma_distributivity_check(z4_quadratic, series(z4_quadratic, "gamma"))
+        gamma_distributivity_check(five_point_brace, nilpotency_report(five_point_brace))
 
 
 def test_distributivity_holds_on_nonabelian_nilpotent_trivial_brace():
     b = from_group_trivial(dihedral(4))
-    rep = gamma_distributivity_check(b, series(b, "gamma_bracket"))
+    rep = gamma_distributivity_check(b, nilpotency_report(b))
     assert rep["counterexamples"] == []
     assert rep["checked"] > 0
 
@@ -286,8 +265,7 @@ def _invariants(b):
     lattice = subbrace_lattice(b)
     return (
         classify_flags(b),
-        {kind: [len(t) for t in series(b, kind).chain]
-         for kind in sorted(DESCENDING_KINDS | ASCENDING_KINDS)},
+        {kind: [len(t) for t in series(b, kind).chain] for kind in sorted(series_module._KINDS)},
         nilpotency_report(b).to_json(),
         sorted(len(s) for s in lattice),
         len(radical(b, lattice)),
@@ -357,7 +335,7 @@ def test_product_masks_match_pairwise_products(braces_up_to_12, braces_24):
     # [B,Y]_+ for every additive subgroup, and the per-element masks that
     # the socle and annihilator needs are ORed from
     for b in braces_up_to_12 + braces_24:
-        products = series_module._Products(b)
+        products = series_module._Shared(b)
         full = Subset.full(b.n)
         for m, _ in b.add.subgroups:
             s = Subset(b.n, m)
@@ -375,14 +353,14 @@ def test_a_wrong_mask_makes_the_annihilator_routes_disagree(monkeypatch, trivial
     # every star product of the trivial brace on Z/2 is 0; a star column of
     # 1 that also holds 1 stops the annihilator and gamma series, and the
     # bracketed gamma series, which reads no mask, still reaches {0}
-    build = series_module._Products
+    build = series_module._Shared
 
     def wrong(b):
         products = build(b)
         products.star_cols[1] |= 0b10
         return products
 
-    monkeypatch.setattr(series_module, "_Products", wrong)
+    monkeypatch.setattr(series_module, "_Shared", wrong)
     with pytest.raises(CrossCheckFailed) as exc:
         nilpotency_report(trivial_z2)
     assert str(exc.value) == "annihilator routes disagree: ann=False gamma=False gamma_bracket=True"
