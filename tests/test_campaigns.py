@@ -6,7 +6,7 @@ import pytest
 
 from bracelab import campaigns, series
 from bracelab.campaigns import run_suite, write_report_csv
-from bracelab.errors import SuiteUnknown
+from bracelab.errors import CrossCheckFailed, SuiteUnknown
 
 # order 6 covers the interesting flag combinations while staying quick
 MAX_ORDER = 6
@@ -68,6 +68,84 @@ def test_series_suite_failure_path(monkeypatch):
         "strict_implication_witnesses": (3, 1),
     }
     assert all("error" in w for w in c["annihilator_routes_agree"].witnesses)
+
+
+def witness_keys(report):
+    return {c.claim_id: sorted({tuple(w) for w in c.witnesses}) for c in report.checks}
+
+
+def test_equivalence_suite_failure_path(monkeypatch):
+    # equivalence_check refuses every solution that is not multipermutation
+    # and calls the size-2 ones not of abelian type, and retract refuses
+    # every three-point solution: each failure is counted in its claim, the
+    # catalog then holds no non-multipermutation witness, and the run goes
+    # on to the end
+    real_check, real_retract = campaigns.equivalence_check, campaigns.retract
+
+    def check(sol):
+        rep = real_check(sol)
+        if not rep["multipermutation"]:
+            raise CrossCheckFailed("not multipermutation")
+        return {**rep, "abelian_type": rep["abelian_type"] and sol.n != 2}
+
+    def retract(sol):
+        if sol.n == 3:
+            raise CrossCheckFailed("three points")
+        return real_retract(sol)
+
+    monkeypatch.setattr(campaigns, "equivalence_check", check)
+    monkeypatch.setattr(campaigns, "retract", retract)
+    report = run_suite("equivalence", max_size=4, samples=20, seed=42)
+    assert {c.claim_id: (c.instances, c.failures) for c in report.checks} == {
+        "multipermutation_iff_right_nilpotent_of_nilpotent_type": (51, 6),
+        "involutive_brace_abelian_type": (45, 2),
+        "retraction_revalidates": (45, 7),
+        "non_multipermutation_witness_present": (1, 1),
+    }
+    assert witness_keys(report) == {
+        "multipermutation_iff_right_nilpotent_of_nilpotent_type": [
+            ("size", "index", "error"), ("size", "sample", "error")],
+        "involutive_brace_abelian_type": [("size", "index")],
+        "retraction_revalidates": [("size", "index", "error")],
+        "non_multipermutation_witness_present": [("max_size",)],
+    }
+
+
+def test_census_suite_failure_path(monkeypatch):
+    # an expected brace count off at order 4, an expected group count off at
+    # order 6, the order-6 catalog one brace short, and every brace's
+    # annihilator verdict flipped: each claim fails where its figure is
+    # wrong, and the table rows tally the flipped verdicts
+    monkeypatch.setitem(campaigns.EXPECTED_BRACE_COUNTS, 4, 5)
+    monkeypatch.setitem(campaigns.EXPECTED_GROUP_COUNTS, 6, 3)
+    real_catalog, real_row = campaigns._catalog, campaigns.classification_row
+
+    def catalog(kind, n, catalog_dir):
+        cat = real_catalog(kind, n, catalog_dir)
+        return replace(cat, items=cat.items[:-1]) if n == 6 else cat
+
+    def row(b):
+        out = real_row(b)
+        return {**out, "annihilator": not out["annihilator"]}
+
+    monkeypatch.setattr(campaigns, "_catalog", catalog)
+    monkeypatch.setattr(campaigns, "classification_row", row)
+    report = run_suite("census", max_order=8)
+    assert {c.claim_id: (c.instances, c.failures) for c in report.checks} == {
+        "brace_counts": (8, 2),
+        "group_counts": (8, 1),
+        "order8_non_annihilator": (1, 1),
+        "double_method_agreement": (6, 1),
+    }
+    assert witness_keys(report) == {
+        "brace_counts": [("order", "got")],
+        "group_counts": [("order", "got")],
+        "order8_non_annihilator": [("non_annihilator",)],
+        "double_method_agreement": [("order", "holomorph", "direct")],
+    }
+    assert [(r["braces"], r["annihilator"]) for r in report.tables] == [
+        (1, 0), (1, 0), (1, 0), (4, 0), (1, 0), (5, 4), (1, 0), (47, 2),
+    ]
 
 
 def test_hirsch_suite():
