@@ -1,8 +1,13 @@
 """Verification campaigns: each suite ties a family of structural claims to a
 runnable check over enumerated catalogs and reports per-claim failure counts.
 
-Reports are deterministic given the catalogs: items are processed in catalog
-order and sampling is seeded, so a rerun reproduces the same report.
+Every suite is one entry of the claim table _CLAIMS and one check, which
+takes a (witness, item) pair and yields (claim_id, ok, witness, count) for
+each instance it checks. One driver, _run_checks, maps the check over the
+suite's batches of items, through worker processes under --jobs, and records
+each instance in its claim. Reports are deterministic given the catalogs:
+items are processed in catalog order and sampling is seeded, so a rerun
+reproduces the same report, whatever the number of jobs.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from functools import partial
 from itertools import product as iproduct
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .brace import SkewBrace, classify_flags, lambda_orbits, star_identity_violations
 from .enumeration import (
+    DIRECT_SEARCH_MAX_ORDER,
     Catalog,
     EXPECTED_GROUP_COUNTS,
+    _enumerate_braces_direct,
     enumerate_involutive_solutions,
     enumerate_skew_braces,
     groups_of_order,
@@ -175,17 +182,50 @@ def run_suite(
         raise SuiteUnknown(f"unknown suite {name!r}; choose from {SUITES}")
     started = time.monotonic()
     catalog_dir = Path(catalog_dir) if catalog_dir else None
+    report = CampaignReport(name, {"max_order": max_order}, [])
     if name == "equivalence":
-        report = _suite_equivalence(max_size, samples, seed, jobs, catalog_dir)
+        solutions = [
+            ({"size": n, "index": i}, sol)
+            for n in range(1, max_size + 1)
+            for i, sol in enumerate(_catalog("solutions", n, catalog_dir).items)
+        ]
+        sampled = sample_involutive_solutions(5, samples, seed)
+        samples_5 = [({"size": 5, "sample": j}, sol) for j, sol in enumerate(sampled)]
+        checks, found = _run_checks(name, (solutions, samples_5), _check_solution, jobs)
+        present = checks["non_multipermutation_witness_present"]
+        non_mp = found.get("non_multipermutation", [])
+        # the smallest solutions that fail to retract have four points
+        if max_size >= 4:
+            present.record(bool(non_mp), witness={"max_size": max_size})
+        for wit in non_mp:
+            present.note_witness(wit)
+        report.scope = {
+            "max_size": max_size,
+            "samples_size_5": len(sampled),
+            "samples_requested": samples,
+        }
+        report.seed = seed
     elif name == "census":
-        report = _suite_census(max_order, catalog_dir)
+        orders = [({"order": n}, n) for n in range(1, max_order + 1)]
+        checks, found = _run_checks(name, (orders,), partial(_check_census, catalog_dir), jobs)
+        if max_order < 8:
+            del checks["order8_non_annihilator"]
+        report.tables = found.get("row", [])
     else:
-        report = _brace_suite(name, max_order, catalog_dir, jobs)
+        braces = _catalog_braces(max_order, catalog_dir)
+        checks, found = _run_checks(name, braces, _CHECKS[name], jobs)
+        if name == "series":
+            strict = checks["strict_implication_witnesses"]
+            for case in _STRICT_CASES:
+                strict.record(case in found, witness={"missing": case})
+                if case in found:
+                    strict.note_witness({case: found[case][0]})
+    report.checks = list(checks.values())
     report.wall_time_s = round(time.monotonic() - started, 3)
     return report
 
 
-# Each brace suite's claims, (claim_id, statement) in report order.
+# Each suite's claims, (claim_id, statement) in report order.
 _CLAIMS = {
     "axioms": (
         ("brace_axioms_revalidate",
@@ -254,42 +294,62 @@ _CLAIMS = {
          "chain of successive ideals reaching the whole brace, built by "
          "iterated idealizers"),
     ),
+    "equivalence": (
+        ("multipermutation_iff_right_nilpotent_of_nilpotent_type",
+         "a solution is multipermutation exactly when its permutation brace "
+         "is right nilpotent of nilpotent type"),
+        ("involutive_brace_abelian_type",
+         "the permutation brace of an involutive solution is of abelian type"),
+        ("retraction_revalidates",
+         "every retraction step of a catalog solution revalidates"),
+        ("non_multipermutation_witness_present",
+         "the exhaustive catalog contains at least one solution that is not "
+         "multipermutation"),
+    ),
+    "census": (
+        ("brace_counts",
+         "the number of brace isomorphism classes at each order matches the "
+         "expected census figures"),
+        ("group_counts",
+         "the number of group isomorphism classes at each order matches the "
+         "classical figures"),
+        ("order8_non_annihilator",
+         "exactly two braces of order 8 are not annihilator nilpotent, and "
+         "both are of abelian type"),
+        ("double_method_agreement",
+         "holomorph-based and direct-search enumeration agree on the brace "
+         "count at every order where both run"),
+    ),
 }
 
 # The three cases strict_implication_witnesses asks the census to witness.
 _STRICT_CASES = ("strong_not_annihilator", "right_not_strong", "left_not_strong")
 
 
-def _brace_suite(
-    name: str, max_order: int, catalog_dir: Optional[Path], jobs: int
-) -> CampaignReport:
-    """Map the suite's check over one order's catalog at a time and record
-    each (claim_id, ok, witness, count) it yields in that claim's CheckResult.
+def _run_checks(
+    name: str, batches: Iterable[list[tuple]], check: Callable, jobs: int
+) -> tuple[dict[str, CheckResult], dict[str, list]]:
+    """Map check over each batch of (witness, item) pairs and record each
+    (claim_id, ok, witness, count) it yields in that claim's CheckResult.
 
-    strict_implication_witnesses is an existence claim, not a tally: the
-    series check yields each of _STRICT_CASES its brace witnesses, and the
-    first brace of each case is kept."""
+    A yield whose id is not one of the suite's claims is not a tally: its
+    witnesses are collected under that id, in item order, for the suite to
+    read (the series check's _STRICT_CASES, say)."""
     checks = {claim_id: CheckResult(claim_id, statement) for claim_id, statement in _CLAIMS[name]}
-    first: dict[str, dict] = {}
-    tally = partial(_tally, _CHECKS[name])
-    for braces in _catalog_braces(max_order, catalog_dir):
-        for results in _pmap(tally, braces, jobs):
+    found: dict[str, list] = {}
+    tally = partial(_tally, check)
+    for batch in batches:
+        for results in _pmap(tally, batch, jobs):
             for claim_id, ok, witness, count in results:
-                if claim_id in _STRICT_CASES:
-                    first.setdefault(claim_id, witness)
-                else:
+                if claim_id in checks:
                     checks[claim_id].record(ok, witness, count)
-    if name == "series":
-        strict = checks["strict_implication_witnesses"]
-        for case in _STRICT_CASES:
-            strict.record(case in first, witness={"missing": case})
-            if case in first:
-                strict.note_witness({case: first[case]})
-    return CampaignReport(name, {"max_order": max_order}, list(checks.values()))
+                else:
+                    found.setdefault(claim_id, []).append(witness)
+    return checks, found
 
 
-def _tally(check: Callable, item: tuple[dict, SkewBrace]) -> list[tuple]:
-    """The instances check yields on one (witness, brace) item, as a list a
+def _tally(check: Callable, item: tuple[dict, object]) -> list[tuple]:
+    """The instances check yields on one (witness, item) pair, as a list a
     --jobs worker can send back."""
     return list(check(*item))
 
@@ -318,7 +378,19 @@ def _check_identities(witness: dict, b: SkewBrace) -> Iterator[tuple]:
 
 def _check_series(witness: dict, b: SkewBrace) -> Iterator[tuple]:
     """A brace whose nilpotency_report raises is a routes failure and is
-    skipped by every later claim."""
+    skipped by every later claim.
+
+    So implication_diagram, nilpotent_type_three_way and gamma_chain_nesting
+    cannot fail: a brace that would refute one of them makes
+    nilpotency_report raise CrossCheckFailed first, and it is counted under
+    annihilator_routes_agree. The guards are, in nilpotency_report, "strong
+    vs left-and-right disagree" and "annihilator nilpotent but not strongly
+    nilpotent" (implication_diagram), "nilpotent type: annihilator vs strong
+    disagree" with the first (nilpotent_type_three_way) and "gamma term
+    escapes bracketed gamma term" (gamma_chain_nesting); and, in
+    series(b, "gamma_bracket"), the member test that every term is an ideal
+    and descending_chain's refusal of a term outside the one before (the
+    rest of gamma_chain_nesting)."""
     try:
         rep = nilpotency_report(b)
     except BraceLabError as exc:
@@ -391,6 +463,9 @@ def _check_hirsch(witness: dict, b: SkewBrace) -> Iterator[tuple]:
 
 
 def _check_radical(witness: dict, b: SkewBrace) -> Iterator[tuple]:
+    """radical_within_every_maximal_ideal holds by construction: the radical
+    is the intersection of maximal_ideals(b, lattice), the very list it is
+    checked against."""
     lattice = subbrace_lattice(b)
     rad = radical(b, lattice)
     for m in maximal_ideals(b, lattice):
@@ -423,82 +498,36 @@ _CHECKS = {
 }
 
 
-def _equivalence_worker(sol: Solution) -> tuple[bool, Optional[str], Optional[dict]]:
+def _check_solution(witness: dict, sol: Solution) -> Iterator[tuple]:
+    """A catalog solution (its witness has an "index") also has its
+    retraction steps checked, and names itself when it is not
+    multipermutation."""
     try:
-        return True, None, equivalence_check(sol)
+        rep = equivalence_check(sol)
     except BraceLabError as exc:
-        return False, str(exc), None
-
-
-def _suite_equivalence(max_size, samples, seed, jobs, catalog_dir) -> CampaignReport:
-    equivalence = CheckResult(
-        "multipermutation_iff_right_nilpotent_of_nilpotent_type",
-        "a solution is multipermutation exactly when its permutation brace "
-        "is right nilpotent of nilpotent type",
-    )
-    abelian = CheckResult(
-        "involutive_brace_abelian_type",
-        "the permutation brace of an involutive solution is of abelian type",
-    )
-    retracts = CheckResult(
-        "retraction_revalidates",
-        "every retraction step of a catalog solution revalidates",
-    )
-    witness_present = CheckResult(
-        "non_multipermutation_witness_present",
-        "the exhaustive catalog contains at least one solution that is not "
-        "multipermutation",
-    )
-    catalogs = {n: _catalog("solutions", n, catalog_dir) for n in range(1, max_size + 1)}
-    census_items: list[tuple[int, int, Solution]] = [
-        (n, i, sol)
-        for n, cat in catalogs.items()
-        for i, sol in enumerate(cat.items)
-    ]
-    results = _pmap(_equivalence_worker, [sol for _, _, sol in census_items], jobs)
-    saw_non_mp = False
-    for (n, i, sol), (ok, err, rep) in zip(census_items, results):
-        wit = {"size": n, "index": i}
-        equivalence.record(ok, witness={**wit, "error": err})
-        if ok and rep is not None:
-            if sol.involutive:
-                abelian.record(rep["abelian_type"], witness=wit)
-            if not rep["multipermutation"]:
-                saw_non_mp = True
-                witness_present.note_witness(wit)
-        current = sol
-        steps = 0
-        try:
-            while current.n > 1:
-                nxt, _ = retract(current)
-                steps += 1
-                if nxt.n == current.n:
-                    break
-                current = nxt
-            retracts.record(True, count=max(steps, 1))
-        except BraceLabError as exc:
-            retracts.record(False, witness={**wit, "error": str(exc)})
-    # the smallest solutions that fail to retract have four points
-    if max_size >= 4:
-        witness_present.record(saw_non_mp, witness={"max_size": max_size})
-
-    sampled = sample_involutive_solutions(5, samples, seed)
-    sample_results = _pmap(_equivalence_worker, sampled, jobs)
-    for j, (ok, err, rep) in enumerate(sample_results):
-        wit = {"size": 5, "sample": j}
-        equivalence.record(ok, witness={**wit, "error": err})
-        if ok and rep is not None:
-            abelian.record(rep["abelian_type"], witness=wit)
-    return CampaignReport(
-        "equivalence",
-        {
-            "max_size": max_size,
-            "samples_size_5": len(sampled),
-            "samples_requested": samples,
-        },
-        [equivalence, abelian, retracts, witness_present],
-        seed=seed,
-    )
+        yield ("multipermutation_iff_right_nilpotent_of_nilpotent_type", False,
+               {**witness, "error": str(exc)}, 1)
+        rep = None
+    else:
+        yield "multipermutation_iff_right_nilpotent_of_nilpotent_type", True, witness, 1
+        if sol.involutive:
+            yield "involutive_brace_abelian_type", rep["abelian_type"], witness, 1
+    if "index" not in witness:
+        return
+    current, steps = sol, 0
+    try:
+        while current.n > 1:
+            nxt, _ = retract(current)
+            steps += 1
+            if nxt.n == current.n:
+                break
+            current = nxt
+    except BraceLabError as exc:
+        yield "retraction_revalidates", False, {**witness, "error": str(exc)}, 1
+    else:
+        yield "retraction_revalidates", True, witness, max(steps, 1)
+    if rep is not None and not rep["multipermutation"]:
+        yield "non_multipermutation", True, witness, 0
 
 
 # One row of `bracelab classify`: the catalog index, then classification_row.
@@ -547,73 +576,35 @@ CENSUS_CSV_COLUMNS = (
 )
 
 
-def _suite_census(max_order, catalog_dir) -> CampaignReport:
-    brace_counts = CheckResult(
-        "brace_counts",
-        "the number of brace isomorphism classes at each order matches the "
-        "expected census figures",
-    )
-    group_counts = CheckResult(
-        "group_counts",
-        "the number of group isomorphism classes at each order matches the "
-        "classical figures",
-    )
-    order8 = CheckResult(
-        "order8_non_annihilator",
-        "exactly two braces of order 8 are not annihilator nilpotent, and "
-        "both are of abelian type",
-    )
-    double = CheckResult(
-        "double_method_agreement",
-        "holomorph-based and direct-search enumeration agree on the brace "
-        "count at every order where both run",
-    )
-    tables: list[dict] = []
-    for n in range(1, max_order + 1):
-        cat = _catalog("braces", n, catalog_dir)
-        groups = groups_of_order(n)
-        if n in EXPECTED_GROUP_COUNTS:
-            group_counts.record(
-                len(groups) == EXPECTED_GROUP_COUNTS[n],
-                witness={"order": n, "got": len(groups)},
-            )
-        if n in EXPECTED_BRACE_COUNTS:
-            brace_counts.record(
-                len(cat) == EXPECTED_BRACE_COUNTS[n],
-                witness={"order": n, "got": len(cat)},
-            )
-        row = {c: 0 for c in CENSUS_CSV_COLUMNS}
-        row["order"] = n
-        row["groups"] = len(groups)
-        row["braces"] = len(cat)
-        non_ann_abelian = []
-        for b in cat.items:
-            brace_row = classification_row(b)
-            for c in CENSUS_CSV_COLUMNS[3:]:
-                row[c] += brace_row[c]
-            if not brace_row["annihilator"]:
-                non_ann_abelian.append(brace_row["abelian_type"])
-        tables.append(row)
-        if n == 8:
-            order8.record(
-                len(non_ann_abelian) == 2 and all(non_ann_abelian),
-                witness={"non_annihilator": len(non_ann_abelian)},
-            )
-        if n <= 6:
-            direct = enumerate_skew_braces(n, method="direct")
-            double.record(
-                len(direct) == len(cat),
-                witness={"order": n, "holomorph": len(cat), "direct": len(direct)},
-            )
-    checks = [brace_counts, group_counts, double]
-    if max_order >= 8:
-        checks.insert(2, order8)
-    return CampaignReport(
-        "census",
-        {"max_order": max_order},
-        checks,
-        tables=tables,
-    )
+def _check_census(catalog_dir: Optional[Path], witness: dict, n: int) -> Iterator[tuple]:
+    """Order n's brace and group counts, its two braces that are not
+    annihilator nilpotent at order 8 and the direct search's count up to
+    DIRECT_SEARCH_MAX_ORDER; then its CENSUS_CSV_COLUMNS row, as a "row"
+    witness the suite collects."""
+    cat = _catalog("braces", n, catalog_dir)
+    groups = groups_of_order(n)
+    if n in EXPECTED_GROUP_COUNTS:
+        yield ("group_counts", len(groups) == EXPECTED_GROUP_COUNTS[n],
+               {**witness, "got": len(groups)}, 1)
+    if n in EXPECTED_BRACE_COUNTS:
+        yield "brace_counts", len(cat) == EXPECTED_BRACE_COUNTS[n], {**witness, "got": len(cat)}, 1
+    row = {c: 0 for c in CENSUS_CSV_COLUMNS}
+    row.update(order=n, groups=len(groups), braces=len(cat))
+    non_ann_abelian = []
+    for b in cat.items:
+        brace_row = classification_row(b)
+        for c in CENSUS_CSV_COLUMNS[3:]:
+            row[c] += brace_row[c]
+        if not brace_row["annihilator"]:
+            non_ann_abelian.append(brace_row["abelian_type"])
+    if n == 8:
+        yield ("order8_non_annihilator", len(non_ann_abelian) == 2 and all(non_ann_abelian),
+               {"non_annihilator": len(non_ann_abelian)}, 1)
+    if n <= DIRECT_SEARCH_MAX_ORDER:
+        direct = _enumerate_braces_direct(n)
+        yield ("double_method_agreement", len(direct) == len(cat),
+               {**witness, "holomorph": len(cat), "direct": len(direct)}, 1)
+    yield "row", True, row, 0
 
 
 # ---------------------------------------------------------------------------

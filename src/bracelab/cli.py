@@ -65,18 +65,17 @@ def main() -> None:
 @main.command("enumerate")
 @click.option("--kind", type=click.Choice(["braces", "solutions", "groups"]), required=True)
 @click.option("--order", type=click.IntRange(min=1), required=True)
-@click.option("--method", type=click.Choice(["holomorph", "direct"]), default="holomorph")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--checkpoint", type=click.Path(dir_okay=False), default=None,
               help="progress file for long brace enumerations")
-def enumerate_catalog(kind: str, order: int, method: str, out_path: str | None, checkpoint: str | None):
+def enumerate_catalog(kind: str, order: int, out_path: str | None, checkpoint: str | None):
     """Enumerate a catalog up to isomorphism and write it as JSON lines."""
-    if checkpoint is not None and (kind != "braces" or method != "holomorph"):
-        _fail_input("--checkpoint applies only to --kind braces with --method holomorph")
+    if checkpoint is not None and kind != "braces":
+        _fail_input("--checkpoint applies only to --kind braces")
     _check_outputs(("--out", out_path), ("--checkpoint", checkpoint))
     try:
         if kind == "braces":
-            cat = enumerate_skew_braces(order, method=method, checkpoint=checkpoint)
+            cat = enumerate_skew_braces(order, checkpoint=checkpoint)
         elif kind == "solutions":
             cat = enumerate_involutive_solutions(order)
         else:

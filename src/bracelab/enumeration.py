@@ -409,28 +409,6 @@ def dedup_braces(braces: Iterable[SkewBrace]) -> list[SkewBrace]:
     return _isomorphism_classes(braces, _element_fingerprints, isomorphic)
 
 
-def enumerate_skew_braces(
-    n: int,
-    method: str = "holomorph",
-    checkpoint: Optional[str | Path] = None,
-) -> Catalog:
-    """All skew braces of order n up to isomorphism.
-
-    holomorph: regular subgroups of Hol(A) for each additive group A, reduced
-    by Aut(A)-conjugation, then certified pairwise non-isomorphic.
-    direct: independent oracle for small n; enumerates multiplication tables
-    over each fixed additive group by backtracking on the brace law.
-    """
-    started = time.monotonic()
-    if method == "holomorph":
-        items = _enumerate_braces_holomorph(n, checkpoint)
-    elif method == "direct":
-        items = _enumerate_braces_direct(n)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    return _with_meta("braces", n, items, started, method)
-
-
 CHECKPOINT_VERSION = 1
 
 
@@ -521,7 +499,12 @@ def _read_checkpoint(
     return done
 
 
-def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> list[SkewBrace]:
+def enumerate_skew_braces(n: int, checkpoint: Optional[str | Path] = None) -> Catalog:
+    """All skew braces of order n up to isomorphism: regular subgroups of
+    Hol(A) for each additive group A, reduced by Aut(A)-conjugation, then
+    certified pairwise non-isomorphic. The census suite checks its counts
+    against the independent search _enumerate_braces_direct."""
+    started = time.monotonic()
     groups = _groups_of_order(n)
     ckpt_path = Path(checkpoint) if checkpoint else None
     done = _read_checkpoint(ckpt_path, n, groups) if ckpt_path else {}
@@ -558,14 +541,18 @@ def _enumerate_braces_holomorph(n: int, checkpoint: Optional[str | Path]) -> lis
             f"order {n}: {len(braces)} Aut(A)-orbit representatives "
             f"fall into only {len(classes)} isomorphism classes"
         )
-    return classes
+    return _with_meta("braces", n, classes, started, "holomorph")
+
+
+# The largest order the direct brace search runs.
+DIRECT_SEARCH_MAX_ORDER = 6
 
 
 def _enumerate_braces_direct(n: int) -> list[SkewBrace]:
     """Backtrack over multiplication tables with identity 0 over each fixed
     additive group, pruning rows by the brace law; leaves are validated."""
-    if n > 6:
-        raise BudgetExceeded("direct brace search order", n, 6)
+    if n > DIRECT_SEARCH_MAX_ORDER:
+        raise BudgetExceeded("direct brace search order", n, DIRECT_SEARCH_MAX_ORDER)
     out: list[SkewBrace] = []
     for a_group in _groups_of_order(n):
         add_t = a_group.table

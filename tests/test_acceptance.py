@@ -13,6 +13,7 @@ import pytest
 from bracelab.brace import classify_flags, from_zn_quadratic, star_identity_violations
 from bracelab.campaigns import DEFAULT_SEED
 from bracelab.enumeration import (
+    _enumerate_braces_direct,
     enumerate_involutive_solutions,
     enumerate_skew_braces,
     sample_involutive_solutions,
@@ -237,8 +238,8 @@ def test_criterion_8_identity_suites(census8, reports8):
 def test_criterion_9_double_method_agreement():
     mismatches = []
     for n in range(1, 7):
-        h = len(enumerate_skew_braces(n, method="holomorph"))
-        d = len(enumerate_skew_braces(n, method="direct"))
+        h = len(enumerate_skew_braces(n))
+        d = len(_enumerate_braces_direct(n))
         if h != d:
             mismatches.append((n, h, d))
     ok = not mismatches

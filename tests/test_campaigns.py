@@ -191,8 +191,9 @@ def test_equivalence_suite_deterministic():
         ("identities", {"max_order": 8}),
         ("series", {"max_order": 8}),
         ("radical", {"max_order": 8}),
+        ("census", {"max_order": 8}),
     ],
-    ids=["equivalence", "hirsch", "axioms", "identities", "series", "radical"],
+    ids=["equivalence", "hirsch", "axioms", "identities", "series", "radical", "census"],
 )
 def test_equivalence_jobs_match_serial(suite, scope):
     a = run_suite(suite, jobs=1, **scope)
@@ -276,7 +277,7 @@ def test_report_is_pinned(suite):
 
 
 # The scope and report digest of each `verify` step in
-# .github/workflows/tests.yml, hirsch under --jobs 2 as there
+# .github/workflows/tests.yml, hirsch and census under --jobs 2 as there
 CI_SCOPE_DIGESTS = {
     "axioms": ({"max_order": 12},
                "fea693c28271965370a899401626299e38038db6eb8d83448ab34756d589b4ef"),
@@ -288,7 +289,7 @@ CI_SCOPE_DIGESTS = {
                "8fb3e8a89ee38766ec9a43a30654fa0df105ba6fd135201055bfe87c4c066f1f"),
     "radical": ({"max_order": 12},
                 "3c340cf5c74555ee2a5270887813a042c4759d171c18abb00912b36329cf5f6e"),
-    "census": ({"max_order": 12},
+    "census": ({"max_order": 12, "jobs": 2},
                "9fdee07de6d9f1a9335399a501f6691b0cba51105dc32a9dfc9c39a5d6e6804a"),
     "equivalence": ({"max_size": 4, "samples": 200, "seed": 987653},
                     "c352e968ef4197be7bcd63df9c565db71ed2b6cc5ae22af76939bd8b9916d08e"),

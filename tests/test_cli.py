@@ -52,20 +52,9 @@ def test_enumerate_stdout_is_the_out_file(tmp_path, monkeypatch, kind, order):
     assert res.stdout_bytes == out.read_bytes()
 
 
-def test_enumerate_direct_method(tmp_path):
-    out = tmp_path / "b.jsonl"
-    res = run("enumerate", "--kind", "braces", "--order", "4",
-              "--method", "direct", "--out", str(out))
-    assert res.exit_code == 0
-    assert json.loads(out.read_text().splitlines()[0])["meta"]["method"] == "direct"
-
-
 def test_enumerate_over_budget_is_input_error():
     res = run("enumerate", "--kind", "solutions", "--order", "5")
     assert res.exit_code == 2
-    res = run("enumerate", "--kind", "braces", "--order", "7", "--method", "direct")
-    assert res.exit_code == 2
-    assert res.stderr == "error: direct brace search order: size 7 exceeds budget 6\n"
 
 
 def test_classify(tmp_path):
@@ -613,14 +602,13 @@ def test_output_naming_a_directory_exits_2(tmp_path, empty_catalog, args):
     [
         ["--kind", "groups", "--order", "4"],
         ["--kind", "solutions", "--order", "3"],
-        ["--kind", "braces", "--order", "4", "--method", "direct"],
     ],
 )
 def test_checkpoint_outside_holomorph_census_exits_2(tmp_path, args):
     ckpt = tmp_path / "ck.txt"
     res = run("enumerate", *args, "--checkpoint", str(ckpt))
     assert res.exit_code == 2, res.output
-    assert "error: --checkpoint applies only to --kind braces with --method holomorph" in res.output
+    assert "error: --checkpoint applies only to --kind braces" in res.output
     assert not ckpt.exists()
 
 

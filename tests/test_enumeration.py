@@ -12,9 +12,11 @@ import pytest
 from bracelab import enumeration
 from bracelab.brace import isomorphic
 from bracelab.enumeration import (
+    DIRECT_SEARCH_MAX_ORDER,
     EXPECTED_GROUP_COUNTS,
     _checkpoint_header,
     _cyclic_extensions,
+    _enumerate_braces_direct,
     _groups_of_order,
     _involutive_families,
     _isomorphism_classes,
@@ -169,10 +171,10 @@ def test_group_order_budget():
         groups_of_order(50)
 
 
-def test_unknown_enumeration_method_is_refused():
-    with pytest.raises(ValueError) as exc:
-        enumerate_skew_braces(2, method="brute")
-    assert str(exc.value) == "unknown enumeration method 'brute'"
+def test_direct_search_budget():
+    with pytest.raises(BudgetExceeded) as exc:
+        _enumerate_braces_direct(DIRECT_SEARCH_MAX_ORDER + 1)
+    assert str(exc.value) == "direct brace search order: size 7 exceeds budget 6"
 
 
 def test_brace_counts_small():
@@ -184,11 +186,11 @@ def test_brace_counts_small():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_double_method_agreement(n):
-    holomorph = enumerate_skew_braces(n, method="holomorph")
-    direct = enumerate_skew_braces(n, method="direct")
+    holomorph = enumerate_skew_braces(n)
+    direct = _enumerate_braces_direct(n)
     assert len(holomorph) == len(direct)
     # same classes, not just same counts
-    for b in direct.items:
+    for b in direct:
         assert sum(1 for h in holomorph.items if isomorphic(b, h) is not None) == 1
 
 
