@@ -411,6 +411,32 @@ def test_involutive_search_in_shuffled_order_matches_definition():
     assert got == set(families)
 
 
+def test_sampler_pass_work_is_pinned():
+    # The sampler's stream is fixed by the nodes that call order(). Driven as
+    # the sampler drives it, with Random.shuffle, the first pass at size 5
+    # and seed 987653 calls order() 29,060 times before it has met 200
+    # distinct families, and those are the sampler's 200, in its order.
+    rng = random.Random(987653)
+    size = len(all_perms(5))
+    calls = 0
+
+    def order():
+        nonlocal calls
+        calls += 1
+        idx = list(range(size))
+        rng.shuffle(idx)
+        return idx
+
+    found = {}
+    for sol in _involutive_families(5, order):
+        found.setdefault(sol.sigma, sol.tau)
+        if len(found) == 200:
+            break
+    assert calls == 29060
+    sampled = sample_involutive_solutions(5, 200, 987653)
+    assert list(found.items()) == [(s.sigma, s.tau) for s in sampled]
+
+
 def test_involutive_search_refuses_an_invalid_complete_family(monkeypatch):
     # Pruning has checked every tau row and braid triple of a complete
     # family, so one that fails validation means the search is wrong: the
