@@ -27,6 +27,7 @@ from .enumeration import (
     DIRECT_SEARCH_MAX_ORDER,
     Catalog,
     EXPECTED_GROUP_COUNTS,
+    SAMPLED_SOLUTION_SIZE,
     _enumerate_braces_direct,
     enumerate_involutive_solutions,
     enumerate_skew_braces,
@@ -189,9 +190,10 @@ def run_suite(
             for n in range(1, max_size + 1)
             for i, sol in enumerate(_catalog("solutions", n, catalog_dir).items)
         ]
-        sampled = sample_involutive_solutions(5, samples, seed)
-        samples_5 = [({"size": 5, "sample": j}, sol) for j, sol in enumerate(sampled)]
-        checks, found = _run_checks(name, (solutions, samples_5), _check_solution, jobs)
+        size = SAMPLED_SOLUTION_SIZE
+        sampled = sample_involutive_solutions(size, samples, seed)
+        drawn = [({"size": size, "sample": j}, sol) for j, sol in enumerate(sampled)]
+        checks, found = _run_checks(name, (solutions, drawn), _check_solution, jobs)
         present = checks["non_multipermutation_witness_present"]
         non_mp = found.get("non_multipermutation", [])
         # the smallest solutions that fail to retract have four points
@@ -201,7 +203,7 @@ def run_suite(
             present.note_witness(wit)
         report.scope = {
             "max_size": max_size,
-            "samples_size_5": len(sampled),
+            f"samples_size_{size}": len(sampled),
             "samples_requested": samples,
         }
         report.seed = seed

@@ -614,6 +614,11 @@ def _enumerate_braces_direct(n: int) -> list[SkewBrace]:
 # stops here too.
 MAX_SOLUTION_SIZE = 4
 
+# The size of the seeded samples that verify --suite equivalence checks
+# beyond the census. It is its own constant: raising MAX_SOLUTION_SIZE does
+# not move it.
+SAMPLED_SOLUTION_SIZE = 5
+
 
 def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator[Solution]:
     """Every sigma family on 0..n-1 that is an involutive solution, depth first.
@@ -628,13 +633,27 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
     forced, so the pruning has checked every tau row and braid triple, and a
     family that fails validation means the search is wrong: CrossCheckFailed.
 
-    Before its candidate loop a node ORs into one `banned` bitset over the
-    perm indices every candidate with a forced entry whose tau value is
-    already set in its row (maps_to[y][u] holds the perms p with p(y) = u),
-    and skips those before building anything. A banned candidate would fail
-    the per-candidate row check anyway, and that check still runs on the
-    survivors (it alone sees collisions among the node's new entries), so
-    the same candidates are rejected and order() is called at the same nodes.
+    A candidate p = sigma_k forces two kinds of new entries, each writing
+    its second component into the tau row of its column:
+    - r(x, c_x) = (k, p^{-1}(x)) for x < k, where c_x = sigma_x^{-1}(k);
+    - r(k, y) = (u, sigma_u^{-1}(k)) where u = p(y) < k, and (k, y) where
+      p(y) = k.
+    The whole tau-row check is one bitset per node, `banned`, over the perm
+    indices (maps_to[y][u] holds the perms p with p(y) = u). Before its
+    candidate loop a node ORs into it every candidate that would repeat a
+    value in a tau row, in one of two ways:
+    - a new value is already set in its row;
+    - two of p's own entries write one value into one row. The entries
+      (x, c_x) have distinct values p^{-1}(x), and the entries (k, y)
+      distinct rows, so only (x, c_x) and (k, c_x) can share a row. Their
+      values differ when p(c_x) = k (then p^{-1}(x) = c_x would mean x = k),
+      and are equal, with u = p(c_x) < k, exactly when
+      p(sigma_u^{-1}(k)) = x: the perms in
+      maps_to[c_x][u] & maps_to[sigma_u^{-1}(k)][x], k^2 ANDs per node.
+    So every tau row of a candidate outside `banned` stays injective, and it
+    goes straight to the braid check. The same candidates pass as under a
+    per-entry row check, so order() is called at the same nodes. A child's
+    tau rows are built, and sigma_k pushed, only when the braid check passes.
     """
     perms = all_perms(n)
     inverses = [invert(p) for p in perms]
@@ -642,33 +661,40 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
     for idx, p in enumerate(perms):
         for y, u in enumerate(p):
             maps_to[y][u] |= 1 << idx
+    # below[k][idx]: the (y, u) with u = p(y) < k, for p = perms[idx]
+    below = [[[(y, u) for y, u in enumerate(p) if u < k] for p in perms] for k in range(n)]
+    # entry[u * n + t] is the forced value (u, t), with u * n and t * n
+    # ready to index the flat r
+    entry = [(u, t, u * n, t * n) for u in range(n) for t in range(n)]
     sig: list[Perm] = []
     sig_inv: list[Perm] = []
-    r: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
+    # r[x * n + y] is the entry of the forced r(x, y) = (u, tau_y(x)), or None
+    r: list[Optional[tuple[int, int, int, int]]] = [None] * (n * n)
+    blank = [None] * n
 
     def braid_ok(k: int) -> bool:
         """r12 r23 r12 = r23 r12 r23 on every triple whose values are forced."""
         for x in range(k + 1):
-            rx = r[x]
+            xn = x * n
             for y in range(k + 1):
-                a = rx[y]
+                a = r[xn + y]
                 if a is None:
                     continue
-                ru, rv, ry = r[a[0]], r[a[1]], r[y]
+                un, vn, yn = a[2], a[3], y * n
                 for z in range(n):
-                    b = rv[z]
+                    b = r[vn + z]
                     if b is None:
                         continue
-                    c = ru[b[0]]
+                    c = r[un + b[0]]
                     if c is None:
                         continue
-                    d = ry[z]
+                    d = r[yn + z]
                     if d is None:
                         continue
-                    e = rx[d[0]]
+                    e = r[xn + d[0]]
                     if e is None:
                         continue
-                    f = r[e[1]][d[1]]
+                    f = r[e[3] + d[1]]
                     if f is None:
                         continue
                     if c[0] != e[0] or c[1] != f[0] or b[1] != f[1]:
@@ -686,46 +712,51 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
                 ) from exc
             yield sol
             return
-        # The entries that read sigma_k: (x, sigma_x^{-1}(k)) of each older
-        # row x, with tau value sigma_k^{-1}(x), and (k, y) wherever
-        # u = sigma_k(y) <= k, with tau value sigma_u^{-1}(k) (y when u = k).
-        old_cols = [sig_inv[x][k] for x in range(k)]
-        new_taus = [sig_inv[u][k] for u in range(k)]
+        cols = [sig_inv[x][k] for x in range(k)]  # c_x
+        taus = [sig_inv[u][k] for u in range(k)]  # sigma_u^{-1}(k)
         banned = 0
-        for x in range(k):  # tau value p^-1(x) = t, i.e. p(t) = x
-            row = tau_rows[old_cols[x]]
-            for t in range(n):
+        for x, c in enumerate(cols):
+            row, at_c = tau_rows[c], maps_to[c]
+            for t in range(n):  # p^{-1}(x) = t is set in row c_x
                 if row >> t & 1:
                     banned |= maps_to[t][x]
-        for y in range(n):  # p(y) = u <= k
+            for u, t in enumerate(taus):  # p(c_x) = u and p(t) = x: (k, c_x) takes t too
+                banned |= at_c[u] & maps_to[t][x]
+        for y in range(n):
             row = tau_rows[y]
-            for u in range(k):
-                if row >> new_taus[u] & 1:
+            for u, t in enumerate(taus):  # p(y) = u < k, and t is set in row y
+                if row >> t & 1:
                     banned |= maps_to[y][u]
-            if row >> y & 1:
+            if row >> y & 1:  # p(y) = k, so (k, y) takes y
                 banned |= maps_to[y][k]
+        kn, pairs = k * n, below[k]
+        cells = [x * n + c for x, c in enumerate(cols)]  # (x, c_x), flat
+        news = [entry[u * n + t] for u, t in enumerate(taus)]  # (u, taus[u])
         for idx in order():
             if banned >> idx & 1:
                 continue
-            p, p_inv = perms[idx], inverses[idx]
-            sig.append(p)
-            sig_inv.append(p_inv)
-            forced = [(x, old_cols[x], k, p_inv[x]) for x in range(k)]
-            forced += [(k, y, u, new_taus[u] if u < k else y) for y, u in enumerate(p) if u <= k]
-            rows = tau_rows[:]
-            for _, y, _, t in forced:
-                if rows[y] >> t & 1:
-                    break
-                rows[y] |= 1 << t
-            else:
-                for x, y, u, t in forced:
-                    r[x][y] = (u, t)
-                if braid_ok(k):
-                    yield from descend(k + 1, rows)
-                for x, y, _, _ in forced:
-                    r[x][y] = None
-            sig.pop()
-            sig_inv.pop()
+            p_inv = inverses[idx]
+            for cell, t in zip(cells, p_inv):
+                r[cell] = entry[kn + t]
+            yk = p_inv[k]
+            r[kn + yk] = entry[kn + yk]
+            for y, u in pairs[idx]:
+                r[kn + y] = news[u]
+            if braid_ok(k):
+                rows = tau_rows[:]
+                for c, t in zip(cols, p_inv):
+                    rows[c] |= 1 << t
+                rows[yk] |= 1 << yk
+                for y, u in pairs[idx]:
+                    rows[y] |= 1 << taus[u]
+                sig.append(perms[idx])
+                sig_inv.append(p_inv)
+                yield from descend(k + 1, rows)
+                sig.pop()
+                sig_inv.pop()
+            r[kn : kn + n] = blank
+        for cell in cells:
+            r[cell] = None
 
     return descend(0, [0] * n)
 
@@ -771,6 +802,31 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
     )
 
 
+def _shuffler(rng: Random, size: int) -> Callable[[], list[int]]:
+    """The sampler's order(): a fresh shuffle of range(size) per call.
+
+    This is Random.shuffle written out. For i = size-1 down to 1, it draws
+    j below m = i + 1 as Random._randbelow does: getrandbits(m.bit_length()),
+    again while the value is >= m. So it makes the same getrandbits calls as
+    Random.shuffle and keeps the sampler's stream, without two Python frames
+    per draw; test_sampler_shuffle_matches_random_shuffle pins the lists and
+    the generator's state against Random.shuffle.
+    """
+    getrandbits = rng.getrandbits
+    draws = [(i, i + 1, (i + 1).bit_length()) for i in range(size - 1, 0, -1)]
+
+    def shuffled() -> list[int]:
+        order = list(range(size))
+        for i, m, bits in draws:
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    return shuffled
+
+
 def sample_involutive_solutions(n: int, count: int, seed: int) -> list[Solution]:
     """Seeded randomized depth-first sampling of valid involutive solutions.
 
@@ -778,14 +834,7 @@ def sample_involutive_solutions(n: int, count: int, seed: int) -> list[Solution]
     shuffled afresh; passes restart while a full pass adds a solution.
     Solutions are distinct as labeled sigma-families.
     """
-    rng = Random(seed)
-    size = len(all_perms(n))
-
-    def shuffled() -> list[int]:
-        order = list(range(size))
-        rng.shuffle(order)
-        return order
-
+    shuffled = _shuffler(Random(seed), len(all_perms(n)))
     found: list[Solution] = []
     seen: set[tuple] = set()
     while len(found) < count:

@@ -22,6 +22,7 @@ from bracelab.enumeration import (
     _isomorphism_classes,
     _primes_dividing,
     _search_tables,
+    _shuffler,
     brace_from_lambda_map,
     dedup_braces,
     enumerate_involutive_solutions,
@@ -435,6 +436,20 @@ def test_sampler_pass_work_is_pinned():
     assert calls == 29060
     sampled = sample_involutive_solutions(5, 200, 987653)
     assert list(found.items()) == [(s.sigma, s.tau) for s in sampled]
+
+
+@pytest.mark.parametrize("size", [1, 2, 6, 24, 120])
+def test_sampler_shuffle_matches_random_shuffle(size):
+    # the sampler's shuffle makes the getrandbits calls of Random.shuffle, so
+    # it gives the same lists and leaves the generator in the same state
+    for seed in (0, 3, 7, 987653):
+        ours, ref = random.Random(seed), random.Random(seed)
+        shuffled = _shuffler(ours, size)
+        for _ in range(4):
+            expected = list(range(size))
+            ref.shuffle(expected)
+            assert shuffled() == expected
+        assert ours.getstate() == ref.getstate()
 
 
 def test_involutive_search_refuses_an_invalid_complete_family(monkeypatch):
