@@ -620,18 +620,25 @@ MAX_SOLUTION_SIZE = 4
 SAMPLED_SOLUTION_SIZE = 5
 
 
-def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator[Solution]:
+def _involutive_families(n: int, order: Callable[[list[int]], Iterable[int]]) -> Iterator[Solution]:
     """Every sigma family on 0..n-1 that is an involutive solution, depth first.
 
-    sigma_0, sigma_1, ... are assigned in turn; a node at depth k < n tries
-    the all_perms(n) indices that one call of order() returns. Once sigma_x
-    and sigma_u (u = sigma_x(y)) are assigned, involutivity forces
-    r(x, y) = (u, tau_y(x)) with tau_y(x) = sigma_u^{-1}(x). A candidate is
-    pruned when a forced tau_y(x) repeats a value in the row tau_y, or when
-    a braid triple whose six r-values are all forced fails. Each complete
-    family is validated by involutive_from_sigma; at depth n every entry is
-    forced, so the pruning has checked every tau row and braid triple, and a
-    family that fails validation means the search is wrong: CrossCheckFailed.
+    sigma_0, sigma_1, ... are assigned in turn. A node at depth k < n first
+    finds its children: the all_perms(n) indices p = sigma_k that pass the
+    pruning, in index order. Then it calls order(kids) once, which returns
+    the kids in the order to visit them: the census passes `lambda kids:
+    kids`, the sampler a fresh shuffle (_shuffler). Which kids a node has
+    does not depend on order(), so every order() visits the same tree and
+    calls order() at the same nodes, in the same sequence.
+
+    Once sigma_x and sigma_u (u = sigma_x(y)) are assigned, involutivity
+    forces r(x, y) = (u, tau_y(x)) with tau_y(x) = sigma_u^{-1}(x). A
+    candidate is pruned when a forced tau_y(x) repeats a value in the row
+    tau_y, or when a braid triple whose six r-values are all forced fails.
+    Each complete family is validated by involutive_from_sigma; at depth n
+    every entry is forced, so the pruning has checked every tau row and
+    braid triple, and a family that fails validation means the search is
+    wrong: CrossCheckFailed.
 
     A candidate p = sigma_k forces two kinds of new entries, each writing
     its second component into the tau row of its column:
@@ -650,10 +657,20 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
       and are equal, with u = p(c_x) < k, exactly when
       p(sigma_u^{-1}(k)) = x: the perms in
       maps_to[c_x][u] & maps_to[sigma_u^{-1}(k)][x], k^2 ANDs per node.
-    So every tau row of a candidate outside `banned` stays injective, and it
-    goes straight to the braid check. The same candidates pass as under a
-    per-entry row check, so order() is called at the same nodes. A child's
-    tau rows are built, and sigma_k pushed, only when the braid check passes.
+    So every tau row of a candidate outside `banned` stays injective, and
+    the node walks the set bits of the rest straight to the braid check.
+
+    The braid check walks the triples (x, y, z) with x, y <= k, the only
+    ones whose six entries can all be forced (r(x, y) needs x <= k, and
+    r(y, z) needs y <= k). It takes first the pairs (x, k) and (k, y), whose
+    triples read the new row k: almost every candidate fails, mostly on
+    one of those. With r(x, y) = (u, v), the entry r(v, z) is forced for
+    the k + 1 values z = sigma_v^{-1}(0..k) when v <= k, and for none when
+    v > k; `reach[v]` lists them, so only those z are walked. A triple that
+    the parent already passed passes again, and is checked again: in the
+    sampler's size-5 pass such triples are 4% of the z steps walked, too
+    few to pay for tracking them. A child's tau rows are built, and sigma_k
+    pushed, only when it is visited.
     """
     perms = all_perms(n)
     inverses = [invert(p) for p in perms]
@@ -661,8 +678,19 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
     for idx, p in enumerate(perms):
         for y, u in enumerate(p):
             maps_to[y][u] |= 1 << idx
+    everyone = (1 << len(perms)) - 1
     # below[k][idx]: the (y, u) with u = p(y) < k, for p = perms[idx]
     below = [[[(y, u) for y, u in enumerate(p) if u < k] for p in perms] for k in range(n)]
+    # heads[k][idx]: p^{-1}(0..k), the z with p(z) <= k
+    heads = [[p_inv[: k + 1] for p_inv in inverses] for k in range(n)]
+    # walk[k]: the pairs (x, y) of the braid check at depth k, as
+    # (x * n, y * n, x * n + y); those that read row k come first
+    walk = [
+        [(x * n, k * n, x * n + k) for x in range(k + 1)]
+        + [(k * n, y * n, k * n + y) for y in range(k)]
+        + [(x * n, y * n, x * n + y) for x in range(k) for y in range(k)]
+        for k in range(n)
+    ]
     # entry[u * n + t] is the forced value (u, t), with u * n and t * n
     # ready to index the flat r
     entry = [(u, t, u * n, t * n) for u in range(n) for t in range(n)]
@@ -672,33 +700,26 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
     r: list[Optional[tuple[int, int, int, int]]] = [None] * (n * n)
     blank = [None] * n
 
-    def braid_ok(k: int) -> bool:
-        """r12 r23 r12 = r23 r12 r23 on every triple whose values are forced."""
-        for x in range(k + 1):
-            xn = x * n
-            for y in range(k + 1):
-                a = r[xn + y]
-                if a is None:
+    def braid_ok(k: int, reach: list[Sequence[int]]) -> bool:
+        """r12 r23 r12 = r23 r12 r23 on every triple whose values are forced;
+        reach[v] holds the z with r(v, z) forced."""
+        for xn, yn, xy in walk[k]:
+            a = r[xy]
+            if a is None:
+                continue
+            un, vn = a[2], a[3]
+            for z in reach[a[1]]:
+                b = r[vn + z]
+                c = r[un + b[0]]
+                d = r[yn + z]
+                if c is None or d is None:
                     continue
-                un, vn, yn = a[2], a[3], y * n
-                for z in range(n):
-                    b = r[vn + z]
-                    if b is None:
-                        continue
-                    c = r[un + b[0]]
-                    if c is None:
-                        continue
-                    d = r[yn + z]
-                    if d is None:
-                        continue
-                    e = r[xn + d[0]]
-                    if e is None:
-                        continue
-                    f = r[e[3] + d[1]]
-                    if f is None:
-                        continue
-                    if c[0] != e[0] or c[1] != f[0] or b[1] != f[1]:
-                        return False
+                e = r[xn + d[0]]
+                if e is None:
+                    continue
+                f = r[e[3] + d[1]]
+                if f is not None and (c[0] != e[0] or c[1] != f[0] or b[1] != f[1]):
+                    return False
         return True
 
     def descend(k: int, tau_rows: list[int]) -> Iterator[Solution]:
@@ -732,9 +753,14 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
         kn, pairs = k * n, below[k]
         cells = [x * n + c for x, c in enumerate(cols)]  # (x, c_x), flat
         news = [entry[u * n + t] for u, t in enumerate(taus)]  # (u, taus[u])
-        for idx in order():
-            if banned >> idx & 1:
-                continue
+        # reach[k] is the candidate's, set before each braid check
+        reach = [sig_inv[v][: k + 1] for v in range(k)] + [()] * (n - k)
+        kids = []
+        free = ~banned & everyone
+        while free:
+            low = free & -free
+            free ^= low
+            idx = low.bit_length() - 1
             p_inv = inverses[idx]
             for cell, t in zip(cells, p_inv):
                 r[cell] = entry[kn + t]
@@ -742,18 +768,27 @@ def _involutive_families(n: int, order: Callable[[], Iterable[int]]) -> Iterator
             r[kn + yk] = entry[kn + yk]
             for y, u in pairs[idx]:
                 r[kn + y] = news[u]
-            if braid_ok(k):
-                rows = tau_rows[:]
-                for c, t in zip(cols, p_inv):
-                    rows[c] |= 1 << t
-                rows[yk] |= 1 << yk
-                for y, u in pairs[idx]:
-                    rows[y] |= 1 << taus[u]
-                sig.append(perms[idx])
-                sig_inv.append(p_inv)
-                yield from descend(k + 1, rows)
-                sig.pop()
-                sig_inv.pop()
+            reach[k] = heads[k][idx]
+            if braid_ok(k, reach):
+                kids.append(idx)
+            r[kn : kn + n] = blank
+        for idx in order(kids):
+            p_inv = inverses[idx]
+            rows = tau_rows[:]
+            for cell, c, t in zip(cells, cols, p_inv):
+                r[cell] = entry[kn + t]
+                rows[c] |= 1 << t
+            yk = p_inv[k]
+            r[kn + yk] = entry[kn + yk]
+            rows[yk] |= 1 << yk
+            for y, u in pairs[idx]:
+                r[kn + y] = news[u]
+                rows[y] |= 1 << taus[u]
+            sig.append(perms[idx])
+            sig_inv.append(p_inv)
+            yield from descend(k + 1, rows)
+            sig.pop()
+            sig_inv.pop()
             r[kn : kn + n] = blank
         for cell in cells:
             r[cell] = None
@@ -785,9 +820,8 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
     started = time.monotonic()
     if n > MAX_SOLUTION_SIZE:
         raise BudgetExceeded("exhaustive solution census", n, MAX_SOLUTION_SIZE)
-    indices = range(len(all_perms(n)))
     seen: dict[tuple, Solution] = {}
-    for sol in _involutive_families(n, lambda: indices):
+    for sol in _involutive_families(n, lambda kids: kids):
         canon = solution_canonical_form(sol)
         if canon not in seen:
             seen[canon] = sol
@@ -802,27 +836,35 @@ def enumerate_involutive_solutions(n: int) -> Catalog:
     )
 
 
-def _shuffler(rng: Random, size: int) -> Callable[[], list[int]]:
-    """The sampler's order(): a fresh shuffle of range(size) per call.
+def _shuffler(rng: Random, size: int) -> Callable[[list[int]], list[int]]:
+    """The sampler's order(kids): the kids in the order of a fresh shuffle
+    of range(size).
 
-    This is Random.shuffle written out. For i = size-1 down to 1, it draws
-    j below m = i + 1 as Random._randbelow does: getrandbits(m.bit_length()),
-    again while the value is >= m. So it makes the same getrandbits calls as
-    Random.shuffle and keeps the sampler's stream, without two Python frames
-    per draw; test_sampler_shuffle_matches_random_shuffle pins the lists and
-    the generator's state against Random.shuffle.
+    Every call makes the getrandbits calls of one Random.shuffle of
+    range(size), so the stream does not depend on the kids: for i = size-1
+    down to 1, it draws j below m = i + 1 as Random._randbelow does,
+    getrandbits(m.bit_length()) again while the value is >= m. With fewer
+    than two kids there is nothing to order, so the call only advances the
+    generator and builds no list; test_sampler_shuffle_matches_random_shuffle
+    pins the lists and the generator's state against Random.shuffle.
     """
     getrandbits = rng.getrandbits
     draws = [(i, i + 1, (i + 1).bit_length()) for i in range(size - 1, 0, -1)]
 
-    def shuffled() -> list[int]:
+    def shuffled(kids: list[int]) -> list[int]:
+        if len(kids) < 2:
+            for _, m, bits in draws:
+                while getrandbits(bits) >= m:
+                    pass
+            return kids
         order = list(range(size))
         for i, m, bits in draws:
             j = getrandbits(bits)
             while j >= m:
                 j = getrandbits(bits)
             order[i], order[j] = order[j], order[i]
-        return order
+        keep = set(kids)
+        return [idx for idx in order if idx in keep]
 
     return shuffled
 
@@ -830,8 +872,9 @@ def _shuffler(rng: Random, size: int) -> Callable[[], list[int]]:
 def sample_involutive_solutions(n: int, count: int, seed: int) -> list[Solution]:
     """Seeded randomized depth-first sampling of valid involutive solutions.
 
-    The search of _involutive_families with every node's candidate order
-    shuffled afresh; passes restart while a full pass adds a solution.
+    The search of _involutive_families with every node's children visited
+    in a fresh shuffled order; passes restart while a full pass adds a
+    solution.
     Solutions are distinct as labeled sigma-families.
     """
     shuffled = _shuffler(Random(seed), len(all_perms(n)))

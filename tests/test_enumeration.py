@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 import random
+from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
@@ -362,7 +363,7 @@ def _valid_family(sigma):
 @functools.cache
 def _definition_search(n):
     """(nodes, families): the number of prefixes shorter than n all of whose
-    prefixes pass the rule, one order() call each, and the valid families
+    prefixes pass the rule, one order(kids) call each, and the valid families
     all of whose prefixes pass it, in lexicographic order."""
     perms = all_perms(n)
     nodes, level = 0, [[]]
@@ -377,10 +378,10 @@ def test_involutive_search_matches_definition(n):
     perms = all_perms(n)
     calls = 0
 
-    def order():
+    def order(kids):
         nonlocal calls
         calls += 1
-        return range(len(perms))
+        return kids
 
     got = [sol.sigma for sol in _involutive_families(n, order)]
     nodes, families = _definition_search(n)
@@ -396,15 +397,14 @@ def test_involutive_search_in_shuffled_order_matches_definition():
     # a pruning step that leans on trying candidates in index order would
     # change the nodes entered or the families found here
     n, rng = 4, random.Random(11)
-    size = len(all_perms(n))
     calls = 0
 
-    def order():
+    def order(kids):
         nonlocal calls
         calls += 1
-        idx = list(range(size))
-        rng.shuffle(idx)
-        return idx
+        kids = list(kids)
+        rng.shuffle(kids)
+        return kids
 
     got = {sol.sigma for sol in _involutive_families(n, order)}
     nodes, families = _definition_search(n)
@@ -412,51 +412,110 @@ def test_involutive_search_in_shuffled_order_matches_definition():
     assert got == set(families)
 
 
+def _shuffled_kids(rng, size):
+    """An order(kids) as the sampler's, with Random.shuffle: the kids in the
+    order of one shuffle of range(size) per call."""
+
+    def order(kids):
+        idx = list(range(size))
+        rng.shuffle(idx)
+        keep = set(kids)
+        return [i for i in idx if i in keep]
+
+    return order
+
+
+# The first pass at size 5 and seed 987653, driven as the sampler drives it,
+# up to its 200th distinct family: the number of nodes with each number of
+# children. Every node calls order() once, so the 29,060 nodes fix the
+# sampler's stream.
+SAMPLER_PASS_KIDS = {
+    0: 26491, 1: 1259, 2: 270, 3: 61, 4: 47, 5: 16, 6: 20, 7: 1, 8: 11, 9: 2,
+    10: 19, 12: 16, 14: 23, 16: 32, 18: 28, 20: 59, 22: 30, 24: 60, 26: 32,
+    28: 114, 30: 74, 32: 56, 34: 96, 36: 50, 38: 60, 40: 14, 42: 26, 44: 10,
+    48: 70, 78: 12, 120: 1,
+}
+
+
 def test_sampler_pass_work_is_pinned():
     # The sampler's stream is fixed by the nodes that call order(). Driven as
     # the sampler drives it, with Random.shuffle, the first pass at size 5
     # and seed 987653 calls order() 29,060 times before it has met 200
     # distinct families, and those are the sampler's 200, in its order.
-    rng = random.Random(987653)
-    size = len(all_perms(5))
-    calls = 0
+    shuffled = _shuffled_kids(random.Random(987653), len(all_perms(5)))
+    kids_per_node = Counter()
 
-    def order():
-        nonlocal calls
-        calls += 1
-        idx = list(range(size))
-        rng.shuffle(idx)
-        return idx
+    def order(kids):
+        kids_per_node[len(kids)] += 1
+        return shuffled(kids)
 
     found = {}
     for sol in _involutive_families(5, order):
         found.setdefault(sol.sigma, sol.tau)
         if len(found) == 200:
             break
-    assert calls == 29060
+    assert sum(kids_per_node.values()) == 29060
+    assert kids_per_node == SAMPLER_PASS_KIDS
     sampled = sample_involutive_solutions(5, 200, 987653)
     assert list(found.items()) == [(s.sigma, s.tau) for s in sampled]
 
 
+def test_sampler_pass_kids_match_definition():
+    # Every 250th node of the pinned pass: its kids are exactly the
+    # candidates, in index order, whose prefix passes the rule. The search is
+    # depth first, so each node's prefix follows from the lists order()
+    # returned before it: its children that call order() in turn are pushed
+    # on a stack, and the next node is the first one left at the top.
+    n = 5
+    perms = all_perms(n)
+    shuffled = _shuffled_kids(random.Random(987653), len(perms))
+    stack, calls, checked = [[()]], 0, 0
+
+    def order(kids):
+        nonlocal calls, checked
+        while not stack[-1]:
+            stack.pop()
+        prefix = stack[-1].pop(0)
+        if calls % 250 == 0:
+            expected = [i for i, p in enumerate(perms) if _prefix_passes(prefix + (p,), n)]
+            assert kids == expected, prefix
+            checked += 1
+        calls += 1
+        visit = shuffled(kids)
+        if len(prefix) + 1 < n:
+            stack.append([prefix + (perms[i],) for i in visit])
+        return visit
+
+    found = set()
+    for sol in _involutive_families(n, order):
+        found.add(sol.sigma)
+        if len(found) == 200:
+            break
+    assert calls == 29060
+    assert checked == 117
+
+
 @pytest.mark.parametrize("size", [1, 2, 6, 24, 120])
 def test_sampler_shuffle_matches_random_shuffle(size):
-    # the sampler's shuffle makes the getrandbits calls of Random.shuffle, so
-    # it gives the same lists and leaves the generator in the same state
+    # The sampler's order(kids) makes the getrandbits calls of one
+    # Random.shuffle of range(size), whatever the kids: it returns that
+    # shuffle's list filtered to the kids and leaves the generator in the
+    # same state, also for no kid and one kid, where it builds no list.
     for seed in (0, 3, 7, 987653):
         ours, ref = random.Random(seed), random.Random(seed)
         shuffled = _shuffler(ours, size)
-        for _ in range(4):
+        for kids in ([], [size - 1], [0, size - 1], list(range(size))):
             expected = list(range(size))
             ref.shuffle(expected)
-            assert shuffled() == expected
-        assert ours.getstate() == ref.getstate()
+            assert shuffled(kids) == [i for i in expected if i in kids]
+            assert ours.getstate() == ref.getstate()
 
 
 def test_involutive_search_refuses_an_invalid_complete_family(monkeypatch):
     # Pruning has checked every tau row and braid triple of a complete
     # family, so one that fails validation means the search is wrong: the
     # census must raise, not return a shorter catalog.
-    rejected = next(_involutive_families(3, lambda: range(len(all_perms(3))))).sigma
+    rejected = next(_involutive_families(3, lambda kids: kids)).sigma
 
     def reject_one(sigma):
         if tuple(sigma) == rejected:
