@@ -640,37 +640,35 @@ def _involutive_families(n: int, order: Callable[[list[int]], Iterable[int]]) ->
     braid triple, and a family that fails validation means the search is
     wrong: CrossCheckFailed.
 
-    A candidate p = sigma_k forces two kinds of new entries, each writing
-    its second component into the tau row of its column:
-    - r(x, c_x) = (k, p^{-1}(x)) for x < k, where c_x = sigma_x^{-1}(k);
-    - r(k, y) = (u, sigma_u^{-1}(k)) where u = p(y) < k, and (k, y) where
-      p(y) = k.
-    The whole tau-row check is one bitset per node, `banned`, over the perm
-    indices (maps_to[y][u] holds the perms p with p(y) = u). Before its
-    candidate loop a node ORs into it every candidate that would repeat a
-    value in a tau row, in one of two ways:
-    - a new value is already set in its row;
-    - two of p's own entries write one value into one row. The entries
-      (x, c_x) have distinct values p^{-1}(x), and the entries (k, y)
-      distinct rows, so only (x, c_x) and (k, c_x) can share a row. Their
-      values differ when p(c_x) = k (then p^{-1}(x) = c_x would mean x = k),
-      and are equal, with u = p(c_x) < k, exactly when
-      p(sigma_u^{-1}(k)) = x: the perms in
-      maps_to[c_x][u] & maps_to[sigma_u^{-1}(k)][x], k^2 ANDs per node.
-    So every tau row of a candidate outside `banned` stays injective, and
-    the node walks the set bits of the rest straight to the braid check.
+    The search keeps sig[x] = sigma_x and sig_inv[x] for x <= k, and an
+    unset row of -1s above; a candidate is tried by setting sig[k] and
+    sig_inv[k], two stores, so no table of r-values is written. A
+    candidate p = sigma_k forces two kinds of new entries:
+    - r(x, c_x) = (k, p^{-1}(x)) for x < k, where c_x = sigma_x^{-1}(k),
+      writes p^{-1}(x) in the tau row c_x;
+    - r(k, y) = (u, c_u) where u = p(y) < k writes c_u in row y, and
+      r(k, y) = (k, y) where p(y) = k writes y in row y.
+    The tau rows are one int, and the whole tau-row check is one bitset per
+    node, `banned`, over the perm indices (maps_to[y][u] holds the perms p
+    with p(y) = u): it takes every candidate that would repeat a value in a
+    tau row, because a new value is already in its row (one table lookup
+    per kind and x), or because two of p's own entries write one value in
+    one row. The entries (x, c_x) have distinct values and the entries
+    (k, y) distinct rows, so only (x, c_x) and (k, c_x) can clash, with
+    u = p(c_x) < k, exactly when p(c_u) = x: maps_to[c_x][u] &
+    maps_to[c_u][x], symmetric in x and u.
 
     The braid check walks the triples (x, y, z) with x, y <= k, the only
-    ones whose six entries can all be forced (r(x, y) needs x <= k, and
-    r(y, z) needs y <= k). It takes first the pairs (x, k) and (k, y), whose
-    triples read the new row k: almost every candidate fails, mostly on
-    one of those. With r(x, y) = (u, v), the entry r(v, z) is forced for
-    the k + 1 values z = sigma_v^{-1}(0..k) when v <= k, and for none when
-    v > k; `reach[v]` lists them, so only those z are walked. A triple that
-    the parent already passed passes again, and is checked again: in the
+    ones whose six entries can all be forced, reading each entry
+    r(x, y) = (sigma_x(y), sigma_u^{-1}(x)) from sig and sig_inv: it is
+    forced when its second part is not -1. It takes first the pairs (x, k)
+    and (k, y), whose triples read sigma_k: almost every candidate fails on
+    one of those. With r(x, y) = (u, v), r(v, z) is forced for the k + 1
+    values z = sigma_v^{-1}(0..k) when v <= k, and for none when v > k;
+    `reach[v]` lists them, so only those z are walked. A triple that the
+    parent already passed passes again, and is checked again: in the
     sampler's size-5 pass such triples are 4% of the z steps walked, too
-    few to pay for tracking them. A child's tau rows are built, and sigma_k
-    pushed, only when it is visited.
+    few to pay for tracking them.
     """
     perms = all_perms(n)
     inverses = [invert(p) for p in perms]
@@ -679,51 +677,44 @@ def _involutive_families(n: int, order: Callable[[list[int]], Iterable[int]]) ->
         for y, u in enumerate(p):
             maps_to[y][u] |= 1 << idx
     everyone = (1 << len(perms)) - 1
-    # below[k][idx]: the (y, u) with u = p(y) < k, for p = perms[idx]
-    below = [[[(y, u) for y, u in enumerate(p) if u < k] for p in perms] for k in range(n)]
+    # The tau rows are one int, `tau`: bit y * n + t is set when some forced
+    # tau_y(x) equals t. Row c is tau >> c * n & full; the rows holding t
+    # are the bits y * n of tau >> t & column; the rows y holding y are
+    # the bits y * n + y of tau & diagonal.
+    full = (1 << n) - 1
+    column = sum(1 << y * n for y in range(n))
+    diagonal = sum(1 << y * n + y for y in range(n))
+    # row_or[x][row]: the perms p with p(t) = x for a t set in row;
+    # col_or[u][tau >> t & column]: with p(y) = u for a row y holding t;
+    # diag_or[u][tau & diagonal]: with p(y) = u for a row y holding y
+    row_or = [[0] * (1 << n) for _ in range(n)]
+    col_or: list[dict[int, int]] = [{} for _ in range(n)]
+    diag_or: list[dict[int, int]] = [{} for _ in range(n)]
+    for u in range(n):
+        for held in range(1 << n):
+            ys = [y for y in range(n) if held >> y & 1]
+            for y in ys:
+                row_or[u][held] |= maps_to[y][u]
+            col_or[u][sum(1 << y * n for y in ys)] = row_or[u][held]
+            diag_or[u][sum(1 << y * n + y for y in ys)] = row_or[u][held]
     # heads[k][idx]: p^{-1}(0..k), the z with p(z) <= k
     heads = [[p_inv[: k + 1] for p_inv in inverses] for k in range(n)]
-    # walk[k]: the pairs (x, y) of the braid check at depth k, as
-    # (x * n, y * n, x * n + y); those that read row k come first
+    # walk[k]: the pairs (x, y) of the braid check at depth k; those that
+    # read sigma_k come first
     walk = [
-        [(x * n, k * n, x * n + k) for x in range(k + 1)]
-        + [(k * n, y * n, k * n + y) for y in range(k)]
-        + [(x * n, y * n, x * n + y) for x in range(k) for y in range(k)]
+        [(x, k) for x in range(k + 1)]
+        + [(k, y) for y in range(k)]
+        + [(x, y) for x in range(k) for y in range(k)]
         for k in range(n)
     ]
-    # entry[u * n + t] is the forced value (u, t), with u * n and t * n
-    # ready to index the flat r
-    entry = [(u, t, u * n, t * n) for u in range(n) for t in range(n)]
-    sig: list[Perm] = []
-    sig_inv: list[Perm] = []
-    # r[x * n + y] is the entry of the forced r(x, y) = (u, tau_y(x)), or None
-    r: list[Optional[tuple[int, int, int, int]]] = [None] * (n * n)
-    blank = [None] * n
+    # sig[x] is sigma_x and sig_inv[x] its inverse, or `unset` while x > k.
+    # sig_inv has one more unset row, read as sig_inv[-1] when an unset
+    # sigma's value -1 is looked up.
+    unset = (-1,) * n
+    sig: list[Perm] = [unset] * n
+    sig_inv: list[Perm] = [unset] * (n + 1)
 
-    def braid_ok(k: int, reach: list[Sequence[int]]) -> bool:
-        """r12 r23 r12 = r23 r12 r23 on every triple whose values are forced;
-        reach[v] holds the z with r(v, z) forced."""
-        for xn, yn, xy in walk[k]:
-            a = r[xy]
-            if a is None:
-                continue
-            un, vn = a[2], a[3]
-            for z in reach[a[1]]:
-                b = r[vn + z]
-                c = r[un + b[0]]
-                d = r[yn + z]
-                if c is None or d is None:
-                    continue
-                e = r[xn + d[0]]
-                if e is None:
-                    continue
-                f = r[e[3] + d[1]]
-                if f is not None and (c[0] != e[0] or c[1] != f[0] or b[1] != f[1]):
-                    return False
-        return True
-
-    def descend(k: int, tau_rows: list[int]) -> Iterator[Solution]:
-        """tau_rows[y] has bit t set when some forced tau_y(x) equals t."""
+    def descend(k: int, tau: int) -> Iterator[Solution]:
         if k == n:
             try:
                 sol = involutive_from_sigma(sig)
@@ -733,67 +724,69 @@ def _involutive_families(n: int, order: Callable[[list[int]], Iterable[int]]) ->
                 ) from exc
             yield sol
             return
-        cols = [sig_inv[x][k] for x in range(k)]  # c_x
-        taus = [sig_inv[u][k] for u in range(k)]  # sigma_u^{-1}(k)
-        banned = 0
+        cols = [s_inv[k] for s_inv in sig_inv[:k]]  # c_x = sigma_x^{-1}(k)
+        banned = diag_or[k][tau & diagonal]  # p(y) = k, and row y holds y
         for x, c in enumerate(cols):
-            row, at_c = tau_rows[c], maps_to[c]
-            for t in range(n):  # p^{-1}(x) = t is set in row c_x
-                if row >> t & 1:
-                    banned |= maps_to[t][x]
-            for u, t in enumerate(taus):  # p(c_x) = u and p(t) = x: (k, c_x) takes t too
-                banned |= at_c[u] & maps_to[t][x]
-        for y in range(n):
-            row = tau_rows[y]
-            for u, t in enumerate(taus):  # p(y) = u < k, and t is set in row y
-                if row >> t & 1:
-                    banned |= maps_to[y][u]
-            if row >> y & 1:  # p(y) = k, so (k, y) takes y
-                banned |= maps_to[y][k]
-        kn, pairs = k * n, below[k]
-        cells = [x * n + c for x, c in enumerate(cols)]  # (x, c_x), flat
-        news = [entry[u * n + t] for u, t in enumerate(taus)]  # (u, taus[u])
+            # p(t) = x for a t in row c_x; p(y) = x for a row y holding c_x
+            banned |= row_or[x][tau >> c * n & full] | col_or[x][tau >> c & column]
+            at_c = maps_to[c]
+            for u in range(x + 1):  # p(c_x) = u and p(c_u) = x: both write c_u in row c_x
+                banned |= at_c[u] & maps_to[cols[u]][x]
+        walk_k, heads_k = walk[k], heads[k]
         # reach[k] is the candidate's, set before each braid check
-        reach = [sig_inv[v][: k + 1] for v in range(k)] + [()] * (n - k)
+        reach = [s_inv[: k + 1] for s_inv in sig_inv[:k]] + [()] * (n - k)
         kids = []
         free = ~banned & everyone
         while free:
             low = free & -free
             free ^= low
             idx = low.bit_length() - 1
-            p_inv = inverses[idx]
-            for cell, t in zip(cells, p_inv):
-                r[cell] = entry[kn + t]
-            yk = p_inv[k]
-            r[kn + yk] = entry[kn + yk]
-            for y, u in pairs[idx]:
-                r[kn + y] = news[u]
-            reach[k] = heads[k][idx]
-            if braid_ok(k, reach):
+            sig[k] = perms[idx]
+            sig_inv[k] = inverses[idx]
+            reach[k] = heads_k[idx]
+            # the braid check, r12 r23 r12 = r23 r12 r23, on every triple
+            # whose six entries r(x, y) = (sigma_x(y), sigma_u^{-1}(x)) are
+            # forced: an unset row reads -1
+            for x, y in walk_k:
+                sx = sig[x]
+                u = sx[y]
+                v = sig_inv[u][x]
+                if v < 0:
+                    continue
+                su, sv, sy = sig[u], sig[v], sig[y]
+                for z in reach[v]:
+                    b0 = sv[z]
+                    c0 = su[b0]
+                    c1 = sig_inv[c0][u]
+                    d0 = sy[z]
+                    d1 = sig_inv[d0][y]
+                    if c1 < 0 or d1 < 0:
+                        continue
+                    e0 = sx[d0]
+                    e1 = sig_inv[e0][x]
+                    if e1 < 0:
+                        continue
+                    f0 = sig[e1][d1]
+                    f1 = sig_inv[f0][e1]
+                    if f1 >= 0 and (c0 != e0 or c1 != f0 or sig_inv[b0][v] != f1):
+                        break
+                else:
+                    continue
+                break
+            else:
                 kids.append(idx)
-            r[kn : kn + n] = blank
         for idx in order(kids):
-            p_inv = inverses[idx]
-            rows = tau_rows[:]
-            for cell, c, t in zip(cells, cols, p_inv):
-                r[cell] = entry[kn + t]
-                rows[c] |= 1 << t
-            yk = p_inv[k]
-            r[kn + yk] = entry[kn + yk]
-            rows[yk] |= 1 << yk
-            for y, u in pairs[idx]:
-                r[kn + y] = news[u]
-                rows[y] |= 1 << taus[u]
-            sig.append(perms[idx])
-            sig_inv.append(p_inv)
-            yield from descend(k + 1, rows)
-            sig.pop()
-            sig_inv.pop()
-            r[kn : kn + n] = blank
-        for cell in cells:
-            r[cell] = None
+            p_inv = sig_inv[k] = inverses[idx]
+            sig[k] = perms[idx]
+            # r(x, c_x) = (k, p^{-1}(x)) writes p^{-1}(x) in row c_x, and
+            # r(k, y) with p(y) = x < k writes c_x in row y = p^{-1}(x)
+            child = tau | 1 << p_inv[k] * (n + 1)  # r(k, y) = (k, y) for p(y) = k
+            for c, t in zip(cols, p_inv):
+                child |= 1 << c * n + t | 1 << t * n + c
+            yield from descend(k + 1, child)
+        sig[k] = sig_inv[k] = unset
 
-    return descend(0, [0] * n)
+    return descend(0, 0)
 
 
 def solution_canonical_form(sol: Solution) -> tuple:
